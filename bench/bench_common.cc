@@ -606,34 +606,29 @@ std::vector<CorePerfRow> MeasureCorePerf(size_t rows, size_t cols) {
                        })});
   }
 
-  // Incremental engine: steady-state cost of re-evaluating a slightly
-  // different candidate (alternating extraction thresholds), the repartition
-  // loop's inner pattern. Only the dirty row shards recompute, so effective
+  // Incremental update: steady-state cost of one loop iteration between
+  // two slightly different thresholds — window re-extraction, window
+  // allocation and the dirty row shards of Eq. 3, in place on one
+  // partition. Only the window's groups and shards recompute, so effective
   // cells/sec is far above the full information_loss row — that gap is the
-  // sublinearity the engine exists for.
+  // sublinearity the extractor and the engine exist for.
   {
+    CellGroupExtractor incremental(variations);
     IflEngine engine(grid);
-    Partition candidates[2];
-    std::vector<uint8_t> visited;
-    // Tiny threshold step: near-identical tilings, so only a few shards go
-    // dirty per update — the loop's actual steady state.
-    extractor.ExtractInto(0.02, &candidates[0], &visited);
-    extractor.ExtractInto(0.0201, &candidates[1], &visited);
-    // Prime both shapes so every measured update sees a committed baseline.
-    for (Partition& candidate : candidates) {
-      SRP_CHECK_OK(engine.AllocateCandidateFeatures(&candidate, nullptr,
-                                                    nullptr));
-      engine.ComputeInformationLoss(candidate, nullptr, nullptr);
-    }
+    Partition partition;
     size_t flip = 0;
+    const auto update = [&] {
+      const double t = (flip ^= 1) != 0 ? 0.0201 : 0.02;
+      const ExtractionWindow window = incremental.ExtractInto(t, &partition);
+      SRP_CHECK_OK(engine.AllocateWindow(&partition, window, nullptr,
+                                         nullptr));
+      engine.ComputeInformationLoss(partition, window, nullptr, nullptr);
+    };
+    // Prime both shapes so every measured update has an incremental base.
+    update();
+    update();
     results.push_back({"incremental_ifl_update", 1,
-                       CellsPerSecond(cells, [&] {
-                         Partition& candidate = candidates[flip ^= 1];
-                         SRP_CHECK_OK(engine.AllocateCandidateFeatures(
-                             &candidate, nullptr, nullptr));
-                         engine.ComputeInformationLoss(candidate, nullptr,
-                                                       nullptr);
-                       })});
+                       CellsPerSecond(cells, update)});
   }
   return results;
 }

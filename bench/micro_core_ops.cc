@@ -146,36 +146,33 @@ void BM_InformationLossSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_InformationLossSimd)->Apply(SimdComparisonArgs);
 
-/// Steady-state incremental allocate+IFL update between two alternating
-/// near-identical candidates — the repartition loop's per-iteration pattern.
-/// items/sec is nominal grid cells/sec; the gap to BM_InformationLossSimd is
-/// the incremental win (only dirty row shards recompute).
+/// Steady-state incremental extract+allocate+IFL update between two
+/// alternating near-identical thresholds — the repartition loop's
+/// per-iteration pattern. items/sec is nominal grid cells/sec; the gap to
+/// BM_InformationLossSimd is the incremental win (only the window and its
+/// dirty row shards recompute).
 void BM_IncrementalIflUpdate(benchmark::State& state) {
   const GridDataset grid = GridForSize(state.range(0));
   const GridDataset norm = AttributeNormalized(grid);
   const PairVariations variations = ComputePairVariations(norm);
-  const CellGroupExtractor extractor(variations);
+  CellGroupExtractor extractor(variations);
   IflEngine engine(grid);
-  Partition candidates[2];
-  std::vector<uint8_t> visited;
+  Partition partition;
   // A tiny threshold step: the two extractions re-tile almost the whole
-  // grid identically, so only the few row shards holding a changed group go
-  // dirty — the repartition loop's actual steady state (check the
-  // dirty_shards counter stays well under total_shards).
-  extractor.ExtractInto(0.02, &candidates[0], &visited);
-  extractor.ExtractInto(0.0201, &candidates[1], &visited);
-  for (Partition& candidate : candidates) {
-    SRP_CHECK_OK(engine.AllocateCandidateFeatures(&candidate, nullptr,
-                                                  nullptr));
-    engine.ComputeInformationLoss(candidate, nullptr, nullptr);
-  }
+  // grid identically, so only the window and the few row shards holding
+  // it are recomputed — the repartition loop's actual steady state (check
+  // the dirty_shards counter stays well under total_shards).
   size_t flip = 0;
+  const auto update = [&] {
+    const double t = (flip ^= 1) != 0 ? 0.0201 : 0.02;
+    const ExtractionWindow window = extractor.ExtractInto(t, &partition);
+    SRP_CHECK_OK(engine.AllocateWindow(&partition, window, nullptr, nullptr));
+    return engine.ComputeInformationLoss(partition, window, nullptr, nullptr);
+  };
+  update();
+  update();
   for (auto _ : state) {
-    Partition& candidate = candidates[flip ^= 1];
-    SRP_CHECK_OK(
-        engine.AllocateCandidateFeatures(&candidate, nullptr, nullptr));
-    benchmark::DoNotOptimize(
-        engine.ComputeInformationLoss(candidate, nullptr, nullptr));
+    benchmark::DoNotOptimize(update());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(grid.num_cells()));

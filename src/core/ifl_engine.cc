@@ -1,6 +1,7 @@
 #include "core/ifl_engine.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/feature_allocator.h"
 #include "core/information_loss.h"
@@ -14,6 +15,13 @@ namespace {
 /// Groups per ParallelFor chunk — matches AllocateFeatures.
 constexpr size_t kGroupGrain = 64;
 
+/// Cells below which a window's allocation or Eq. 3 pass runs on the
+/// calling thread: 16 row shards of a kGroupGrain-column grid. Below that,
+/// pool dispatch (a latch and a wakeup per helper) costs more than the work
+/// it spreads, and running inline changes neither the chunk layout nor the
+/// combine order.
+constexpr size_t kInlineCells = 16 * kernels::kIflRowGrain * kGroupGrain;
+
 }  // namespace
 
 IflEngine::IflEngine(const GridDataset& grid)
@@ -22,56 +30,63 @@ IflEngine::IflEngine(const GridDataset& grid)
       num_shards_((grid.rows() + kernels::kIflRowGrain - 1) /
                   kernels::kIflRowGrain) {
   partials_.resize(num_shards_);
-  shard_dirty_.resize(num_shards_);
 }
 
-Status IflEngine::AllocateCandidateFeatures(Partition* candidate,
-                                            ThreadPool* pool,
-                                            const RunContext* ctx) {
-  if (candidate->rows != grid_.rows() || candidate->cols != grid_.cols()) {
+Status IflEngine::AllocateWindow(Partition* p, const ExtractionWindow& window,
+                                 ThreadPool* pool, const RunContext* ctx) {
+  undo_pending_ = false;
+  if (p->rows != grid_.rows() || p->cols != grid_.cols()) {
     return Status::InvalidArgument("partition/grid dimension mismatch");
   }
   SRP_INJECT_FAULT("core.allocate_features");
   SRP_RETURN_IF_INTERRUPTED(ctx);
-  const size_t num_groups = candidate->num_groups();
-  candidate->features.resize(num_groups);
-  candidate->group_null.resize(num_groups);
-  candidate->group_valid_count.resize(num_groups);
-  reused_.assign(num_groups, 0);
-  const bool have_prev = prev_valid_;
+  undo_pending_ = true;
+  window_ = window;
+  saved_partials_ = partials_;
+  saved_partials_valid_ = partials_valid_;
+  saved_value_ = value_;
+  if (!window.changed) return Status::OK();
 
-  // Group shards write disjoint entries; the reuse decision for a group
-  // depends only on the previous committed partition, so the output is
-  // thread-count independent. Reused rows are copies of doubles the
-  // recompute branch would produce identically (AllocateGroupFeatures is a
-  // pure function of the group rectangle).
-  const size_t p = grid_.num_attributes();
-  const size_t cols = grid_.cols();
-  ParallelFor(pool, 0, num_groups, kGroupGrain,
-              [this, candidate, have_prev, p, cols](size_t g_beg,
-                                                    size_t g_end) {
+  // Move the rows along the extractor's splice: groups outside the window
+  // keep theirs, the window gets the buffers the previous window replaced.
+  const size_t begin = window.group_begin;
+  const size_t new_n = window.new_group_end - begin;
+  SRP_CHECK(p->features.size() + new_n ==
+                p->num_groups() + (window.old_group_end - begin) &&
+            p->group_null.size() == p->features.size() &&
+            p->group_valid_count.size() == p->features.size())
+      << "AllocateWindow needs the features of the partition before the "
+         "window";
+  window_features_.resize(new_n);
+  window_null_.resize(new_n);
+  window_valid_count_.resize(new_n);
+  SwapWindow(&p->features, begin, window.old_group_end, &window_features_);
+  SwapWindow(&p->group_null, begin, window.old_group_end, &window_null_);
+  SwapWindow(&p->group_valid_count, begin, window.old_group_end,
+             &window_valid_count_);
+
+  // A group whose rectangle the window kept takes its previous values (now
+  // in the undo record); the others are computed. Group shards write
+  // disjoint entries, and AllocateGroupFeatures is a pure function of the
+  // group rectangle, so the output is thread-count independent.
+  const std::span<const int32_t> previous = window.previous;
+  const size_t cells = (window.row_end - window.row_begin) * grid_.cols();
+  ParallelFor(cells < kInlineCells ? nullptr : pool, begin,
+              window.new_group_end, kGroupGrain,
+              [this, p, begin, previous](size_t g_beg, size_t g_end) {
                 std::vector<double> values;
                 for (size_t g = g_beg; g < g_end; ++g) {
-                  const CellGroup& rect = candidate->groups[g];
-                  if (have_prev) {
-                    const int32_t pg =
-                        prev_cell_to_group_[rect.r_beg * cols + rect.c_beg];
-                    if (pg >= 0 &&
-                        prev_groups_[static_cast<size_t>(pg)] == rect) {
-                      const auto prev_id = static_cast<size_t>(pg);
-                      const double* row = prev_features_.data() + prev_id * p;
-                      candidate->features[g].assign(row, row + p);
-                      candidate->group_null[g] = prev_group_null_[prev_id];
-                      candidate->group_valid_count[g] =
-                          prev_group_valid_count_[prev_id];
-                      reused_[g] = 1;
-                      continue;
-                    }
+                  const int32_t j =
+                      previous.empty() ? -1 : previous[g - begin];
+                  if (j >= 0) {
+                    p->features[g] = window_features_[j];
+                    p->group_null[g] = window_null_[j];
+                    p->group_valid_count[g] = window_valid_count_[j];
+                    continue;
                   }
-                  AllocateGroupFeatures(grid_, rect, &values,
-                                        &candidate->features[g],
-                                        &candidate->group_null[g],
-                                        &candidate->group_valid_count[g]);
+                  AllocateGroupFeatures(grid_, p->groups[g], &values,
+                                        &p->features[g], &p->group_null[g],
+                                        &p->group_valid_count[g]);
                 }
               },
               ctx);
@@ -79,94 +94,42 @@ Status IflEngine::AllocateCandidateFeatures(Partition* candidate,
   return Status::OK();
 }
 
-void IflEngine::SeedBaseline(const Partition& committed, ThreadPool* pool,
-                             const RunContext* ctx) {
-  prev_valid_ = false;
-  SRP_CHECK(committed.rows == grid_.rows() && committed.cols == grid_.cols())
-      << "seed partition/grid dimension mismatch";
-  SRP_CHECK(committed.features.size() == committed.num_groups())
-      << "SeedBaseline requires allocated features";
-
-  const kernels::GroupFeatureView feat(committed);
-  const kernels::KernelTable& kern = kernels::ActiveKernels();
-  const int32_t* cell_to_group = committed.cell_to_group.data();
-  const size_t rows = grid_.rows();
-  const size_t cols = grid_.cols();
-  ParallelFor(pool, 0, num_shards_, 1,
-              [this, &kern, &feat, cell_to_group, rows, cols](size_t s_beg,
-                                                              size_t s_end) {
-                for (size_t s = s_beg; s < s_end; ++s) {
-                  const size_t r_beg = s * kernels::kIflRowGrain;
-                  const size_t r_end =
-                      std::min(r_beg + kernels::kIflRowGrain, rows);
-                  partials_[s] = kern.ifl_cells(view_, feat, cell_to_group,
-                                                r_beg * cols, r_end * cols);
-                }
-              },
-              ctx);
-  if (ctx != nullptr && ctx->Interrupted()) {
-    return;  // partial cache torn; the next evaluation recomputes in full
-  }
-
-  const size_t p = grid_.num_attributes();
-  prev_groups_ = committed.groups;
-  prev_cell_to_group_ = committed.cell_to_group;
-  prev_group_null_ = committed.group_null;
-  prev_group_valid_count_ = committed.group_valid_count;
-  prev_features_.resize(committed.num_groups() * p);
-  for (size_t g = 0; g < committed.num_groups(); ++g) {
-    const std::vector<double>& row = committed.features[g];
-    SRP_CHECK(row.size() == p) << "seed feature row arity mismatch";
-    std::copy(row.begin(), row.end(), prev_features_.begin() + g * p);
-  }
-  prev_valid_ = true;
-}
-
-double IflEngine::ComputeInformationLoss(const Partition& candidate,
+double IflEngine::ComputeInformationLoss(const Partition& p,
+                                         const ExtractionWindow& window,
                                          ThreadPool* pool,
                                          const RunContext* ctx) {
-  SRP_CHECK(!candidate.features.empty())
+  SRP_CHECK(p.features.size() == p.num_groups())
       << "ComputeInformationLoss requires allocated features";
-  SRP_DCHECK(reused_.size() == candidate.num_groups())
-      << "candidate was not run through AllocateCandidateFeatures";
-  const kernels::GroupFeatureView feat(candidate);
-  const kernels::KernelTable& kern = kernels::ActiveKernels();
+  if (!window.changed && partials_valid_) {
+    last_dirty_shards_ = 0;
+    return value_;
+  }
 
   // A shard is clean iff every one of its cells kept both its group
-  // rectangle and that group's representative values — i.e. every group
-  // intersecting the shard was reused. Sweep the changed groups and mark
-  // their row ranges (single-threaded: the bitmap is tiny).
-  if (prev_valid_) {
-    std::fill(shard_dirty_.begin(), shard_dirty_.end(), uint8_t{0});
-    for (size_t g = 0; g < candidate.num_groups(); ++g) {
-      if (reused_[g] != 0) continue;
-      const CellGroup& rect = candidate.groups[g];
-      const size_t s_beg = rect.r_beg / kernels::kIflRowGrain;
-      const size_t s_end = rect.r_end / kernels::kIflRowGrain;
-      for (size_t s = s_beg; s <= s_end; ++s) shard_dirty_[s] = 1;
-    }
-  } else {
-    std::fill(shard_dirty_.begin(), shard_dirty_.end(), uint8_t{1});
+  // rectangle and that group's representative values; only the window's
+  // rows can hold cells that did not.
+  size_t s_beg = 0;
+  size_t s_end = num_shards_;
+  if (partials_valid_) {
+    s_beg = window.row_begin / kernels::kIflRowGrain;
+    s_end = (window.row_end + kernels::kIflRowGrain - 1) /
+            kernels::kIflRowGrain;
   }
-
-  std::vector<size_t> dirty;
-  dirty.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    if (shard_dirty_[s] != 0) dirty.push_back(s);
-  }
-  last_dirty_shards_ = dirty.size();
+  last_dirty_shards_ = s_end - s_beg;
 
   // Recompute the dirty shards with the active kernel. Shard writes are
-  // disjoint and each partial is a pure function of (grid, candidate,
+  // disjoint and each partial is a pure function of (grid, partition,
   // shard), so scheduling cannot affect the stored values.
-  const int32_t* cell_to_group = candidate.cell_to_group.data();
+  const kernels::GroupFeatureView feat(p);
+  const kernels::KernelTable& kern = kernels::ActiveKernels();
+  const int32_t* cell_to_group = p.cell_to_group.data();
   const size_t rows = grid_.rows();
   const size_t cols = grid_.cols();
-  ParallelFor(pool, 0, dirty.size(), 1,
-              [this, &dirty, &kern, &feat, cell_to_group, rows,
-               cols](size_t i_beg, size_t i_end) {
-                for (size_t i = i_beg; i < i_end; ++i) {
-                  const size_t s = dirty[i];
+  const size_t cells = last_dirty_shards_ * kernels::kIflRowGrain * cols;
+  ParallelFor(cells < kInlineCells ? nullptr : pool, s_beg, s_end, 1,
+              [this, &kern, &feat, cell_to_group, rows, cols](size_t i_beg,
+                                                              size_t i_end) {
+                for (size_t s = i_beg; s < i_end; ++s) {
                   const size_t r_beg = s * kernels::kIflRowGrain;
                   const size_t r_end =
                       std::min(r_beg + kernels::kIflRowGrain, rows);
@@ -178,34 +141,19 @@ double IflEngine::ComputeInformationLoss(const Partition& candidate,
   if (ctx != nullptr && ctx->Interrupted()) {
     // The partial cache is torn; fall back to a full recompute next time.
     // The caller discards the value (same contract as InformationLoss).
-    prev_valid_ = false;
+    partials_valid_ = false;
     return 0.0;
   }
 
   // Ascending-shard combine: exactly the ParallelReduce order of
   // InformationLoss, so incremental == full, bit for bit.
   kernels::IflPartial sum;
-  for (const kernels::IflPartial& p : partials_) {
-    sum.total += p.total;
-    sum.terms += p.terms;
+  for (const kernels::IflPartial& partial : partials_) {
+    sum.total += partial.total;
+    sum.terms += partial.terms;
   }
-  const double value =
-      sum.terms == 0 ? 0.0 : sum.total / static_cast<double>(sum.terms);
-
-  // Commit the candidate as the next reuse baseline (flattened: bulk
-  // copies, no per-group vector churn).
-  const size_t p = grid_.num_attributes();
-  prev_groups_ = candidate.groups;
-  prev_cell_to_group_ = candidate.cell_to_group;
-  prev_group_null_ = candidate.group_null;
-  prev_group_valid_count_ = candidate.group_valid_count;
-  prev_features_.resize(candidate.num_groups() * p);
-  for (size_t g = 0; g < candidate.num_groups(); ++g) {
-    const std::vector<double>& row = candidate.features[g];
-    SRP_DCHECK(row.size() == p) << "feature row arity mismatch";
-    std::copy(row.begin(), row.end(), prev_features_.begin() + g * p);
-  }
-  prev_valid_ = true;
+  value_ = sum.terms == 0 ? 0.0 : sum.total / static_cast<double>(sum.terms);
+  partials_valid_ = true;
   ++evaluations_;
 
 #if !defined(NDEBUG)
@@ -213,16 +161,30 @@ double IflEngine::ComputeInformationLoss(const Partition& candidate,
   // exactly. Every call early on (when reuse paths first engage), then
   // every 16th.
   if (evaluations_ <= 4 || evaluations_ % 16 == 0) {
-    const double full = InformationLoss(grid_, candidate, pool, ctx);
+    const double full = InformationLoss(grid_, p, pool, ctx);
     if (ctx == nullptr || !ctx->Interrupted()) {
-      SRP_CHECK(value == full)
-          << "incremental IFL diverged from full recompute: " << value
+      SRP_CHECK(value_ == full)
+          << "incremental IFL diverged from full recompute: " << value_
           << " vs " << full << " (" << last_dirty_shards_ << "/"
           << num_shards_ << " dirty shards)";
     }
   }
 #endif
-  return value;
+  return value_;
+}
+
+void IflEngine::Undo(Partition* p) {
+  if (!undo_pending_) return;
+  undo_pending_ = false;
+  partials_.swap(saved_partials_);
+  partials_valid_ = saved_partials_valid_;
+  value_ = saved_value_;
+  if (!window_.changed) return;
+  const size_t begin = window_.group_begin;
+  SwapWindow(&p->features, begin, window_.new_group_end, &window_features_);
+  SwapWindow(&p->group_null, begin, window_.new_group_end, &window_null_);
+  SwapWindow(&p->group_valid_count, begin, window_.new_group_end,
+             &window_valid_count_);
 }
 
 }  // namespace srp

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/extractor.h"
 #include "core/kernels/kernels.h"
 #include "core/partition.h"
 #include "fail/cancellation.h"
@@ -17,59 +18,54 @@ namespace srp {
 /// Incremental feature-allocation + information-loss engine for the
 /// repartition loop (DESIGN.md §12).
 ///
-/// Successive candidates of the coarsening loop differ by the few
-/// cell-groups whose extraction changed when minAdjacentVariation stepped;
-/// the rest of the grid re-tiles identically. The engine exploits that:
+/// The loop re-extracts its one partition in place
+/// (CellGroupExtractor::ExtractInto), which reports the window of groups
+/// and rows that changed. The engine works from that window:
 ///
-///  - AllocateCandidateFeatures reuses the feature row / null flag /
-///    valid-cell count of every group whose rectangle already existed in the
-///    previously evaluated partition (detected by rect equality through the
-///    previous cIndex), and recomputes only the changed groups via the same
-///    per-group routine AllocateFeatures uses.
+///  - AllocateWindow moves the feature rows / null flags / valid-cell
+///    counts along with the extractor's splice, so every group outside the
+///    window keeps its values in place, and computes only the window's
+///    groups via the same per-group routine AllocateFeatures uses.
 ///  - ComputeInformationLoss caches the per-shard IFL partials of the fixed
-///    kIflRowGrain row shards and recomputes only the shards containing a
-///    changed group, then combines all partials in ascending shard order.
+///    kIflRowGrain row shards, recomputes only the shards the window's rows
+///    touch, then combines all partials in ascending shard order.
+///  - An unchanged window allocates nothing and returns the previous value.
 ///
-/// Because reused values are copies of doubles the full path would
-/// recompute identically, and the shard layout/combine order are the same
-/// as InformationLoss, the result is BIT-IDENTICAL to the non-incremental
-/// path — for any thread count — which debug builds assert with a periodic
-/// full-recompute audit (SRP_DCHECK).
+/// Kept values are the doubles the full path would recompute identically,
+/// and the shard layout/combine order are those of InformationLoss, so the
+/// result is BIT-IDENTICAL to the non-incremental path — for any thread
+/// count — which debug builds assert with a periodic full-recompute audit.
+/// Windows below a fixed work floor run on the calling thread: dispatching
+/// one or two shards to the pool costs more than computing them.
 ///
 /// The grid must outlive the engine. Not thread-safe; one engine per run.
 class IflEngine {
  public:
   explicit IflEngine(const GridDataset& grid);
 
-  /// Same contract and result as AllocateFeatures(grid, candidate, ...):
-  /// fills features/group_null/group_valid_count of `candidate` (whose
-  /// groups/cell_to_group come from the extractor), reusing unchanged
-  /// groups. Hosts the `core.allocate_features` fault point. On error or
-  /// interruption the candidate is partially filled and must be discarded.
-  Status AllocateCandidateFeatures(Partition* candidate, ThreadPool* pool,
-                                   const RunContext* ctx);
+  /// Fills features/group_null/group_valid_count of `*p` after
+  /// ExtractInto returned `window`: the same result as
+  /// AllocateFeatures(grid, p, ...), given that `*p` carried allocated
+  /// features for the partition before the window. Hosts the
+  /// `core.allocate_features` fault point. On error or interruption the
+  /// window is partially filled; Undo restores the previous rows.
+  Status AllocateWindow(Partition* p, const ExtractionWindow& window,
+                        ThreadPool* pool, const RunContext* ctx);
 
-  /// Same value as InformationLoss(grid, *candidate, ...), recomputing only
-  /// the dirty row shards. Must follow a successful
-  /// AllocateCandidateFeatures on the same candidate. Commits the candidate
-  /// as the next reuse baseline. A non-null interrupted `ctx` makes the
-  /// return value meaningless (caller discards it, as with
-  /// InformationLoss); the engine then falls back to a full recompute on
-  /// the next call.
-  double ComputeInformationLoss(const Partition& candidate, ThreadPool* pool,
-                                const RunContext* ctx);
+  /// Same value as InformationLoss(grid, p, ...), recomputing only the row
+  /// shards of `window` (all of them on the first call or after an
+  /// interrupt). Must follow AllocateWindow with the same window. A
+  /// non-null interrupted `ctx` makes the return value meaningless (the
+  /// caller discards it, as with InformationLoss); the engine then
+  /// recomputes in full on the next call.
+  double ComputeInformationLoss(const Partition& p,
+                                const ExtractionWindow& window,
+                                ThreadPool* pool, const RunContext* ctx);
 
-  /// Commits `committed` — an already-evaluated partition with allocated
-  /// features, e.g. one restored from a durable checkpoint — as the reuse
-  /// baseline, recomputing every per-shard IFL partial, exactly as if the
-  /// engine had just evaluated it. Purely a performance seed for resumed
-  /// runs: the partials are the same pure function of (grid, partition,
-  /// shard) the uninterrupted run had cached, so the next evaluation's
-  /// incremental result is bit-identical with or without the call. On a
-  /// mid-seed interrupt the engine simply stays un-seeded (the next
-  /// evaluation falls back to a full recompute).
-  void SeedBaseline(const Partition& committed, ThreadPool* pool,
-                    const RunContext* ctx);
+  /// Restores the feature rows of `*p` and the cached partials to their
+  /// state before the last AllocateWindow. A no-op when there is nothing to
+  /// undo. Call it before CellGroupExtractor::Undo reverts the groups.
+  void Undo(Partition* p);
 
   /// Row shards recomputed by the last ComputeInformationLoss (equals the
   /// total shard count on the first call or after an interrupt).
@@ -82,22 +78,22 @@ class IflEngine {
   const size_t num_shards_;
 
   std::vector<kernels::IflPartial> partials_;  // [shard]
-  std::vector<uint8_t> reused_;     // [group], 1 = copied from the baseline
-  std::vector<uint8_t> shard_dirty_;           // [shard] scratch
-
-  // Flattened snapshot of the last committed candidate (the reuse
-  // baseline). Flat arrays commit with a handful of bulk copies where a
-  // deep Partition copy would assign one inner vector per group — at
-  // 128x128 that is the difference between ~1 MB of memcpy and ~14k
-  // individual vector assignments per evaluation.
-  std::vector<CellGroup> prev_groups_;
-  std::vector<int32_t> prev_cell_to_group_;
-  std::vector<double> prev_features_;  // [group * num_attributes + k]
-  std::vector<uint8_t> prev_group_null_;
-  std::vector<uint32_t> prev_group_valid_count_;
-  bool prev_valid_ = false;
+  bool partials_valid_ = false;
+  double value_ = 0.0;  // Eq. 3 over partials_
   size_t last_dirty_shards_ = 0;
   uint64_t evaluations_ = 0;
+
+  // Undo record of the last AllocateWindow: its window, the rows it
+  // replaced (before the splice: recycled buffers for the next window), and
+  // the partials as they were.
+  bool undo_pending_ = false;
+  ExtractionWindow window_;
+  std::vector<std::vector<double>> window_features_;
+  std::vector<uint8_t> window_null_;
+  std::vector<uint32_t> window_valid_count_;
+  std::vector<kernels::IflPartial> saved_partials_;
+  bool saved_partials_valid_ = false;
+  double saved_value_ = 0.0;
 };
 
 }  // namespace srp

@@ -59,7 +59,46 @@ CoreMetrics& Metrics() {
 /// almost certainly a corrupted or hostile options struct.
 constexpr size_t kMaxThreads = 4096;
 
+/// Puts the committed partition back on every way out of an iteration but
+/// acceptance: the engine's feature rows first (once allocation has been
+/// attempted), then the extractor's groups and cell map.
+class CandidateUndo {
+ public:
+  CandidateUndo(CellGroupExtractor* extractor, Partition* partition)
+      : extractor_(extractor), partition_(partition) {}
+  ~CandidateUndo() {
+    if (partition_ == nullptr) return;
+    if (engine_ != nullptr) engine_->Undo(partition_);
+    extractor_->Undo(partition_);
+  }
+  CandidateUndo(const CandidateUndo&) = delete;
+  CandidateUndo& operator=(const CandidateUndo&) = delete;
+
+  void set_engine(IflEngine* engine) { engine_ = engine; }
+  /// The candidate was accepted: keep it.
+  void Release() { partition_ = nullptr; }
+
+ private:
+  CellGroupExtractor* extractor_;
+  IflEngine* engine_ = nullptr;
+  Partition* partition_;
+};
+
 }  // namespace
+
+const char* StopReasonName(StopReason reason) {
+  switch (reason) {
+    case StopReason::kThetaExceeded:
+      return "theta_exceeded";
+    case StopReason::kHeapDrained:
+      return "heap_drained";
+    case StopReason::kMaxIterations:
+      return "max_iterations";
+    case StopReason::kInterrupted:
+      return "interrupted";
+  }
+  return "unknown";
+}
 
 Status RepartitionOptions::Validate() const {
   // The negated >=/<= form rejects NaN thresholds too (any comparison with
@@ -258,33 +297,19 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     take_phase(&stats.heap_build_seconds, &stats.heap_build_peak_bytes,
                &stats.heap_build_hw);
 
-    const CellGroupExtractor extractor(variations);
-
-    // Loop-persistent state: the candidate partition and the extractor's
-    // visit map are reused across iterations (no per-candidate O(cells)
-    // allocation spike), and the incremental engine carries the previous
-    // evaluation's per-group features and per-shard IFL partials so each
-    // iteration recomputes only what the extraction actually changed.
+    // The committed partition is re-extracted in place: the extractor
+    // rescans only the window the new threshold can change, and the engine
+    // reallocates that window and recomputes only its row shards
+    // (DESIGN.md §12). Until a candidate is accepted, every way out of the
+    // iteration undoes the window, so `result.partition` always holds the
+    // last committed partition.
+    CellGroupExtractor extractor(variations);
     IflEngine ifl_engine(grid);
-    Partition candidate;
-    std::vector<uint8_t> visited_scratch;
-
-    if (resume != nullptr) {
-      // Re-seed the incremental engine's reuse baseline from the snapshot so
-      // the resumed run's first evaluation reuses exactly what the
-      // uninterrupted run's next evaluation would have. A pure perf
-      // optimization: the engine's incremental path is bit-identical to the
-      // full recompute either way, so skipping this (e.g. after a mid-seed
-      // interrupt) cannot change the result.
-      SRP_TRACE_SPAN("repartition.resume_seed");
-      obs::Journal::SetPhase("repartition.resume_seed");
-      ifl_engine.SeedBaseline(result.partition, pool.get(), ctx);
-      SRP_RETURN_IF_ERROR(interrupt_check());
-      if (degrade) return Status::OK();
-    }
+    Partition& partition = result.partition;
 
     double previous_variation =
         resume != nullptr ? resume->previous_variation : -1.0;
+    result.stop_reason = StopReason::kMaxIterations;
     while (result.iterations < options_.max_iterations) {
       SRP_RETURN_IF_ERROR(interrupt_check());
       if (degrade) return Status::OK();
@@ -297,29 +322,34 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
       take_phase(&stats.variation_pop_seconds, &stats.variation_pop_peak_bytes,
                  &stats.variation_pop_hw);
       if (!popped) {
-        break;  // heap drained: no coarser partition exists
+        // Heap drained: no coarser partition exists.
+        result.stop_reason = StopReason::kHeapDrained;
+        break;
       }
       ++stats.heap_pops;
       previous_variation = variation;
       obs::ProgressTracker::Get().SetWorkDone(stats.heap_pops);
 
+      ExtractionWindow window;
       {
         SRP_TRACE_SPAN("repartition.extract");
         obs::Journal::SetPhase("repartition.extract");
-        extractor.ExtractInto(variation, &candidate, &visited_scratch);
+        window = extractor.ExtractInto(variation, &partition);
       }
       ++stats.extractions;
       take_phase(&stats.extract_seconds, &stats.extract_peak_bytes,
                  &stats.extract_hw, Metrics().extract_ms);
+      CandidateUndo undo(&extractor, &partition);
 
       {
         SRP_TRACE_SPAN("repartition.allocate_features");
         obs::Journal::SetPhase("repartition.allocate_features");
-        const Status allocated =
-            ifl_engine.AllocateCandidateFeatures(&candidate, pool.get(), ctx);
+        undo.set_engine(&ifl_engine);
+        const Status allocated = ifl_engine.AllocateWindow(
+            &partition, window, pool.get(), ctx);
         if (!allocated.ok()) {
-          // A mid-allocation interrupt leaves `candidate` partially filled;
-          // it is discarded either way. interrupt_check() downgrades to
+          // A mid-allocation interrupt leaves the window partially filled;
+          // the undo discards it either way. interrupt_check() downgrades to
           // best-effort where the contract allows, everything else (e.g. the
           // core.allocate_features fault point) propagates.
           SRP_RETURN_IF_ERROR(interrupt_check());
@@ -334,7 +364,8 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
       const double ifl = [&] {
         SRP_TRACE_SPAN("repartition.information_loss");
         obs::Journal::SetPhase("repartition.information_loss");
-        return ifl_engine.ComputeInformationLoss(candidate, pool.get(), ctx);
+        return ifl_engine.ComputeInformationLoss(partition, window, pool.get(),
+                                                 ctx);
       }();
       take_phase(&stats.information_loss_seconds,
                  &stats.information_loss_peak_bytes,
@@ -346,15 +377,17 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
 
       const bool accepted = ifl <= options_.ifl_threshold;
       obs::ProgressTracker::Get().OnCandidate(variation, ifl,
-                                              candidate.num_groups(), accepted);
+                                              partition.num_groups(), accepted);
       if (sink != nullptr) {
         sink->OnIteration(result.iterations, variation, ifl,
-                          candidate.num_groups(), accepted);
+                          partition.num_groups(), accepted);
       }
       if (!accepted) {
-        break;  // exceeded θ: keep the previous partition and exit (Fig. 2)
+        // Exceeded θ: the undo restores the previous partition (Fig. 2).
+        result.stop_reason = StopReason::kThetaExceeded;
+        break;
       }
-      result.partition = candidate;  // copy: the buffer is reused next round
+      undo.Release();
       result.information_loss = ifl;
       result.final_min_adjacent_variation = variation;
       ++result.iterations;
@@ -392,6 +425,7 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   }
   SRP_RETURN_IF_ERROR(run_status);
   stats.interrupted = degrade;
+  if (degrade) result.stop_reason = StopReason::kInterrupted;
   phase_memory.reset();  // restore any enclosing ScopedMemoryPeak's view
   if (hw_group.has_value()) hw_group->Stop();
 

@@ -75,9 +75,10 @@ struct RepartitionOptions {
   /// Resume state from a previously persisted checkpoint. When set, Run
   /// skips straight past the first `resume_from->iterations` accepted
   /// iterations: it seeds the committed partition/IFL from the snapshot,
-  /// re-seeds the incremental engine's reuse baseline, rebuilds the heap
-  /// (deterministic pre-computation), and continues bit-identically to the
-  /// uninterrupted run at any thread count and SIMD tier. The snapshot must
+  /// rebuilds the heap (deterministic pre-computation), and continues
+  /// bit-identically to the uninterrupted run at any thread count and SIMD
+  /// tier (its first extraction scans the whole grid, since the snapshot
+  /// carries no extraction state). The snapshot must
   /// match the grid (ValidateFor) — fingerprint validation against the
   /// stored dataset/options happens in the durable layer before this is
   /// populated. Not owned; must outlive the run.
@@ -191,6 +192,17 @@ struct RunStats {
   }
 };
 
+/// Why Repartitioner::Run stopped coarsening.
+enum class StopReason {
+  kThetaExceeded,  ///< the next candidate's IFL exceeded θ (paper Fig. 2)
+  kHeapDrained,    ///< no larger min-adjacent variation was left to try
+  kMaxIterations,  ///< RepartitionOptions::max_iterations was reached
+  kInterrupted,    ///< a best-effort cancellation or deadline
+};
+
+/// "theta_exceeded", "heap_drained", "max_iterations" or "interrupted".
+const char* StopReasonName(StopReason reason);
+
 /// Outcome of Repartitioner::Run.
 struct RepartitionResult {
   /// The accepted (last feasible) partition, with features allocated.
@@ -208,6 +220,10 @@ struct RepartitionResult {
 
   /// Wall time of the whole run — the paper's "cell reduction time".
   double elapsed_seconds = 0.0;
+
+  /// Why the loop ended. `partition` is the last accepted one whatever the
+  /// reason.
+  StopReason stop_reason = StopReason::kHeapDrained;
 
   /// Where `elapsed_seconds` went, by phase (always populated; tracing via
   /// srp_obs is additionally emitted only when obs::Tracer is enabled).

@@ -62,6 +62,26 @@ Result<double> ParseDouble(std::string_view s) {
   return value;
 }
 
+Result<uint64_t> ParseUint64(std::string_view s) {
+  const std::string trimmed = Trim(s);
+  if (trimmed.empty()) {
+    return Status::InvalidArgument("cannot parse empty string as an integer");
+  }
+  uint64_t value = 0;
+  for (const char ch : trimmed) {
+    if (ch < '0' || ch > '9') {
+      return Status::InvalidArgument("not an unsigned integer: '" + trimmed +
+                                     "'");
+    }
+    const auto digit = static_cast<uint64_t>(ch - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      return Status::OutOfRange("integer out of range: '" + trimmed + "'");
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 std::string PadRight(std::string_view s, size_t width) {
   std::string out(s);
   if (out.size() < width) out.append(width - out.size(), ' ');

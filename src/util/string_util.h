@@ -1,6 +1,7 @@
 #ifndef SRP_UTIL_STRING_UTIL_H_
 #define SRP_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,12 @@ std::string FormatDouble(double value, int precision);
 /// with InvalidArgument; magnitude overflow fails with OutOfRange. Contrast
 /// with std::stod, which happily accepts "12abc" and throws on errors.
 Result<double> ParseDouble(std::string_view s);
+
+/// Strict unsigned-integer twin of ParseDouble: the WHOLE trimmed string
+/// must be decimal digits, so a sign ("-1", "+1"), a fraction, an exponent
+/// or a hex prefix fails with InvalidArgument; a value past uint64_t fails
+/// with OutOfRange. Contrast with atoll, which maps "abc" to 0.
+Result<uint64_t> ParseUint64(std::string_view s);
 
 /// Left-pads/truncates to `width` for aligned console tables.
 std::string PadRight(std::string_view s, size_t width);

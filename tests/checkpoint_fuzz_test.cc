@@ -14,6 +14,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/repartitioner.h"
 #include "fail/cancellation.h"
@@ -51,6 +52,18 @@ class RecordingSink : public CheckpointSink {
   std::vector<RepartitionCheckpoint> snapshots;
 };
 
+/// A scratch path unique to the running test and process. ctest runs every
+/// TEST of this file as its own process, concurrently under `ctest -j`, and
+/// all of them share one testing::TempDir(); a fixed file name would let one
+/// process truncate the file another is reading.
+std::string ScratchPath(const std::string& stem) {
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = info == nullptr ? "none" : info->name();
+  return testing::TempDir() + "/" + stem + "." + test + "." +
+         std::to_string(::getpid()) + ".srpckpt";
+}
+
 /// Bytes of a freshly written, valid checkpoint file. Built once per suite:
 /// the corpus mutates copies of this buffer.
 const std::string& ValidCheckpointBytes() {
@@ -70,12 +83,15 @@ const std::string& ValidCheckpointBytes() {
     stored.state = sink.snapshots[sink.snapshots.size() / 2];
     stored.grid_fingerprint = GridFingerprint(grid);
     stored.options_fingerprint = OptionsFingerprint(options);
-    const std::string path =
-        testing::TempDir() + "/ckpt_fuzz_seed.srpckpt";
+    const std::string path = ScratchPath("ckpt_fuzz_seed");
     SRP_CHECK(WriteCheckpointFile(path, stored).ok());
-    std::ifstream in(path, std::ios::binary);
-    std::string* out = new std::string(
-        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::string* out = nullptr;
+    {
+      std::ifstream in(path, std::ios::binary);
+      out = new std::string((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    }
+    std::filesystem::remove(path);
     SRP_CHECK(!out->empty());
     return out;
   }();
@@ -84,12 +100,14 @@ const std::string& ValidCheckpointBytes() {
 
 /// Writes `bytes` to a scratch path and parses it.
 Result<StoredCheckpoint> ParseBytes(const std::string& bytes) {
-  const std::string path = testing::TempDir() + "/ckpt_fuzz_case.srpckpt";
+  const std::string path = ScratchPath("ckpt_fuzz_case");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  return ReadCheckpointFile(path);
+  Result<StoredCheckpoint> parsed = ReadCheckpointFile(path);
+  std::filesystem::remove(path);
+  return parsed;
 }
 
 TEST(CheckpointFuzzTest, TheUncorruptedSeedParses) {

@@ -220,6 +220,35 @@ TEST(KernelsTest, IflCellsKernelsAgreeOnRawPartials) {
   }
 }
 
+TEST(KernelsTest, IflEngineUndoForgetsARejectedCandidate) {
+  // The repartition loop evaluates a candidate in place and, when it is
+  // rejected, undoes the engine's rows and then the extractor's window. The
+  // next evaluation must come out as if the rejected one had never run.
+  const GridDataset grid = RandomGrid(41, 33, 321, 0.15);
+  const GridDataset normalized = AttributeNormalized(grid);
+  const PairVariations variations = ComputePairVariations(normalized);
+  CellGroupExtractor extractor(variations);
+  IflEngine engine(grid);
+  Partition p;
+  for (const double t : {0.05, 0.06, 0.2, 0.21, 0.35}) {
+    const ExtractionWindow tried = extractor.ExtractInto(0.9, &p);
+    ASSERT_TRUE(engine.AllocateWindow(&p, tried, nullptr, nullptr).ok());
+    engine.ComputeInformationLoss(p, tried, nullptr, nullptr);
+    engine.Undo(&p);
+    extractor.Undo(&p);
+
+    const ExtractionWindow window = extractor.ExtractInto(t, &p);
+    ASSERT_TRUE(engine.AllocateWindow(&p, window, nullptr, nullptr).ok());
+    const double incremental =
+        engine.ComputeInformationLoss(p, window, nullptr, nullptr);
+    Partition reference = extractor.Extract(t);
+    ASSERT_TRUE(AllocateFeatures(grid, &reference).ok());
+    ASSERT_EQ(reference.cell_to_group, p.cell_to_group) << "t=" << t;
+    ASSERT_EQ(reference.features, p.features) << "t=" << t;
+    EXPECT_EQ(incremental, InformationLoss(grid, reference)) << "t=" << t;
+  }
+}
+
 TEST(KernelsTest, IflEngineMatchesFullRecomputeAcrossCandidateSequence) {
   // Replays the repartition loop's access pattern: a sequence of
   // monotonically coarser candidates through one engine, each compared
@@ -228,7 +257,6 @@ TEST(KernelsTest, IflEngineMatchesFullRecomputeAcrossCandidateSequence) {
   const GridDataset grid = RandomGrid(41, 33, 123, 0.15);
   const GridDataset normalized = AttributeNormalized(grid);
   const PairVariations variations = ComputePairVariations(normalized);
-  const CellGroupExtractor extractor(variations);
   const double thresholds[] = {0.05, 0.2, 0.21, 0.35, 0.36, 0.5, 0.9};
 
   for (const kernels::SimdLevel level :
@@ -236,18 +264,17 @@ TEST(KernelsTest, IflEngineMatchesFullRecomputeAcrossCandidateSequence) {
     kernels::ScopedSimdLevel forced(level);
     for (size_t threads : kThreadCounts) {
       const auto pool = MaybeMakePool(threads);
+      CellGroupExtractor extractor(variations);
       IflEngine engine(grid);
       Partition candidate;
-      std::vector<uint8_t> visited;
       bool saw_incremental = false;
       for (const double t : thresholds) {
-        extractor.ExtractInto(t, &candidate, &visited);
-        ASSERT_TRUE(engine
-                        .AllocateCandidateFeatures(&candidate, pool.get(),
-                                                   nullptr)
-                        .ok());
-        const double incremental =
-            engine.ComputeInformationLoss(candidate, pool.get(), nullptr);
+        const ExtractionWindow window = extractor.ExtractInto(t, &candidate);
+        ASSERT_TRUE(
+            engine.AllocateWindow(&candidate, window, pool.get(), nullptr)
+                .ok());
+        const double incremental = engine.ComputeInformationLoss(
+            candidate, window, pool.get(), nullptr);
         saw_incremental |= engine.last_dirty_shards() < engine.num_shards();
 
         // Reference: fresh extraction + allocation + full reduction.

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/information_loss.h"
 #include "data/datasets.h"
+#include "fail/cancellation.h"
+#include "fail/fault_injection.h"
+#include "obs/introspect.h"
 #include "obs/tracer.h"
+#include "util/logging.h"
 
 namespace srp {
 namespace {
@@ -260,6 +266,238 @@ INSTANTIATE_TEST_SUITE_P(
                                      DatasetKind::kEarningsMulti,
                                      DatasetKind::kEarningsUni),
                      testing::Values(0.05, 0.1, 0.15)));
+
+// ---------------------------------------------------------------------------
+// Exits of the coarsening loop. The loop re-extracts its one partition in
+// place, so every way out must leave exactly the last committed partition.
+// ---------------------------------------------------------------------------
+
+/// A paper-faithful (step 0) fixture with a few hundred iterations.
+GridDataset StepZeroGrid() {
+  DatasetOptions data_options;
+  data_options.rows = 24;
+  data_options.cols = 24;
+  data_options.seed = 3;
+  auto grid = GenerateDataset(DatasetKind::kTaxiTripMulti, data_options);
+  SRP_CHECK(grid.ok());
+  return *std::move(grid);
+}
+
+RepartitionOptions StepZeroOptions(size_t threads) {
+  RepartitionOptions options;
+  options.ifl_threshold = 0.1;
+  options.min_variation_step = 0.0;
+  options.num_threads = threads;
+  return options;
+}
+
+bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Bit-for-bit equality of two partitions, features included.
+void ExpectSamePartition(const Partition& a, const Partition& b) {
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.cols, b.cols);
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.cell_to_group, b.cell_to_group);
+  EXPECT_EQ(a.group_null, b.group_null);
+  EXPECT_EQ(a.group_valid_count, b.group_valid_count);
+  ASSERT_EQ(a.features.size(), b.features.size());
+  for (size_t g = 0; g < a.features.size(); ++g) {
+    ASSERT_TRUE(SameDoubles(a.features[g], b.features[g])) << "group " << g;
+  }
+}
+
+/// The run that stops by itself after `iterations` accepted iterations.
+RepartitionResult CappedRun(const GridDataset& grid, size_t threads,
+                            size_t iterations) {
+  RepartitionOptions options = StepZeroOptions(threads);
+  options.max_iterations = iterations;
+  auto result = Repartitioner(options).Run(grid);
+  SRP_CHECK(result.ok()) << result.status().ToString();
+  SRP_CHECK(result->iterations == iterations);
+  return *std::move(result);
+}
+
+void ExpectSameCommittedState(const RepartitionResult& got,
+                              const RepartitionResult& want) {
+  ExpectSamePartition(got.partition, want.partition);
+  EXPECT_EQ(std::memcmp(&got.information_loss, &want.information_loss,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.final_min_adjacent_variation,
+            want.final_min_adjacent_variation);
+}
+
+/// Cancels `token` when the heap yields its `pop`-th threshold, i.e. after
+/// pop - 1 accepted iterations and before that candidate is evaluated.
+class CancelAtPop : public obs::IntrospectionSink {
+ public:
+  CancelAtPop(CancellationToken token, size_t pop)
+      : token_(std::move(token)), pop_(pop) {}
+  void OnHeapPop(double) override {
+    if (++pops_ == pop_) token_.RequestCancel();
+  }
+
+ private:
+  CancellationToken token_;
+  size_t pop_;
+  size_t pops_ = 0;
+};
+
+class KeepSnapshots : public CheckpointSink {
+ public:
+  Status OnCheckpoint(const RepartitionCheckpoint& state,
+                      SnapshotReason) override {
+    snapshots.push_back(state);
+    return Status::OK();
+  }
+  std::vector<RepartitionCheckpoint> snapshots;
+};
+
+/// Disarms every fault when the scope ends, even on a failed assertion.
+struct DisarmFaultsOnExit {
+  ~DisarmFaultsOnExit() { FaultInjector::Get().Disarm(); }
+};
+
+size_t FullRunIterations(const GridDataset& grid) {
+  auto full = Repartitioner(StepZeroOptions(1)).Run(grid);
+  SRP_CHECK(full.ok());
+  SRP_CHECK(full->iterations >= 30) << full->iterations;
+  return full->iterations;
+}
+
+TEST(RepartitionerExitTest, StopReasonNamesEveryExit) {
+  {
+    const RepartitionOptions options = StepZeroOptions(1);
+    auto result = Repartitioner(options).Run(StepZeroGrid());
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kThetaExceeded);
+    EXPECT_LT(result->iterations, options.max_iterations);
+  }
+  {
+    GridDataset constant(6, 6, {{"a", AggType::kAverage, false}});
+    for (size_t r = 0; r < 6; ++r) {
+      for (size_t c = 0; c < 6; ++c) constant.Set(r, c, 0, 5.0);
+    }
+    auto result = Repartitioner().Run(constant);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kHeapDrained);
+    EXPECT_EQ(result->partition.num_groups(), 1u);
+  }
+  {
+    RepartitionOptions options;
+    options.ifl_threshold = 0.5;
+    options.max_iterations = 2;
+    auto result = Repartitioner(options).Run(SmoothGrid(10, 10));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kMaxIterations);
+    EXPECT_EQ(result->iterations, 2u);
+  }
+  {
+    CancellationToken token;
+    token.RequestCancel();
+    RunContext ctx;
+    ctx.set_token(token);
+    ctx.set_best_effort(true);
+    auto result = Repartitioner().Run(SmoothGrid(10, 10), &ctx);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
+    EXPECT_TRUE(result->stats.interrupted);
+  }
+  EXPECT_STREQ(StopReasonName(StopReason::kThetaExceeded), "theta_exceeded");
+  EXPECT_STREQ(StopReasonName(StopReason::kHeapDrained), "heap_drained");
+  EXPECT_STREQ(StopReasonName(StopReason::kMaxIterations), "max_iterations");
+  EXPECT_STREQ(StopReasonName(StopReason::kInterrupted), "interrupted");
+}
+
+TEST(RepartitionerExitTest, ThetaExitReturnsLastAcceptedPartition) {
+  // The rejected candidate was extracted into the result's own partition;
+  // the exit must undo it.
+  const GridDataset grid = StepZeroGrid();
+  for (const size_t threads : {1u, 4u}) {
+    auto result = Repartitioner(StepZeroOptions(threads)).Run(grid);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->stop_reason, StopReason::kThetaExceeded);
+    ExpectSameCommittedState(*result,
+                             CappedRun(grid, threads, result->iterations));
+    EXPECT_EQ(InformationLoss(grid, result->partition),
+              result->information_loss);
+  }
+}
+
+TEST(RepartitionerExitTest, MidLoopInterruptReturnsLastCommittedPartition) {
+  const GridDataset grid = StepZeroGrid();
+  const size_t total = FullRunIterations(grid);
+  for (const size_t threads : {1u, 4u}) {
+    for (const size_t pop : {total / 3, total / 2, 2 * total / 3}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads " << threads << " cancel at pop " << pop);
+      CancellationToken token;
+      CancelAtPop sink(token, pop);
+      RunContext ctx;
+      ctx.set_token(token);
+      ctx.set_best_effort(true);
+      RepartitionOptions options = StepZeroOptions(threads);
+      options.introspection = &sink;
+      auto result = Repartitioner(options).Run(grid, &ctx);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->stats.interrupted);
+      EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
+      ExpectSameCommittedState(*result, CappedRun(grid, threads, pop - 1));
+    }
+  }
+}
+
+TEST(RepartitionerExitTest, AllocateFaultMidLoopLeavesLastCommittedPartition) {
+  const GridDataset grid = StepZeroGrid();
+  const size_t total = FullRunIterations(grid);
+  DisarmFaultsOnExit disarm;
+  for (const size_t threads : {1u, 4u}) {
+    for (const size_t nth : {total / 3, total / 2}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads " << threads << " fault at allocation " << nth);
+      const RepartitionResult want = CappedRun(grid, threads, nth - 1);
+
+      // Strict: the fault fails the run; the last durable snapshot is the
+      // last committed state.
+      ASSERT_TRUE(FaultInjector::Get()
+                      .Arm("core.allocate_features", FaultKind::kError, nth)
+                      .ok());
+      KeepSnapshots snapshots;
+      RepartitionOptions options = StepZeroOptions(threads);
+      options.checkpoint = &snapshots;
+      options.checkpoint_every = 1;
+      auto failed = Repartitioner(options).Run(grid);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+      ASSERT_EQ(snapshots.snapshots.size(), nth - 1);
+      ExpectSamePartition(snapshots.snapshots.back().partition,
+                          want.partition);
+
+      // Best effort, cancelled at the same iteration: the failed
+      // allocation degrades and the run returns the committed partition.
+      ASSERT_TRUE(FaultInjector::Get()
+                      .Arm("core.allocate_features", FaultKind::kError, nth)
+                      .ok());
+      CancellationToken token;
+      CancelAtPop sink(token, nth);
+      RunContext ctx;
+      ctx.set_token(token);
+      ctx.set_best_effort(true);
+      options = StepZeroOptions(threads);
+      options.introspection = &sink;
+      auto degraded = Repartitioner(options).Run(grid, &ctx);
+      ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+      EXPECT_EQ(FaultInjector::Get().fired_count(), 1u);
+      EXPECT_EQ(degraded->stop_reason, StopReason::kInterrupted);
+      ExpectSameCommittedState(*degraded, want);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace srp

@@ -42,5 +42,20 @@ TEST(PadRightTest, PadsAndKeepsLong) {
   EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
 }
 
+TEST(ParseUint64Test, AcceptsOnlyWholeDecimalIntegers) {
+  EXPECT_EQ(*ParseUint64("0"), 0u);
+  EXPECT_EQ(*ParseUint64(" 42 "), 42u);
+  EXPECT_EQ(*ParseUint64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", " ", "-1", "+1", "1.5", "1e3", "0x10", "12abc",
+                          "abc", "1 2"}) {
+    const Result<uint64_t> parsed = ParseUint64(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  const Result<uint64_t> overflow = ParseUint64("18446744073709551616");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kOutOfRange);
+}
+
 }  // namespace
 }  // namespace srp

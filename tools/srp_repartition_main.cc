@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -101,8 +102,8 @@ void Usage() {
   std::fprintf(stderr,
                "usage: srp_repartition (--demo KIND | --input CSV --schema "
                "S) [--rows N] [--cols N]\n"
-               "                       [--theta T] [--seed S] [--out-dir D] "
-               "[--threads N]\n"
+               "                       [--theta T] [--step S] [--seed S] "
+               "[--out-dir D] [--threads N]\n"
                "                       [--trace-out trace.json] "
                "[--trace-capacity N] [--metrics-out metrics.csv]\n"
                "                       [--report-out report.json] "
@@ -165,6 +166,39 @@ void Usage() {
                "'-' are interchangeable.\n");
 }
 
+/// Strict numeric flag values (util/string_util): a malformed, signed or
+/// out-of-range number is a usage error, reported before any compute.
+template <typename T>
+bool ParseCount(const char* flag, const char* v, uint64_t min, T* out) {
+  const Result<uint64_t> parsed = ParseUint64(v);
+  if (!parsed.ok() || *parsed < min ||
+      *parsed > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "%s needs an integer >= %llu, got '%s'\n", flag,
+                 static_cast<unsigned long long>(min), v);
+    return false;
+  }
+  *out = static_cast<T>(*parsed);
+  return true;
+}
+
+bool ParseReal(const char* flag, const char* v, double min, double max,
+               double* out) {
+  const Result<double> parsed = ParseDouble(v);
+  // The negated form also rejects NaN; a finite `max` rejects infinity.
+  if (!parsed.ok() || !(*parsed >= min && *parsed <= max)) {
+    if (max == std::numeric_limits<double>::max()) {
+      std::fprintf(stderr, "%s needs a finite number >= %g, got '%s'\n", flag,
+                   min, v);
+    } else {
+      std::fprintf(stderr, "%s needs a number in [%g, %g], got '%s'\n", flag,
+                   min, max, v);
+    }
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* out) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -206,27 +240,30 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--rows") {
       const char* v = next();
       if (v == nullptr) return false;
-      out->rows = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--rows", v, 1, &out->rows)) return false;
     } else if (arg == "--cols") {
       const char* v = next();
       if (v == nullptr) return false;
-      out->cols = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--cols", v, 1, &out->cols)) return false;
     } else if (arg == "--theta") {
       const char* v = next();
       if (v == nullptr) return false;
-      out->theta = std::atof(v);
+      if (!ParseReal("--theta", v, 0.0, 1.0, &out->theta)) return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return false;
-      out->seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseCount("--seed", v, 0, &out->seed)) return false;
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr) return false;
-      out->num_threads = static_cast<size_t>(std::atoll(v));
+      if (!ParseCount("--threads", v, 0, &out->num_threads)) return false;
     } else if (arg == "--step") {
       const char* v = next();
       if (v == nullptr) return false;
-      out->min_variation_step = std::atof(v);
+      if (!ParseReal("--step", v, 0.0, std::numeric_limits<double>::max(),
+                     &out->min_variation_step)) {
+        return false;
+      }
     } else if (arg == "--trace-out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -234,12 +271,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--trace-capacity") {
       const char* v = next();
       if (v == nullptr) return false;
-      const long long parsed = std::atoll(v);
-      if (parsed <= 0) {
-        std::fprintf(stderr, "--trace-capacity needs a positive integer\n");
+      if (!ParseCount("--trace-capacity", v, 1, &out->trace_capacity)) {
         return false;
       }
-      out->trace_capacity = static_cast<size_t>(parsed);
     } else if (arg == "--metrics-out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -300,12 +334,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--checkpoint-every") {
       const char* v = next();
       if (v == nullptr) return false;
-      const long long parsed = std::atoll(v);
-      if (parsed <= 0) {
-        std::fprintf(stderr, "--checkpoint-every needs a positive integer\n");
+      if (!ParseCount("--checkpoint-every", v, 1, &out->checkpoint_every)) {
         return false;
       }
-      out->checkpoint_every = static_cast<size_t>(parsed);
     } else if (arg == "--resume") {
       if (has_inline_value) {
         std::fprintf(stderr, "--resume takes no value\n");
@@ -852,12 +883,14 @@ int Run(int argc, char** argv) {
       "(%.1f%% reduction)\n"
       "information loss %.4f (threshold %.2f), %zu iterations, %.3fs, "
       "%zu thread(s)\n"
+      "stopped: %s\n"
       "wrote %s/{groups,cells,adjacency}.csv\n",
       grid->rows(), grid->cols(), grid->NumValidCells(),
       result->partition.num_groups(),
       100.0 * (1.0 - result->CellRatio()), result->information_loss,
       options.theta, result->iterations, result->elapsed_seconds,
-      ResolveThreadCount(options.num_threads), options.out_dir.c_str());
+      ResolveThreadCount(options.num_threads),
+      StopReasonName(result->stop_reason), options.out_dir.c_str());
   if (result->stats.interrupted) {
     std::printf("NOTE: run interrupted by the %.1fms deadline; partition is "
                 "the best found so far\n",
