@@ -55,7 +55,11 @@ std::vector<GridAttributeDef> AvgDef() {
 }
 
 std::string SampleCsvPath() {
-  const std::string path = testing::TempDir() + "/fault_sample.csv";
+  // One file per test: ctest runs each test in its own process, in parallel,
+  // and a shared file could be truncated by one test while another reads it.
+  const std::string path =
+      testing::TempDir() + "/fault_sample_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
   std::ofstream os(path);
   os << "a,b\n1,2\n3,4\n";
   return path;
