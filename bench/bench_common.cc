@@ -115,11 +115,23 @@ void AddBenchRow(BenchRow row) { GlobalBenchRows().push_back(std::move(row)); }
 
 int BenchRepeats() {
   if (const char* env = std::getenv("SRP_BENCH_REPEATS")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 1) return static_cast<int>(std::min(parsed, 1000L));
+    const Result<uint64_t> parsed = ParseUint64(env);
+    if (parsed.ok() && *parsed >= 1) {
+      return static_cast<int>(std::min<uint64_t>(*parsed, 1000));
+    }
     SRP_LOG(Warning) << "ignoring invalid SRP_BENCH_REPEATS '" << env << "'";
   }
   return 3;
+}
+
+double TelemetryIntervalMs(double fallback) {
+  const char* env = std::getenv("SRP_TELEMETRY_INTERVAL_MS");
+  if (env == nullptr) return fallback;
+  const Result<double> parsed = ParseDouble(env);
+  if (parsed.ok() && std::isfinite(*parsed) && *parsed > 0.0) return *parsed;
+  SRP_LOG(Warning) << "ignoring invalid SRP_TELEMETRY_INTERVAL_MS '" << env
+                   << "'";
+  return fallback;
 }
 
 RepeatTiming RepeatSamples(const std::function<double()>& sample) {
@@ -435,11 +447,7 @@ ObsSession::ObsSession(std::string bench_name)
   if (telemetry_out != nullptr && telemetry_out[0] != '\0') {
     obs::TelemetrySamplerOptions topt;
     topt.stream_path = telemetry_out;
-    const char* interval = std::getenv("SRP_TELEMETRY_INTERVAL_MS");
-    if (interval != nullptr) {
-      const double parsed = std::atof(interval);
-      if (parsed > 0.0) topt.interval_ms = parsed;
-    }
+    topt.interval_ms = TelemetryIntervalMs(topt.interval_ms);
     sampler_ = std::make_unique<obs::TelemetrySampler>(std::move(topt));
     const Status status = sampler_->Start();
     if (!status.ok()) {

@@ -89,8 +89,13 @@ struct RepeatTiming {
 };
 
 /// Number of repetitions for timed measurements: SRP_BENCH_REPEATS when set
-/// (>= 1), else 3.
+/// (>= 1, capped at 1000), else 3. A malformed value warns and is ignored.
 int BenchRepeats();
+
+/// Telemetry sampling interval of bench binaries: SRP_TELEMETRY_INTERVAL_MS
+/// when it is a positive finite number, else `fallback`. A malformed value
+/// warns and is ignored.
+double TelemetryIntervalMs(double fallback);
 
 /// Runs `sample` BenchRepeats() times; each call returns one duration in
 /// seconds (e.g. a model's train_seconds).

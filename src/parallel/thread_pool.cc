@@ -10,6 +10,8 @@
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
+#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace srp {
 namespace {
@@ -82,8 +84,9 @@ PoolMetrics& Metrics() {
 size_t ResolveThreadCount(size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("SRP_THREADS")) {
-    const long parsed = std::atol(env);
-    if (parsed > 0) return static_cast<size_t>(parsed);
+    const Result<uint64_t> parsed = ParseUint64(env);
+    if (parsed.ok() && *parsed > 0) return static_cast<size_t>(*parsed);
+    SRP_LOG(Warning) << "ignoring invalid SRP_THREADS '" << env << "'";
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);

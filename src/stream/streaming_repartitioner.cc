@@ -4,9 +4,12 @@
 #include <cmath>
 
 #include "core/information_loss.h"
+#include "core/kernels/kernels.h"
 #include "fail/fault_injection.h"
+#include "grid/soa_view.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
+#include "util/logging.h"
 
 namespace srp {
 namespace {
@@ -27,6 +30,16 @@ StreamMetrics& Metrics() {
     return m;
   }();
   return *metrics;
+}
+
+/// Eq. 3 subtotal and term count of one cell under `p`: the shared kernel
+/// on a one-cell range, i.e. exactly the per-cell subtotal InformationLoss
+/// adds.
+kernels::IflPartial CellIfl(const GridSoAView& view, const Partition& p,
+                            size_t cell) {
+  return kernels::ActiveKernels().ifl_cells(
+      view, kernels::GroupFeatureView(p), p.cell_to_group.data(), cell,
+      cell + 1);
 }
 
 }  // namespace
@@ -69,7 +82,8 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
 
   // Pass 1 — validate only. The accumulators are untouched until the whole
   // batch is known to be well-formed, so a rejected batch never leaves the
-  // maintained grid partially updated.
+  // maintained grid partially updated. A non-finite field would make its
+  // cell, and with it every later drift, NaN.
   for (const auto& rec : batch) {
     if (!in_extent(rec)) continue;
     for (size_t k = 0; k < defs_.size(); ++k) {
@@ -80,11 +94,18 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
         return Status::InvalidArgument("record has too few fields for '" +
                                        def.name + "'");
       }
+      if (!std::isfinite(rec.fields[fi])) {
+        return Status::InvalidArgument("non-finite value for '" +
+                                       def.name + "'");
+      }
     }
   }
   SRP_RETURN_IF_INTERRUPTED(ctx);
 
-  // Pass 2 — apply. Infallible from here on.
+  // Pass 2 — apply. Infallible from here on. Collects the distinct cells
+  // the batch lands in; only those are rebuilt below.
+  std::vector<bool> seen(counts_.size(), false);
+  std::vector<size_t> touched;
   for (const auto& rec : batch) {
     if (!in_extent(rec)) {
       ++dropped_;
@@ -97,6 +118,10 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
     r = std::min(r, rows - 1);
     c = std::min(c, cols - 1);
     const size_t cell = r * cols + c;
+    if (!seen[cell]) {
+      seen[cell] = true;
+      touched.push_back(cell);
+    }
     ++counts_[cell];
     ++ingested_;
     for (size_t k = 0; k < defs_.size(); ++k) {
@@ -106,7 +131,26 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
       sums_[k][cell] += rec.fields[fi];
     }
   }
-  RebuildGridFromAccumulators();
+
+  if (!has_partition()) {
+    for (const size_t cell : touched) RebuildCell(cell);
+  } else {
+    // Swap each touched cell's Eq. 3 contribution: retire its old terms,
+    // rebuild it, then cache its new subtotal.
+    {
+      const GridSoAView before(grid_);
+      for (const size_t cell : touched) {
+        drift_terms_ -= CellIfl(before, partition_, cell).terms;
+      }
+    }
+    for (const size_t cell : touched) RebuildCell(cell);
+    const GridSoAView after(grid_);
+    for (const size_t cell : touched) {
+      const kernels::IflPartial p = CellIfl(after, partition_, cell);
+      drift_cells_[cell] = p.total;
+      drift_terms_ += p.terms;
+    }
+  }
   Metrics().records_ingested->Add(
       static_cast<int64_t>(ingested_ - ingested_before));
   Metrics().records_dropped->Add(
@@ -114,29 +158,38 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
   return Status::OK();
 }
 
-void StreamingRepartitioner::RebuildGridFromAccumulators() {
-  for (size_t r = 0; r < grid_.rows(); ++r) {
-    for (size_t c = 0; c < grid_.cols(); ++c) {
-      const size_t cell = r * grid_.cols() + c;
-      if (counts_[cell] == 0) continue;  // stays null
-      for (size_t k = 0; k < defs_.size(); ++k) {
-        const auto& def = defs_[k];
-        double v = 0.0;
-        switch (def.source) {
-          case GridAttributeDef::Source::kCount:
-            v = static_cast<double>(counts_[cell]);
-            break;
-          case GridAttributeDef::Source::kSum:
-            v = sums_[k][cell];
-            break;
-          case GridAttributeDef::Source::kAverage:
-            v = sums_[k][cell] / static_cast<double>(counts_[cell]);
-            break;
-        }
-        if (def.is_integer) v = std::round(v);
-        grid_.Set(r, c, k, v);
-      }
+void StreamingRepartitioner::RebuildCell(size_t cell) {
+  const size_t r = cell / grid_.cols();
+  const size_t c = cell % grid_.cols();
+  for (size_t k = 0; k < defs_.size(); ++k) {
+    const auto& def = defs_[k];
+    double v = 0.0;
+    switch (def.source) {
+      case GridAttributeDef::Source::kCount:
+        v = static_cast<double>(counts_[cell]);
+        break;
+      case GridAttributeDef::Source::kSum:
+        v = sums_[k][cell];
+        break;
+      case GridAttributeDef::Source::kAverage:
+        v = sums_[k][cell] / static_cast<double>(counts_[cell]);
+        break;
     }
+    if (def.is_integer) v = std::round(v);
+    grid_.Set(r, c, k, v);
+  }
+}
+
+void StreamingRepartitioner::RebuildDriftCache() {
+  drift_cells_.clear();
+  drift_terms_ = 0;
+  if (!has_partition()) return;
+  drift_cells_.resize(grid_.num_cells());
+  const GridSoAView view(grid_);
+  for (size_t cell = 0; cell < drift_cells_.size(); ++cell) {
+    const kernels::IflPartial p = CellIfl(view, partition_, cell);
+    drift_cells_[cell] = p.total;
+    drift_terms_ += p.terms;
   }
 }
 
@@ -148,28 +201,30 @@ double StreamingRepartitioner::CurrentDrift() const {
   // every valid cell, which the maintained partition still provides
   // (rectangles cover the whole grid), so IFL is directly computable — new
   // cells inside null groups contribute their full relative error.
+  //
+  // InformationLoss's association: cell subtotals add sequentially within
+  // each kIflRowGrain-row shard, and the shard sums add in ascending order.
+  const size_t shard_cells = kernels::kIflRowGrain * grid_.cols();
   double total = 0.0;
-  size_t terms = 0;
-  for (size_t r = 0; r < grid_.rows(); ++r) {
-    for (size_t c = 0; c < grid_.cols(); ++c) {
-      if (grid_.IsNull(r, c)) continue;
-      const auto g = static_cast<size_t>(partition_.GroupOf(r, c));
-      for (size_t k = 0; k < grid_.num_attributes(); ++k) {
-        const double original = grid_.At(r, c, k);
-        if (original == 0.0) continue;
-        double representative = 0.0;
-        if (partition_.group_null[g] == 0) {
-          representative = partition_.features[g][k];
-          if (grid_.attributes()[k].agg_type == AggType::kSum) {
-            representative /= partition_.SumDivisor(g);
-          }
-        }
-        total += std::fabs(original - representative) / std::fabs(original);
-        ++terms;
-      }
-    }
+  for (size_t beg = 0; beg < drift_cells_.size(); beg += shard_cells) {
+    const size_t end = std::min(drift_cells_.size(), beg + shard_cells);
+    double shard = 0.0;
+    for (size_t cell = beg; cell < end; ++cell) shard += drift_cells_[cell];
+    total += shard;
   }
-  return terms == 0 ? 0.0 : total / static_cast<double>(terms);
+  const double drift =
+      drift_terms_ == 0 ? 0.0 : total / static_cast<double>(drift_terms_);
+#if !defined(NDEBUG)
+  // Periodic audit against the full recompute: every call early on, then
+  // every 16th.
+  ++drift_calls_;
+  if (drift_calls_ <= 4 || drift_calls_ % 16 == 0) {
+    const double full = InformationLoss(grid_, partition_);
+    SRP_CHECK(drift == full) << "cached drift diverged from Eq. 3: " << drift
+                             << " vs " << full;
+  }
+#endif
+  return drift;
 }
 
 bool StreamingRepartitioner::NeedsRefresh() const {
@@ -183,11 +238,15 @@ Status StreamingRepartitioner::Refresh(const RunContext* ctx) {
   if (grid_.NumValidCells() == 0) {
     return Status::FailedPrecondition("no data ingested yet");
   }
+  // The run's own working set is the stream's memory peak; the cache is
+  // not needed during it, so it is released here and rebuilt once below.
+  std::vector<double>().swap(drift_cells_);
   auto result = Repartitioner(options_.repartition).Run(grid_, ctx);
   // On failure (including a strict interrupt) the previously maintained
   // partition stays installed — the stream keeps serving the last good one.
+  if (result.ok()) partition_ = std::move(result->partition);
+  RebuildDriftCache();
   SRP_RETURN_IF_ERROR(result.status());
-  partition_ = std::move(result->partition);
   ++refreshes_;
   Metrics().refreshes->Increment();
   return Status::OK();

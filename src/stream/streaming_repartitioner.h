@@ -25,6 +25,12 @@ namespace srp {
 /// Counts/sums accumulate across batches; average-aggregated attributes
 /// maintain running means via per-cell record counts. Cells touched by
 /// records become valid; untouched cells stay null.
+///
+/// A batch costs what it touches (DESIGN.md §16): Ingest rebuilds only the
+/// cells its records land in, and a per-cell cache of Eq. 3 subtotals under
+/// the installed partition is updated for those cells alone, so
+/// CurrentDrift() sums cached doubles instead of re-evaluating Eq. 3. Not
+/// thread-safe: one caller drives a stream.
 class StreamingRepartitioner {
  public:
   struct Options {
@@ -44,15 +50,20 @@ class StreamingRepartitioner {
   /// in dropped_records()). Does NOT re-partition; call MaybeRefresh() (or
   /// Refresh()) afterwards.
   ///
-  /// All-or-nothing: the batch is validated (field arity per record) before
-  /// any accumulator is touched, so a failed or interrupted Ingest leaves
-  /// the maintained grid exactly as it was. Hosts the `stream.ingest` fault
-  /// point.
+  /// All-or-nothing: the batch is validated before any accumulator is
+  /// touched — every in-extent record must carry each attribute's field, and
+  /// the field must be finite (a NaN would poison its cell, and with it the
+  /// drift, for good) — so a failed or interrupted Ingest leaves the
+  /// maintained grid and drift exactly as they were. Hosts the
+  /// `stream.ingest` fault point.
   Status Ingest(const std::vector<PointRecord>& batch,
                 const RunContext* ctx = nullptr);
 
   /// IFL of the current partition measured against the current grid — the
   /// drift signal. 0 before the first refresh when no partition exists.
+  /// Summed from the per-cell cache in InformationLoss's shard order, so it
+  /// equals InformationLoss(grid(), partition()) bit for bit (debug builds
+  /// audit that on the first calls and every 16th).
   double CurrentDrift() const;
 
   /// True when a refresh is due: no partition yet, or drift beyond budget.
@@ -61,7 +72,8 @@ class StreamingRepartitioner {
   /// Re-runs the full re-partitioning on the current grid. `ctx` is
   /// forwarded to Repartitioner::Run (so a best-effort interrupt installs
   /// the best-so-far partition; a strict one fails and keeps the previous
-  /// partition).
+  /// partition). The drift cache is released for the duration of the run
+  /// and rebuilt once for whichever partition is installed afterwards.
   Status Refresh(const RunContext* ctx = nullptr);
 
   /// Refreshes only when NeedsRefresh(); returns whether a refresh ran.
@@ -79,7 +91,12 @@ class StreamingRepartitioner {
   size_t refresh_count() const { return refreshes_; }
 
  private:
-  void RebuildGridFromAccumulators();
+  /// Recomputes one cell of grid_ from its accumulators (the per-cell
+  /// formula of BuildGridFromPoints, so the grid stays bit-identical).
+  void RebuildCell(size_t cell);
+
+  /// Fills the drift cache for every cell under the installed partition.
+  void RebuildDriftCache();
 
   Options options_;
   std::vector<GridAttributeDef> defs_;
@@ -90,6 +107,13 @@ class StreamingRepartitioner {
   std::vector<std::vector<double>> sums_;  // [attribute][cell]
 
   Partition partition_;
+
+  // Drift cache: each cell's Eq. 3 subtotal under partition_ (0 for null
+  // cells) and the exact total term count. Empty without a partition.
+  std::vector<double> drift_cells_;
+  uint64_t drift_terms_ = 0;
+  mutable size_t drift_calls_ = 0;  // debug audit cadence
+
   size_t ingested_ = 0;
   size_t dropped_ = 0;
   size_t refreshes_ = 0;

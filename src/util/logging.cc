@@ -4,10 +4,12 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 
 #include "obs/journal.h"
+#include "util/string_util.h"
 
 namespace srp {
 namespace {
@@ -314,9 +316,10 @@ void ConfigureLoggingFromEnv() {
     }
   }
   if (const char* rate_text = std::getenv("SRP_LOG_RATE_LIMIT")) {
-    const int rate = std::atoi(rate_text);
-    if (rate > 0) {
-      SetLogRateLimit(rate);
+    const Result<uint64_t> rate = ParseUint64(rate_text);
+    if (rate.ok() && *rate > 0 &&
+        *rate <= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      SetLogRateLimit(static_cast<int>(*rate));
     } else {
       SRP_LOG(Warning) << "ignoring invalid SRP_LOG_RATE_LIMIT '" << rate_text
                        << "'";

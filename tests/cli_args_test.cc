@@ -8,19 +8,36 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "util/json.h"
+
 namespace {
 
-/// Runs srp_repartition with `args`, output discarded; returns its exit
-/// code (-1 when it did not exit normally).
-int RunCli(const std::string& args) {
+/// Runs `binary` with `args`, stdout and stderr to `output_path`; returns
+/// its exit code (-1 when it did not exit normally).
+int RunTool(const char* binary, const std::string& args,
+            const std::string& output_path = "/dev/null") {
   const std::string command =
-      std::string(SRP_REPARTITION_BIN) + " " + args + " > /dev/null 2>&1";
+      std::string(binary) + " " + args + " > " + output_path + " 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Runs srp_repartition with `args`, output discarded.
+int RunCli(const std::string& args) {
+  return RunTool(SRP_REPARTITION_BIN, args);
 }
 
 /// An empty output directory unique to the running test and process.
@@ -66,6 +83,63 @@ TEST(CliNumbersTest, WellFormedValuesRun) {
                    " --theta 0.1 --step 0 --seed 7 --threads 1"),
             0);
   EXPECT_TRUE(std::filesystem::exists(dir + "/groups.csv"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CliReportTest, RunReportCarriesStopReason) {
+  const std::string dir = FreshOutDir();
+  const std::string report = dir + "/report.json";
+  const std::string out = dir + "/stdout.txt";
+  ASSERT_EQ(RunTool(SRP_REPARTITION_BIN,
+                    std::string(kBaseArgs) + "--out-dir " + dir +
+                        " --theta 0.1 --report-out " + report,
+                    out),
+            0);
+  auto json = srp::JsonValue::Parse(ReadFile(report));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const srp::JsonValue* reason = json->FindPath("result.stop_reason");
+  ASSERT_NE(reason, nullptr);
+  ASSERT_TRUE(reason->is_string());
+  // The report names the same reason the CLI prints.
+  EXPECT_NE(ReadFile(out).find("stopped: " + reason->string_value()),
+            std::string::npos)
+      << reason->string_value();
+  std::filesystem::remove_all(dir);
+}
+
+// srp_inspect --tail and srp_top --interval-ms: a malformed number is a
+// usage error (exit 2) before any file is opened; a well-formed one gets
+// past parsing and fails only on the missing input.
+TEST(ToolNumbersTest, InspectTailIsStrict) {
+  const std::string dir = FreshOutDir();
+  const std::string missing = dir + "/missing.json";
+  const std::string out = dir + "/out.txt";
+  for (const char* bad : {"5x", "-1", "abc", "1.5", ""}) {
+    EXPECT_EQ(RunTool(SRP_INSPECT_BIN,
+                      std::string("--tail '") + bad + "' " + missing, out),
+              2)
+        << "'" << bad << "'";
+    EXPECT_EQ(ReadFile(out).rfind("usage:", 0), 0u) << "'" << bad << "'";
+  }
+  EXPECT_EQ(RunTool(SRP_INSPECT_BIN, "--tail 5 " + missing, out), 2);
+  EXPECT_NE(ReadFile(out).find("cannot open"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ToolNumbersTest, TopIntervalIsStrict) {
+  const std::string dir = FreshOutDir();
+  const std::string missing = dir + "/missing.tlm";
+  for (const char* bad : {"5x", "-1", "0", "nan", "inf", "abc"}) {
+    EXPECT_EQ(RunTool(SRP_TOP_BIN, std::string("--once --interval-ms ") +
+                                       bad + " " + missing),
+              2)
+        << "'" << bad << "'";
+    EXPECT_EQ(RunTool(SRP_TOP_BIN, std::string("--once --interval-ms=") +
+                                       bad + " " + missing),
+              2)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(RunTool(SRP_TOP_BIN, "--once --interval-ms 5 " + missing), 1);
   std::filesystem::remove_all(dir);
 }
 

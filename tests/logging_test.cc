@@ -253,6 +253,23 @@ TEST(LoggingTest, EnvironmentConfigurationIsApplied) {
   SetLogLevel(before);
 }
 
+TEST(LoggingTest, RateLimitEnvIsParsedStrictly) {
+  const int before = GetLogRateLimit();
+  ASSERT_EQ(::setenv("SRP_LOG_RATE_LIMIT", "7", 1), 0);
+  ConfigureLoggingFromEnv();
+  EXPECT_EQ(GetLogRateLimit(), 7);
+
+  // Malformed, non-positive or out-of-range values are ignored (atoi used
+  // to read "5x" as 5 and "1e3" as 1).
+  for (const char* bad : {"5x", "1e3", "-1", "0", "", "99999999999"}) {
+    ASSERT_EQ(::setenv("SRP_LOG_RATE_LIMIT", bad, 1), 0);
+    ConfigureLoggingFromEnv();
+    EXPECT_EQ(GetLogRateLimit(), 7) << "'" << bad << "'";
+  }
+  ::unsetenv("SRP_LOG_RATE_LIMIT");
+  SetLogRateLimit(before);
+}
+
 #if defined(NDEBUG) && !defined(SRP_FORCE_TRACE_LOGGING)
 TEST(VlogTest, ReleaseBuildCompilesVlogOutEntirely) {
   CaptureLogSink sink;

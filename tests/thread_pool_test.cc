@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "parallel/parallel_for.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace srp {
@@ -60,6 +61,23 @@ TEST(ThreadPoolTest, ResolveThreadCountReadsEnv) {
   EXPECT_EQ(ResolveThreadCount(0), 3u);
   EXPECT_EQ(ResolveThreadCount(7), 7u);  // explicit request still wins
   ASSERT_EQ(unsetenv("SRP_THREADS"), 0);
+}
+
+TEST(ThreadPoolTest, ResolveThreadCountIgnoresMalformedEnv) {
+  ASSERT_EQ(unsetenv("SRP_THREADS"), 0);
+  const size_t fallback = ResolveThreadCount(0);
+  CaptureLogSink sink;
+  LogSink* previous = SetLogSink(&sink);
+  // atol would have read "7x" as 7 and "1e2" as 1.
+  for (const char* bad : {"7x", "1e2", "-2", "0", "2.5", "", "abc"}) {
+    ASSERT_EQ(setenv("SRP_THREADS", bad, /*overwrite=*/1), 0);
+    EXPECT_EQ(ResolveThreadCount(0), fallback) << "'" << bad << "'";
+  }
+  SetLogSink(previous);
+  ASSERT_EQ(unsetenv("SRP_THREADS"), 0);
+  ASSERT_FALSE(sink.records().empty());
+  EXPECT_NE(sink.records().front().text.find("SRP_THREADS"),
+            std::string::npos);
 }
 
 TEST(ParallelForTest, EmptyRangeNeverInvokes) {

@@ -29,6 +29,7 @@
 #include "obs/run_report.h"
 #include "util/json.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace srp {
 namespace {
@@ -77,7 +78,9 @@ bool ParseArgs(int argc, char** argv, InspectOptions* options) {
       options->print_version = true;
     } else if (arg == "--tail") {
       if (++i >= argc) return false;
-      options->tail = static_cast<size_t>(std::atol(argv[i]));
+      const Result<uint64_t> tail = ParseUint64(argv[i]);
+      if (!tail.ok()) return false;
+      options->tail = static_cast<size_t>(*tail);
     } else if (arg == "--trace-out") {
       if (++i >= argc) return false;
       options->trace_out = argv[i];

@@ -682,6 +682,7 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
   report.SetResult("groups",
                    static_cast<uint64_t>(result.partition.num_groups()));
   report.SetResult("iterations", static_cast<uint64_t>(result.iterations));
+  report.SetResult("stop_reason", StopReasonName(result.stop_reason));
   report.SetResult("information_loss", result.information_loss);
   report.SetResult("cell_ratio", result.CellRatio());
   report.SetResult("elapsed_seconds", result.elapsed_seconds);

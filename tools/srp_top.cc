@@ -33,6 +33,7 @@
 
 #include "util/json.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace srp {
 namespace {
@@ -440,12 +441,14 @@ int main(int argc, char** argv) {
       } else if (arg[13] == '\0' && i + 1 < argc) {
         value = argv[++i];
       }
-      if (value == nullptr || std::atof(value) <= 0.0) {
+      const srp::Result<double> parsed =
+          srp::ParseDouble(value == nullptr ? "" : value);
+      if (!parsed.ok() || !std::isfinite(*parsed) || *parsed <= 0.0) {
         std::fprintf(stderr, "srp_top: --interval-ms needs a positive "
                              "number\n");
         return 2;
       }
-      poll_ms = std::atof(value);
+      poll_ms = *parsed;
     } else if (arg[0] == '-' && arg[1] != '\0') {
       std::fprintf(stderr, "srp_top: unknown flag: %s\n", arg);
       srp::PrintUsage(stderr);
