@@ -7,6 +7,7 @@
 
 #include "core/feature_allocator.h"
 #include "core/information_loss.h"
+#include "core/repartitioner.h"
 #include "obs/telemetry.h"
 #include "parallel/parallel_for.h"
 
@@ -141,9 +142,10 @@ Result<HomogeneousResult> HomogeneousRepartition(const GridDataset& grid,
                                                  size_t num_threads,
                                                  const RunContext* ctx,
                                                  obs::IntrospectionSink* sink) {
-  if (!(ifl_threshold >= 0.0 && ifl_threshold <= 1.0)) {  // NaN-rejecting
-    return Status::InvalidArgument("ifl_threshold must lie in [0, 1]");
-  }
+  RepartitionOptions options;
+  options.ifl_threshold = ifl_threshold;
+  options.num_threads = num_threads;
+  SRP_RETURN_IF_ERROR(options.Validate());
   const std::unique_ptr<ThreadPool> pool = MaybeMakePool(num_threads);
   obs::ScopedProgressRun progress_run("homogeneous", ifl_threshold);
   // Work units for the ETA: one merge round per candidate factor.
@@ -156,32 +158,24 @@ Result<HomogeneousResult> HomogeneousRepartition(const GridDataset& grid,
   // "We start with the least possible granularity of merging two adjacent
   // rows and columns … and incrementally increase … as long as the
   // information loss does not exceed the pre-specified threshold."
-  for (size_t factor = 2; factor <= std::max(grid.rows(), grid.cols());
-       ++factor) {
-    if (ctx != nullptr && ctx->Interrupted()) {
-      // Degradation contract: best-effort cancellations/deadlines keep the
-      // last feasible factor; injected faults and strict runs fail.
-      if (ctx->best_effort() &&
-          ctx->interrupt_kind() != InterruptKind::kInjectedFault) {
-        result.interrupted = true;
-        return result;
-      }
-      return ctx->InterruptStatus();
-    }
+  //
+  // Degradation contract: best-effort cancellations/deadlines keep the last
+  // feasible factor; injected faults and strict runs fail.
+  bool degrade = false;
+  for (size_t factor = 2; factor <= max_factor; ++factor) {
+    SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
+    if (degrade) break;
     auto merged = HomogeneousMerge(grid, factor, factor, pool.get(), ctx);
     if (!merged.ok()) {
-      if (ctx != nullptr && ctx->Interrupted() && ctx->best_effort() &&
-          ctx->interrupt_kind() != InterruptKind::kInjectedFault) {
-        result.interrupted = true;
-        return result;
-      }
+      SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
+      if (degrade) break;
       return merged.status();
     }
     Partition candidate = std::move(merged).value();
     const double ifl = InformationLoss(grid, candidate, pool.get(), ctx);
-    if (ctx != nullptr && ctx->Interrupted()) {
-      continue;  // partial IFL — re-enter the loop head to resolve the kind
-    }
+    // An interrupted IFL is partial: resolve the interrupt before using it.
+    SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
+    if (degrade) break;
     obs::ProgressTracker::Get().SetWorkDone(factor - 1);
     obs::ProgressTracker::Get().OnCandidate(static_cast<double>(factor), ifl,
                                             candidate.num_groups(),
@@ -195,6 +189,7 @@ Result<HomogeneousResult> HomogeneousRepartition(const GridDataset& grid,
     result.information_loss = ifl;
     result.merge_factor = factor;
   }
+  result.interrupted = degrade;
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/coarsening_loop.h"
 #include "core/extractor.h"
 #include "core/ifl_engine.h"
 #include "core/variation.h"
@@ -59,29 +60,186 @@ CoreMetrics& Metrics() {
 /// almost certainly a corrupted or hostile options struct.
 constexpr size_t kMaxThreads = 4096;
 
-/// Puts the committed partition back on every way out of an iteration but
-/// acceptance: the engine's feature rows first (once allocation has been
-/// attempted), then the extractor's groups and cell map.
-class CandidateUndo {
+/// Times the phases of one run. Take adds the time since the last Take or
+/// Restart to a phase, folds the phase's allocation high-water (srp_memtrack
+/// scoped delta; 0 without the hooks) into a running max, adds its
+/// hardware-counter delta when collection is on, and optionally feeds a
+/// latency histogram. The memory scope is re-opened per phase so phases
+/// never share a baseline; the nesting-safe ScopedMemoryPeak keeps any
+/// enclosing measurement (e.g. bench MeasureRun) intact.
+class PhaseClock {
  public:
-  CandidateUndo(CellGroupExtractor* extractor, Partition* partition)
-      : extractor_(extractor), partition_(partition) {}
-  ~CandidateUndo() {
-    if (partition_ == nullptr) return;
-    if (engine_ != nullptr) engine_->Undo(partition_);
-    extractor_->Undo(partition_);
+  /// Opens the hardware counters over the driver thread on request; an
+  /// unavailable group (denied syscall, no PMU) degrades to a recorded
+  /// reason, never a failed run (DESIGN.md §10).
+  Status Start(bool hw_counters, RunStats* stats) {
+    stats_ = stats;
+    if (hw_counters) {
+      hw_group_.emplace();
+      if (hw_group_->available()) {
+        SRP_RETURN_IF_ERROR(hw_group_->Start());
+        stats->hw_counters_collected = true;
+      } else {
+        stats->hw_unavailable_reason = hw_group_->unavailable_reason();
+      }
+    }
+    memory_.emplace();
+    return Status::OK();
   }
-  CandidateUndo(const CandidateUndo&) = delete;
-  CandidateUndo& operator=(const CandidateUndo&) = delete;
 
-  void set_engine(IflEngine* engine) { engine_ = engine; }
-  /// The candidate was accepted: keep it.
-  void Release() { partition_ = nullptr; }
+  void Restart() { timer_.Restart(); }
+
+  void Take(double* seconds, int64_t* peak_bytes, obs::HwCounterValues* hw,
+            obs::Histogram* histogram = nullptr) {
+    const double elapsed = timer_.ElapsedSeconds();
+    *seconds += elapsed;
+    if (histogram != nullptr) histogram->Observe(elapsed * 1e3);
+    if (MemoryTracker::Hooked()) {
+      *peak_bytes = std::max(*peak_bytes, memory_->PeakDeltaBytes());
+    }
+    if (stats_->hw_counters_collected) {
+      const obs::HwCounterValues now = hw_group_->Read();
+      *hw += now - hw_last_;
+      hw_last_ = now;
+    }
+    memory_.reset();  // restore the enclosing peak before re-opening
+    memory_.emplace();
+    timer_.Restart();
+  }
+
+  /// Restores any enclosing ScopedMemoryPeak's view and stops the counters.
+  void Stop() {
+    memory_.reset();
+    if (hw_group_.has_value()) hw_group_->Stop();
+  }
 
  private:
-  CellGroupExtractor* extractor_;
-  IflEngine* engine_ = nullptr;
-  Partition* partition_;
+  RunStats* stats_ = nullptr;
+  WallTimer timer_;
+  std::optional<ScopedMemoryPeak> memory_;
+  std::optional<obs::HwCounterGroup> hw_group_;
+  obs::HwCounterValues hw_last_;
+};
+
+/// Hands the committed state to the durable checkpoint sink. The pop
+/// threshold follows from it (the last accepted variation, or the -1.0
+/// sentinel before the first), which is why the heap needs no snapshot
+/// (core/checkpoint_hooks.h).
+Status Snapshot(CheckpointSink* sink, const CoarseningState& committed,
+                const Partition& partition,
+                CheckpointSink::SnapshotReason reason) {
+  RepartitionCheckpoint state;
+  state.iterations = committed.iterations;
+  state.previous_variation = committed.iterations > 0
+                                 ? committed.final_min_adjacent_variation
+                                 : -1.0;
+  state.information_loss = committed.information_loss;
+  state.final_min_adjacent_variation = committed.final_min_adjacent_variation;
+  state.partition = partition;
+  return sink->OnCheckpoint(state, reason);
+}
+
+/// Repartitioner::Run's evaluator: one IflEngine over the input grid. Its
+/// hooks time each phase into RunStats, open the phase spans and journal
+/// phases, and feed progress, the introspection sink and periodic
+/// checkpoints.
+class CoreEvaluator : public CoarseningHooks {
+ public:
+  CoreEvaluator(const GridDataset& grid, const RepartitionOptions& options,
+                ThreadPool* pool, PhaseClock* clock, RunStats* stats)
+      : engine_(grid),
+        options_(options),
+        pool_(pool),
+        clock_(clock),
+        stats_(stats) {}
+
+  template <LoopPhase kPhase, typename F>
+  auto Phase(F&& f) {
+    RunStats& s = *stats_;
+    if constexpr (kPhase == LoopPhase::kPop) {
+      clock_->Restart();
+      obs::Journal::SetPhase("repartition.variation_pop");
+      const bool popped = f();
+      clock_->Take(&s.variation_pop_seconds, &s.variation_pop_peak_bytes,
+                   &s.variation_pop_hw);
+      if (popped) obs::ProgressTracker::Get().SetWorkDone(++s.heap_pops);
+      return popped;
+    } else if constexpr (kPhase == LoopPhase::kExtract) {
+      ++s.extractions;
+      return Traced("repartition.extract", f, &s.extract_seconds,
+                    &s.extract_peak_bytes, &s.extract_hw,
+                    Metrics().extract_ms);
+    } else if constexpr (kPhase == LoopPhase::kAllocate) {
+      return Traced("repartition.allocate_features", f, &s.allocate_seconds,
+                    &s.allocate_peak_bytes, &s.allocate_hw,
+                    Metrics().allocate_ms);
+    } else {
+      SRP_INJECT_FAULT("core.information_loss");
+      return Traced("repartition.information_loss", f,
+                    &s.information_loss_seconds,
+                    &s.information_loss_peak_bytes, &s.information_loss_hw,
+                    Metrics().information_loss_ms);
+    }
+  }
+
+  Status Allocate(Partition* p, const ExtractionWindow& window,
+                  const RunContext* ctx) {
+    return engine_.AllocateWindow(p, window, pool_, ctx);
+  }
+
+  Status Loss(Partition* p, const ExtractionWindow& window,
+              const RunContext* ctx, double* loss) {
+    *loss = engine_.ComputeInformationLoss(*p, window, pool_, ctx);
+    return Status::OK();
+  }
+
+  void Undo(Partition* p) { engine_.Undo(p); }
+
+  void OnCandidate(const CoarseningState& committed, double variation,
+                   double loss, const Partition& candidate, bool accepted) {
+    const size_t groups = candidate.num_groups();
+    obs::ProgressTracker::Get().OnCandidate(variation, loss, groups, accepted);
+    if (options_.introspection != nullptr) {
+      options_.introspection->OnIteration(committed.iterations, variation,
+                                          loss, groups, accepted);
+    }
+  }
+
+  /// Periodic durable snapshot of the just-committed state. A failed write
+  /// fails the run: the caller asked for durability, and continuing would
+  /// turn a full disk into lost work at the next crash. Iterations restored
+  /// by a resume count toward the modulo, so snapshot points stay aligned
+  /// with the original run.
+  Status OnAccept(const CoarseningState& state, const Partition& partition) {
+    if (options_.checkpoint_every == 0 ||
+        state.iterations % options_.checkpoint_every != 0) {
+      return Status::OK();
+    }
+    obs::Journal::SetPhase("repartition.checkpoint");
+    return Snapshot(options_.checkpoint, state, partition,
+                    CheckpointSink::SnapshotReason::kPeriodic);
+  }
+
+ private:
+  /// Runs `f` under a span and journal phase named `name`, then takes the
+  /// phase's time.
+  template <typename F>
+  auto Traced(const char* name, F& f, double* seconds, int64_t* peak_bytes,
+              obs::HwCounterValues* hw, obs::Histogram* histogram) {
+    auto out = [&] {
+      obs::ScopedSpan span(name);
+      obs::Journal::SetPhase(name);
+      return f();
+    }();
+    clock_->Take(seconds, peak_bytes, hw, histogram);
+    return out;
+  }
+
+  IflEngine engine_;
+  const RepartitionOptions& options_;
+  ThreadPool* pool_;
+  PhaseClock* clock_;
+  RunStats* stats_;
 };
 
 }  // namespace
@@ -144,65 +302,15 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   // One pool for the whole run (null when the resolved count is <= 1, which
   // routes every phase through its sequential path).
   const std::unique_ptr<ThreadPool> pool = MaybeMakePool(options_.num_threads);
-
-  // Hardware counters over the driver thread, opened only on request; an
-  // unavailable group (denied syscall, no PMU) degrades to a recorded
-  // reason, never a failed run (DESIGN.md §10).
-  std::optional<obs::HwCounterGroup> hw_group;
-  obs::HwCounterValues hw_last;
-  if (options_.hw_counters) {
-    hw_group.emplace();
-    if (hw_group->available()) {
-      SRP_RETURN_IF_ERROR(hw_group->Start());
-      stats.hw_counters_collected = true;
-    } else {
-      stats.hw_unavailable_reason = hw_group->unavailable_reason();
-    }
-  }
-
-  // The introspection observer; null stays null for the whole run, so each
-  // callback site is one pointer test (the zero-overhead default).
-  obs::IntrospectionSink* const sink = options_.introspection;
-
-  // Accumulates the time since the last call into `*accumulator`, folds the
-  // phase's allocation high-water (srp_memtrack scoped delta; 0 without the
-  // hooks) into `*peak_accumulator` as a running max, accumulates the
-  // phase's hardware-counter delta when collection is on, and optionally
-  // feeds the duration to a latency histogram. The memory scope is
-  // re-opened for the next phase so consecutive phases never share a
-  // baseline; the nesting-safe ScopedMemoryPeak keeps any enclosing
-  // measurement (e.g. bench MeasureRun) intact.
-  WallTimer phase_timer;
-  std::optional<ScopedMemoryPeak> phase_memory;
-  phase_memory.emplace();
-  const auto take_phase = [&phase_timer, &phase_memory, &hw_group, &hw_last,
-                           &stats](double* accumulator,
-                                   int64_t* peak_accumulator,
-                                   obs::HwCounterValues* hw_accumulator,
-                                   obs::Histogram* histogram = nullptr) {
-    const double seconds = phase_timer.ElapsedSeconds();
-    *accumulator += seconds;
-    if (histogram != nullptr) histogram->Observe(seconds * 1e3);
-    if (MemoryTracker::Hooked()) {
-      *peak_accumulator =
-          std::max(*peak_accumulator, phase_memory->PeakDeltaBytes());
-    }
-    if (stats.hw_counters_collected && hw_accumulator != nullptr) {
-      const obs::HwCounterValues now = hw_group->Read();
-      *hw_accumulator += now - hw_last;
-      hw_last = now;
-    }
-    phase_memory.reset();  // restore the enclosing peak before re-opening
-    phase_memory.emplace();
-    phase_timer.Restart();
-  };
+  PhaseClock clock;
+  SRP_RETURN_IF_ERROR(clock.Start(options_.hw_counters, &stats));
 
   // Iteration 0: the original grid itself (IFL = 0) is always feasible.
   // Seeded before any interruptible work so a best-effort run that is
   // interrupted immediately still returns a valid partition
   // (TrivialPartition carries the cell values as its features verbatim).
   result.partition = TrivialPartition(grid);
-  result.information_loss = 0.0;
+  CoarseningState state;
 
   // Resume fast-forward: replace the trivial seed with the snapshot's
   // committed state. The pre-computation below (normalize, pair variations,
@@ -214,10 +322,11 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   if (resume != nullptr) {
     SRP_RETURN_IF_ERROR(resume->ValidateFor(grid));
     result.partition = resume->partition;
-    result.information_loss = resume->information_loss;
-    result.iterations = resume->iterations;
-    result.final_min_adjacent_variation =
+    state.information_loss = resume->information_loss;
+    state.iterations = resume->iterations;
+    state.final_min_adjacent_variation =
         resume->iterations > 0 ? resume->final_min_adjacent_variation : 0.0;
+    state.previous_variation = resume->previous_variation;
     stats.resumed = true;
     stats.resumed_iterations = resume->iterations;
     obs::Journal::Appendf(obs::JournalEventKind::kCheckpoint, 0,
@@ -226,49 +335,21 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
                           resume->iterations);
   }
 
-  // Degradation contract (DESIGN.md §8): a cancellation or deadline under
-  // best_effort sets `degrade` and unwinds to the best-so-far partition;
-  // everything else — best_effort off, or an injected fault — fails the run
-  // with the interrupt Status. Returns non-OK only for the hard case.
+  // A best-effort interrupt during the pre-computation sets `degrade`; the
+  // coarsening loop reports its own as StopReason::kInterrupted.
   bool degrade = false;
-  const auto interrupt_check = [&]() -> Status {
-    if (ctx == nullptr || !ctx->Interrupted()) return Status::OK();
-    if (ctx->best_effort() &&
-        ctx->interrupt_kind() != InterruptKind::kInjectedFault) {
-      degrade = true;
-      return Status::OK();
-    }
-    return ctx->InterruptStatus();
-  };
-
-  // Snapshot of the committed state for the durable checkpoint sink. The
-  // stored pop threshold is derivable from the committed result (the last
-  // accepted variation, or the -1.0 loop sentinel before the first accept) —
-  // which is exactly why the heap itself needs no snapshotting
-  // (core/checkpoint_hooks.h).
-  const auto snapshot_state = [&](CheckpointSink::SnapshotReason reason) {
-    RepartitionCheckpoint state;
-    state.iterations = result.iterations;
-    state.previous_variation =
-        result.iterations > 0 ? result.final_min_adjacent_variation : -1.0;
-    state.information_loss = result.information_loss;
-    state.final_min_adjacent_variation = result.final_min_adjacent_variation;
-    state.partition = result.partition;
-    return options_.checkpoint->OnCheckpoint(state, reason);
-  };
-
   const Status run_status = [&]() -> Status {
     // Pre-computation (done exactly once): normalized grid, adjacent-pair
     // variations, and the min-adjacent-variation heap.
-    phase_timer.Restart();
+    clock.Restart();
     const GridDataset normalized = [&] {
       SRP_TRACE_SPAN("repartition.normalize");
       obs::Journal::SetPhase("repartition.normalize");
       return AttributeNormalized(grid);
     }();
-    take_phase(&stats.normalize_seconds, &stats.normalize_peak_bytes,
+    clock.Take(&stats.normalize_seconds, &stats.normalize_peak_bytes,
                &stats.normalize_hw);
-    SRP_RETURN_IF_ERROR(interrupt_check());
+    SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
     if (degrade) return Status::OK();
 
     SRP_INJECT_FAULT("core.pair_variations");
@@ -277,15 +358,15 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
       obs::Journal::SetPhase("repartition.pair_variations");
       return ComputePairVariations(normalized, pool.get(), ctx);
     }();
-    take_phase(&stats.pair_variation_seconds, &stats.pair_variation_peak_bytes,
+    clock.Take(&stats.pair_variation_seconds, &stats.pair_variation_peak_bytes,
                &stats.pair_variation_hw);
     // An interrupted variation pass leaves +inf placeholders; the heap must
     // not be built over them.
-    SRP_RETURN_IF_ERROR(interrupt_check());
+    SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
     if (degrade) return Status::OK();
 
     MinAdjacentVariationHeap heap;
-    heap.set_introspection_sink(sink);
+    heap.set_introspection_sink(options_.introspection);
     {
       SRP_TRACE_SPAN("repartition.heap_build");
       obs::Journal::SetPhase("repartition.heap_build");
@@ -294,117 +375,17 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     // The heap size bounds the remaining pops — the depletion denominator
     // the telemetry ETA is derived from.
     obs::ProgressTracker::Get().SetWorkTotal(heap.Size());
-    take_phase(&stats.heap_build_seconds, &stats.heap_build_peak_bytes,
+    clock.Take(&stats.heap_build_seconds, &stats.heap_build_peak_bytes,
                &stats.heap_build_hw);
 
     // The committed partition is re-extracted in place: the extractor
     // rescans only the window the new threshold can change, and the engine
     // reallocates that window and recomputes only its row shards
-    // (DESIGN.md §12). Until a candidate is accepted, every way out of the
-    // iteration undoes the window, so `result.partition` always holds the
-    // last committed partition.
+    // (DESIGN.md §12).
     CellGroupExtractor extractor(variations);
-    IflEngine ifl_engine(grid);
-    Partition& partition = result.partition;
-
-    double previous_variation =
-        resume != nullptr ? resume->previous_variation : -1.0;
-    result.stop_reason = StopReason::kMaxIterations;
-    while (result.iterations < options_.max_iterations) {
-      SRP_RETURN_IF_ERROR(interrupt_check());
-      if (degrade) return Status::OK();
-
-      phase_timer.Restart();
-      obs::Journal::SetPhase("repartition.variation_pop");
-      double variation = 0.0;
-      const bool popped = heap.PopNextGreater(
-          previous_variation + options_.min_variation_step, &variation);
-      take_phase(&stats.variation_pop_seconds, &stats.variation_pop_peak_bytes,
-                 &stats.variation_pop_hw);
-      if (!popped) {
-        // Heap drained: no coarser partition exists.
-        result.stop_reason = StopReason::kHeapDrained;
-        break;
-      }
-      ++stats.heap_pops;
-      previous_variation = variation;
-      obs::ProgressTracker::Get().SetWorkDone(stats.heap_pops);
-
-      ExtractionWindow window;
-      {
-        SRP_TRACE_SPAN("repartition.extract");
-        obs::Journal::SetPhase("repartition.extract");
-        window = extractor.ExtractInto(variation, &partition);
-      }
-      ++stats.extractions;
-      take_phase(&stats.extract_seconds, &stats.extract_peak_bytes,
-                 &stats.extract_hw, Metrics().extract_ms);
-      CandidateUndo undo(&extractor, &partition);
-
-      {
-        SRP_TRACE_SPAN("repartition.allocate_features");
-        obs::Journal::SetPhase("repartition.allocate_features");
-        undo.set_engine(&ifl_engine);
-        const Status allocated = ifl_engine.AllocateWindow(
-            &partition, window, pool.get(), ctx);
-        if (!allocated.ok()) {
-          // A mid-allocation interrupt leaves the window partially filled;
-          // the undo discards it either way. interrupt_check() downgrades to
-          // best-effort where the contract allows, everything else (e.g. the
-          // core.allocate_features fault point) propagates.
-          SRP_RETURN_IF_ERROR(interrupt_check());
-          if (degrade) return Status::OK();
-          return allocated;
-        }
-      }
-      take_phase(&stats.allocate_seconds, &stats.allocate_peak_bytes,
-                 &stats.allocate_hw, Metrics().allocate_ms);
-
-      SRP_INJECT_FAULT("core.information_loss");
-      const double ifl = [&] {
-        SRP_TRACE_SPAN("repartition.information_loss");
-        obs::Journal::SetPhase("repartition.information_loss");
-        return ifl_engine.ComputeInformationLoss(partition, window, pool.get(),
-                                                 ctx);
-      }();
-      take_phase(&stats.information_loss_seconds,
-                 &stats.information_loss_peak_bytes,
-                 &stats.information_loss_hw, Metrics().information_loss_ms);
-      // An interrupted reduction covers only part of the grid — never judge
-      // a candidate on a partial IFL.
-      SRP_RETURN_IF_ERROR(interrupt_check());
-      if (degrade) return Status::OK();
-
-      const bool accepted = ifl <= options_.ifl_threshold;
-      obs::ProgressTracker::Get().OnCandidate(variation, ifl,
-                                              partition.num_groups(), accepted);
-      if (sink != nullptr) {
-        sink->OnIteration(result.iterations, variation, ifl,
-                          partition.num_groups(), accepted);
-      }
-      if (!accepted) {
-        // Exceeded θ: the undo restores the previous partition (Fig. 2).
-        result.stop_reason = StopReason::kThetaExceeded;
-        break;
-      }
-      undo.Release();
-      result.information_loss = ifl;
-      result.final_min_adjacent_variation = variation;
-      ++result.iterations;
-
-      if (options_.checkpoint_every > 0 &&
-          result.iterations % options_.checkpoint_every == 0) {
-        // Periodic durable snapshot of the just-committed state. A failed
-        // write fails the run: the caller asked for durability, and
-        // silently continuing would turn a full disk into lost work at the
-        // next crash. (Iterations restored by a resume count toward the
-        // modulo, keeping snapshot points aligned with the original run.)
-        obs::Journal::SetPhase("repartition.checkpoint");
-        SRP_RETURN_IF_ERROR(
-            snapshot_state(CheckpointSink::SnapshotReason::kPeriodic));
-      }
-    }
-    return Status::OK();
+    CoreEvaluator evaluator(grid, options_, pool.get(), &clock, &stats);
+    return RunCoarseningLoop(options_, &heap, &extractor, &evaluator, ctx,
+                             &result.partition, &state);
   }();
   // Interrupt-time snapshot: an interrupted run — best-effort or strict —
   // leaves its last committed state durable, so a deadline or cancel
@@ -416,7 +397,8 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
       ctx->interrupt_kind() != InterruptKind::kInjectedFault) {
     obs::Journal::SetPhase("repartition.checkpoint");
     const Status ckpt =
-        snapshot_state(CheckpointSink::SnapshotReason::kInterrupt);
+        Snapshot(options_.checkpoint, state, result.partition,
+                 CheckpointSink::SnapshotReason::kInterrupt);
     if (!ckpt.ok()) {
       obs::Journal::Appendf(obs::JournalEventKind::kLog, 2,
                             "interrupt checkpoint failed: %s",
@@ -424,10 +406,12 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     }
   }
   SRP_RETURN_IF_ERROR(run_status);
-  stats.interrupted = degrade;
-  if (degrade) result.stop_reason = StopReason::kInterrupted;
-  phase_memory.reset();  // restore any enclosing ScopedMemoryPeak's view
-  if (hw_group.has_value()) hw_group->Stop();
+  result.information_loss = state.information_loss;
+  result.iterations = state.iterations;
+  result.final_min_adjacent_variation = state.final_min_adjacent_variation;
+  result.stop_reason = degrade ? StopReason::kInterrupted : state.stop_reason;
+  stats.interrupted = result.stop_reason == StopReason::kInterrupted;
+  clock.Stop();
 
   if (pool != nullptr) {
     const ThreadPoolStats pool_stats = pool->Stats();

@@ -114,6 +114,21 @@ class RunContext {
   mutable std::atomic<int> state_{0};
 };
 
+/// One poll of the degradation contract for drivers that keep a feasible
+/// best-so-far result: OK when `ctx` is not interrupted; OK with `*degrade`
+/// set when a best-effort ctx was cancelled or hit its deadline; the
+/// interrupt Status otherwise (strict mode, or an injected fault, which is
+/// never degraded).
+inline Status CheckInterrupt(const RunContext* ctx, bool* degrade) {
+  if (ctx == nullptr || !ctx->Interrupted()) return Status::OK();
+  if (ctx->best_effort() &&
+      ctx->interrupt_kind() != InterruptKind::kInjectedFault) {
+    *degrade = true;
+    return Status::OK();
+  }
+  return ctx->InterruptStatus();
+}
+
 /// Propagates the interrupt Status from a nullable RunContext — the standard
 /// poll for call sites without a best-so-far result to degrade to.
 #define SRP_RETURN_IF_INTERRUPTED(ctx)                        \

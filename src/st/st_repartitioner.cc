@@ -1,12 +1,14 @@
 #include "st/st_repartitioner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
+#include "core/coarsening_loop.h"
 #include "core/extractor.h"
 #include "core/feature_allocator.h"
+#include "core/ifl_engine.h"
 #include "core/information_loss.h"
 #include "core/variation.h"
 #include "core/variation_heap.h"
@@ -49,6 +51,128 @@ PairVariations CombineVariations(const std::vector<PairVariations>& slices,
   return out;
 }
 
+/// StRepartitioner::Run's evaluator: one IflEngine per slice over the one
+/// shared partition. Slice 0's feature rows (features, group_null,
+/// group_valid_count) live on the partition; the other slices' rows live
+/// here and are swapped in (O(1) vector swaps) around each call to their
+/// engine, so every slice's rows follow the extractor's splice. The loss is
+/// the mean of the per-slice losses. Every engine call polls the context.
+class SliceEvaluator : public CoarseningHooks {
+ public:
+  explicit SliceEvaluator(const TemporalGridSeries& series)
+      : series_(series),
+        rows_(series.num_slices()),
+        committed_loss_(series.num_slices()),
+        candidate_loss_(series.num_slices()) {
+    for (size_t t = 0; t < series.num_slices(); ++t) {
+      engines_.push_back(std::make_unique<IflEngine>(series.slice(t)));
+    }
+  }
+
+  /// Allocates and evaluates the trivial seed `*p` slice by slice with
+  /// AllocateFeatures and InformationLoss, without a context, so a feasible
+  /// result exists before any interruptible work.
+  Status Seed(Partition* p, double* mean_loss) {
+    double total = 0.0;
+    for (size_t t = 0; t < engines_.size(); ++t) {
+      SwapRows(t, p);
+      const Status allocated = AllocateFeatures(series_.slice(t), p);
+      if (allocated.ok()) {
+        committed_loss_[t] = InformationLoss(series_.slice(t), *p);
+      }
+      SwapRows(t, p);
+      SRP_RETURN_IF_ERROR(allocated);
+      total += committed_loss_[t];
+    }
+    *mean_loss = total / static_cast<double>(engines_.size());
+    return Status::OK();
+  }
+
+  Status Allocate(Partition* p, const ExtractionWindow& window,
+                  const RunContext* ctx) {
+    SRP_TRACE_SPAN("st.evaluate");
+    for (reached_ = 0; reached_ < engines_.size();) {
+      // Counted before the call: a failed engine may hold a partial window.
+      const size_t t = reached_++;
+      SwapRows(t, p);
+      const Status allocated =
+          engines_[t]->AllocateWindow(p, window, nullptr, ctx);
+      SwapRows(t, p);
+      SRP_RETURN_IF_ERROR(allocated);
+    }
+    return Status::OK();
+  }
+
+  Status Loss(Partition* p, const ExtractionWindow& window,
+              const RunContext* ctx, double* loss) {
+    SRP_TRACE_SPAN("st.evaluate");
+    double total = 0.0;
+    for (size_t t = 0; t < engines_.size(); ++t) {
+      if (ctx != nullptr && ctx->Interrupted()) return Status::OK();
+      SwapRows(t, p);
+      candidate_loss_[t] =
+          engines_[t]->ComputeInformationLoss(*p, window, nullptr, ctx);
+      SwapRows(t, p);
+      total += candidate_loss_[t];
+    }
+    *loss = total / static_cast<double>(engines_.size());
+    return Status::OK();
+  }
+
+  /// Undoes the engines the candidate reached. The others never saw it, and
+  /// their undo records belong to an accepted candidate.
+  void Undo(Partition* p) {
+    for (size_t t = 0; t < reached_; ++t) {
+      SwapRows(t, p);
+      engines_[t]->Undo(p);
+      SwapRows(t, p);
+    }
+  }
+
+  Status OnAccept(const CoarseningState&, const Partition&) {
+    committed_loss_.swap(candidate_loss_);
+    return Status::OK();
+  }
+
+  /// Moves the committed per-slice rows and losses into `*result`. The
+  /// partition keeps slice 0's rows as a fresh copy: the engine's rows are
+  /// recycled buffers scattered over the heap, and a contiguous copy is
+  /// cheaper for later readers such as a CSV export.
+  void Finish(StRepartitionResult* result) {
+    Partition& p = result->partition;
+    result->slice_features.push_back(std::move(p.features));
+    p.features = result->slice_features[0];
+    result->slice_group_null.push_back(p.group_null);
+    for (size_t t = 1; t < engines_.size(); ++t) {
+      result->slice_features.push_back(std::move(rows_[t].features));
+      result->slice_group_null.push_back(std::move(rows_[t].group_null));
+    }
+    result->per_slice_loss = std::move(committed_loss_);
+  }
+
+ private:
+  struct Rows {
+    std::vector<std::vector<double>> features;
+    std::vector<uint8_t> group_null;
+    std::vector<uint32_t> group_valid_count;
+  };
+
+  /// Exchanges slice t's rows with the partition's (slice 0 lives there).
+  void SwapRows(size_t t, Partition* p) {
+    if (t == 0) return;
+    p->features.swap(rows_[t].features);
+    p->group_null.swap(rows_[t].group_null);
+    p->group_valid_count.swap(rows_[t].group_valid_count);
+  }
+
+  const TemporalGridSeries& series_;
+  std::vector<std::unique_ptr<IflEngine>> engines_;  // [slice]
+  std::vector<Rows> rows_;                           // [slice]; 0 unused
+  std::vector<double> committed_loss_;               // [slice]
+  std::vector<double> candidate_loss_;               // [slice]
+  size_t reached_ = 0;  // engines the current candidate reached
+};
+
 }  // namespace
 
 Result<StRepartitionResult> StRepartitioner::Run(
@@ -56,18 +180,11 @@ Result<StRepartitionResult> StRepartitioner::Run(
   if (series.empty()) {
     return Status::InvalidArgument("empty temporal series");
   }
-  if (!(options_.ifl_threshold >= 0.0 &&
-        options_.ifl_threshold <= 1.0)) {  // NaN-rejecting
-    return Status::InvalidArgument("ifl_threshold must lie in [0, 1]");
-  }
-  if (options_.max_iterations == 0) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
-  if (!(options_.min_variation_step >= 0.0) ||
-      std::isinf(options_.min_variation_step)) {
-    return Status::InvalidArgument(
-        "min_variation_step must be finite and >= 0");
-  }
+  RepartitionOptions loop_options;
+  loop_options.ifl_threshold = options_.ifl_threshold;
+  loop_options.max_iterations = options_.max_iterations;
+  loop_options.min_variation_step = options_.min_variation_step;
+  SRP_RETURN_IF_ERROR(loop_options.Validate());
   SRP_INJECT_FAULT("st.run");
   SRP_TRACE_SPAN("st.run");
   static obs::Counter* runs =
@@ -76,22 +193,19 @@ Result<StRepartitionResult> StRepartitioner::Run(
       obs::MetricsRegistry::Get().GetCounter("st.iterations");
   runs->Increment();
   WallTimer timer;
-  const size_t num_slices = series.num_slices();
 
   // Per-slice normalized variations, combined across time.
-  std::vector<PairVariations> slice_variations;
-  slice_variations.reserve(num_slices);
-  std::vector<GridDataset> normalized;
-  normalized.reserve(num_slices);
-  {
-    SRP_TRACE_SPAN("st.precompute");
-    for (size_t t = 0; t < num_slices; ++t) {
-      normalized.push_back(AttributeNormalized(series.slice(t)));
-      slice_variations.push_back(ComputePairVariations(normalized.back()));
+  const PairVariations combined = [&] {
+    std::vector<PairVariations> slice_variations;
+    {
+      SRP_TRACE_SPAN("st.precompute");
+      for (size_t t = 0; t < series.num_slices(); ++t) {
+        slice_variations.push_back(
+            ComputePairVariations(AttributeNormalized(series.slice(t))));
+      }
     }
-  }
-  const PairVariations combined =
-      CombineVariations(slice_variations, options_.aggregation);
+    return CombineVariations(slice_variations, options_.aggregation);
+  }();
 
   // Heap over pairs that are valid (non-always-null, matching profiles) —
   // finite combined variations where neither endpoint is always-null.
@@ -112,96 +226,25 @@ Result<StRepartitionResult> StRepartitioner::Run(
     }
     heap.Build(heap_input);
   }
-  const CellGroupExtractor extractor(combined);
+  CellGroupExtractor extractor(combined);
 
-  // Helper: allocate features per slice and compute the mean IFL. The
-  // per-slice poll bounds reaction latency to one slice's work; an
-  // interrupted evaluation fails (the caller keeps its best-so-far).
-  auto evaluate = [&](const Partition& base, StRepartitionResult* result,
-                      double* mean_loss,
-                      const RunContext* eval_ctx) -> Status {
-    SRP_TRACE_SPAN("st.evaluate");
-    result->slice_features.clear();
-    result->slice_group_null.clear();
-    result->per_slice_loss.clear();
-    double total = 0.0;
-    for (size_t t = 0; t < num_slices; ++t) {
-      SRP_RETURN_IF_INTERRUPTED(eval_ctx);
-      Partition per_slice = base;
-      SRP_RETURN_IF_ERROR(
-          AllocateFeatures(series.slice(t), &per_slice, nullptr, eval_ctx));
-      const double loss =
-          InformationLoss(series.slice(t), per_slice, nullptr, eval_ctx);
-      SRP_RETURN_IF_INTERRUPTED(eval_ctx);  // partial IFL — discard
-      result->per_slice_loss.push_back(loss);
-      total += loss;
-      result->slice_features.push_back(std::move(per_slice.features));
-      result->slice_group_null.push_back(std::move(per_slice.group_null));
-      if (t == 0) {
-        // Keep slice 0's allocation on the shared partition for convenience.
-        result->partition = base;
-        result->partition.features = result->slice_features[0];
-        result->partition.group_null = result->slice_group_null[0];
-        result->partition.group_valid_count = per_slice.group_valid_count;
-      }
-    }
-    *mean_loss = total / static_cast<double>(num_slices);
-    return Status::OK();
-  };
-
-  StRepartitionResult best;
-  double best_loss = 0.0;
-  // The trivial partition is evaluated WITHOUT ctx so a feasible best-so-far
-  // exists even when the run starts already cancelled or past its deadline.
+  StRepartitionResult result;
+  result.partition = TrivialPartition(series.slice(0));
+  SliceEvaluator evaluator(series);
+  CoarseningState state;
   SRP_RETURN_IF_ERROR(
-      evaluate(TrivialPartition(series.slice(0)), &best, &best_loss, nullptr));
-  best.information_loss = best_loss;
-
-  // Degradation contract (DESIGN.md §8): best-effort cancellations and
-  // deadlines keep the best-so-far with interrupted = true; strict runs and
-  // injected faults fail.
-  const auto degradable = [&ctx] {
-    return ctx != nullptr && ctx->best_effort() &&
-           ctx->interrupt_kind() != InterruptKind::kInjectedFault;
-  };
-
-  double previous_variation = -1.0;
-  size_t iterations = 0;
-  while (iterations < options_.max_iterations) {
-    if (ctx != nullptr && ctx->Interrupted()) {
-      if (degradable()) {
-        best.interrupted = true;
-        break;
-      }
-      return ctx->InterruptStatus();
-    }
-    double variation = 0.0;
-    if (!heap.PopNextGreater(previous_variation + options_.min_variation_step,
-                             &variation)) {
-      break;
-    }
-    previous_variation = variation;
-
-    const Partition candidate = extractor.Extract(variation);
-    StRepartitionResult evaluated;
-    double loss = 0.0;
-    const Status eval_status = evaluate(candidate, &evaluated, &loss, ctx);
-    if (!eval_status.ok()) {
-      if (ctx != nullptr && ctx->Interrupted() && degradable()) {
-        best.interrupted = true;  // half-evaluated candidate is discarded
-        break;
-      }
-      return eval_status;
-    }
-    if (loss > options_.ifl_threshold) break;
-    best = std::move(evaluated);
-    best.information_loss = loss;
-    ++iterations;
-  }
-  best.iterations = iterations;
-  best.elapsed_seconds = timer.ElapsedSeconds();
-  iterations_counter->Add(static_cast<int64_t>(iterations));
-  return best;
+      evaluator.Seed(&result.partition, &state.information_loss));
+  SRP_RETURN_IF_ERROR(RunCoarseningLoop(loop_options, &heap, &extractor,
+                                        &evaluator, ctx, &result.partition,
+                                        &state));
+  evaluator.Finish(&result);
+  result.information_loss = state.information_loss;
+  result.iterations = state.iterations;
+  result.stop_reason = state.stop_reason;
+  result.interrupted = state.stop_reason == StopReason::kInterrupted;
+  result.elapsed_seconds = timer.ElapsedSeconds();
+  iterations_counter->Add(static_cast<int64_t>(state.iterations));
+  return result;
 }
 
 }  // namespace srp

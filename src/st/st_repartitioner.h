@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/partition.h"
+#include "core/repartitioner.h"
 #include "fail/cancellation.h"
 #include "st/temporal_grid.h"
 #include "util/status.h"
@@ -52,6 +53,10 @@ struct StRepartitionResult {
   size_t iterations = 0;
   double elapsed_seconds = 0.0;
 
+  /// Why the coarsening loop ended; `partition` is the last accepted one
+  /// whatever the reason.
+  StopReason stop_reason = StopReason::kHeapDrained;
+
   /// True when a best-effort RunContext interrupted the loop: the result is
   /// the last fully evaluated feasible partition (the trivial one at
   /// minimum), not the converged one.
@@ -63,7 +68,8 @@ struct StRepartitionResult {
 /// variations are aggregated across time (max or mean), the cell-group
 /// extractor runs once on the aggregated variations, features are allocated
 /// per slice, and the loop accepts an iteration while the MEAN per-slice IFL
-/// stays within the threshold.
+/// stays within the threshold. It runs the core's coarsening loop
+/// (core/coarsening_loop.h) with one incremental IflEngine per slice.
 class StRepartitioner {
  public:
   StRepartitioner() : StRepartitioner(StRepartitionOptions{}) {}

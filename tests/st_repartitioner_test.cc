@@ -5,9 +5,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "core/extractor.h"
+#include "core/feature_allocator.h"
 #include "core/information_loss.h"
+#include "core/variation.h"
+#include "core/variation_heap.h"
 #include "data/datasets.h"
+#include "fail/cancellation.h"
+#include "fail/fault_injection.h"
+#include "grid/normalize.h"
 #include "st/temporal_grid.h"
+#include "util/logging.h"
+#include "util/random.h"
 
 namespace srp {
 namespace {
@@ -177,6 +197,400 @@ TEST(StRepartitionerTest, RejectsEmptySeriesAndBadThreshold) {
   StRepartitionOptions options;
   options.ifl_threshold = 2.0;
   EXPECT_FALSE(StRepartitioner(options).Run(series).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Loop exits, the reference property, and undo under faults and interrupts.
+// ---------------------------------------------------------------------------
+
+TemporalGridSeries RepeatedSlices(const GridDataset& slice, size_t count) {
+  TemporalGridSeries series;
+  for (size_t t = 0; t < count; ++t) {
+    SRP_CHECK(series.AddSlice(slice).ok());
+  }
+  return series;
+}
+
+TEST(StRepartitionerExitTest, StopReasonNamesEveryExit) {
+  {
+    TemporalGridSeries series;
+    ASSERT_TRUE(series.AddSlice(Slice(10, 10, 100, 1)).ok());
+    ASSERT_TRUE(series.AddSlice(Slice(10, 10, 120, 1)).ok());
+    StRepartitionOptions options;
+    options.ifl_threshold = 0.01;
+    auto result = StRepartitioner(options).Run(series);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kThetaExceeded);
+    EXPECT_LT(result->iterations, options.max_iterations);
+  }
+  {
+    auto result =
+        StRepartitioner().Run(RepeatedSlices(Slice(6, 6, 5, 0), 3));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kHeapDrained);
+    EXPECT_EQ(result->partition.num_groups(), 1u);
+  }
+  {
+    StRepartitionOptions options;
+    options.ifl_threshold = 0.5;
+    options.max_iterations = 2;
+    auto result =
+        StRepartitioner(options).Run(RepeatedSlices(Slice(10, 10, 100, 1), 2));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kMaxIterations);
+    EXPECT_EQ(result->iterations, 2u);
+  }
+  {
+    CancellationToken token;
+    token.RequestCancel();
+    RunContext ctx;
+    ctx.set_token(token);
+    ctx.set_best_effort(true);
+    auto result = StRepartitioner().Run(
+        RepeatedSlices(Slice(10, 10, 100, 1), 2), &ctx);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
+    EXPECT_TRUE(result->interrupted);
+    EXPECT_EQ(result->iterations, 0u);
+  }
+}
+
+TEST(StRepartitionerTest, RejectsEveryInvalidOption) {
+  const TemporalGridSeries series = RepeatedSlices(Slice(3, 3, 1, 1), 2);
+  const auto code = [&series](StRepartitionOptions options) {
+    return StRepartitioner(options).Run(series).status().code();
+  };
+  StRepartitionOptions options;
+  options.ifl_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(code(options), StatusCode::kInvalidArgument);
+  options = StRepartitionOptions();
+  options.max_iterations = 0;
+  EXPECT_EQ(code(options), StatusCode::kInvalidArgument);
+  options = StRepartitionOptions();
+  options.min_variation_step = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(code(options), StatusCode::kInvalidArgument);
+  options.min_variation_step = -1e-3;
+  EXPECT_EQ(code(options), StatusCode::kInvalidArgument);
+}
+
+/// A seeded random series of `num_slices` 12x13 slices: an average
+/// attribute on a noisy ramp, quantized to halves so variations tie, and an
+/// integer summation attribute. A 3x3 block is null in every slice, and
+/// about 8% of the other cells are null in some slices only.
+TemporalGridSeries RandomSeries(size_t num_slices, uint64_t seed) {
+  constexpr size_t kRows = 12;
+  constexpr size_t kCols = 13;
+  Rng rng(seed);
+  std::vector<double> base(kRows * kCols);
+  std::vector<uint8_t> flickers(kRows * kCols);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < kCols; ++c) {
+      base[r * kCols + c] = 50.0 + 3.0 * static_cast<double>(r) +
+                            2.0 * static_cast<double>(c) +
+                            rng.Uniform(0.0, 4.0);
+      flickers[r * kCols + c] = rng.Uniform01() < 0.08 ? 1 : 0;
+    }
+  }
+  TemporalGridSeries series;
+  for (size_t t = 0; t < num_slices; ++t) {
+    GridDataset g(kRows, kCols,
+                  {{"speed", AggType::kAverage, false},
+                   {"trips", AggType::kSum, true}});
+    for (size_t r = 0; r < kRows; ++r) {
+      for (size_t c = 0; c < kCols; ++c) {
+        const size_t i = r * kCols + c;
+        if (r >= 2 && r < 5 && c >= 8 && c < 11) continue;  // always null
+        if (flickers[i] && rng.Uniform01() < 0.5) continue;
+        const double speed =
+            base[i] * (1.0 + 0.05 * static_cast<double>(t)) +
+            rng.Uniform(0.0, 1.5);
+        g.Set(r, c, 0, std::round(speed * 2.0) / 2.0);
+        g.Set(r, c, 1, std::round(rng.Uniform(1.0, 20.0)));
+      }
+    }
+    SRP_CHECK(series.AddSlice(std::move(g)).ok());
+  }
+  return series;
+}
+
+/// What the reference loop produces; slice 0's rows are slice_*[0].
+struct StReference {
+  Partition partition;
+  std::vector<std::vector<std::vector<double>>> slice_features;
+  std::vector<std::vector<uint8_t>> slice_group_null;
+  std::vector<std::vector<uint32_t>> slice_valid_count;
+  std::vector<double> per_slice_loss;
+  double information_loss = 0.0;
+  size_t iterations = 0;
+  StopReason stop_reason = StopReason::kMaxIterations;
+};
+
+/// Allocates and evaluates `base` slice by slice from scratch.
+StReference EvaluateFromScratch(const TemporalGridSeries& series,
+                                const Partition& base) {
+  StReference out;
+  out.partition = base;
+  double total = 0.0;
+  for (size_t t = 0; t < series.num_slices(); ++t) {
+    Partition p = base;
+    SRP_CHECK(AllocateFeatures(series.slice(t), &p).ok());
+    const double loss = InformationLoss(series.slice(t), p);
+    out.per_slice_loss.push_back(loss);
+    total += loss;
+    out.slice_features.push_back(std::move(p.features));
+    out.slice_group_null.push_back(std::move(p.group_null));
+    out.slice_valid_count.push_back(std::move(p.group_valid_count));
+  }
+  out.information_loss = total / static_cast<double>(series.num_slices());
+  return out;
+}
+
+/// The spatio-temporal loop with no incremental machinery, as a plain
+/// reference: per-slice pair variations combined by max, or by a sum scaled
+/// by 1/T; a heap over the pairs no always-null cell touches; and for every
+/// candidate a fresh Extract(t) with AllocateFeatures and InformationLoss
+/// per slice. A candidate is accepted while the mean per-slice loss is
+/// <= θ.
+StReference ReferenceRun(const TemporalGridSeries& series,
+                         const StRepartitionOptions& options) {
+  const size_t num_slices = series.num_slices();
+  std::vector<PairVariations> slices;
+  for (size_t t = 0; t < num_slices; ++t) {
+    slices.push_back(
+        ComputePairVariations(AttributeNormalized(series.slice(t))));
+  }
+  PairVariations combined = slices[0];
+  const bool max = options.aggregation == TemporalAggregation::kMax;
+  for (size_t t = 1; t < num_slices; ++t) {
+    for (size_t i = 0; i < combined.right.size(); ++i) {
+      combined.right[i] = max ? std::max(combined.right[i], slices[t].right[i])
+                              : combined.right[i] + slices[t].right[i];
+      combined.down[i] = max ? std::max(combined.down[i], slices[t].down[i])
+                             : combined.down[i] + slices[t].down[i];
+    }
+  }
+  if (!max) {
+    const double inv = 1.0 / static_cast<double>(num_slices);
+    for (size_t i = 0; i < combined.right.size(); ++i) {
+      combined.right[i] *= inv;
+      combined.down[i] *= inv;
+    }
+  }
+  PairVariations masked = combined;
+  const double inf = std::numeric_limits<double>::infinity();
+  const size_t cols = series.cols();
+  for (size_t r = 0; r < series.rows(); ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (!series.IsAlwaysNull(r, c)) continue;
+      const size_t i = r * cols + c;
+      masked.right[i] = inf;
+      masked.down[i] = inf;
+      if (c > 0) masked.right[i - 1] = inf;
+      if (r > 0) masked.down[i - cols] = inf;
+    }
+  }
+  MinAdjacentVariationHeap heap;
+  heap.Build(masked);
+  const CellGroupExtractor extractor(combined);
+
+  StReference best =
+      EvaluateFromScratch(series, TrivialPartition(series.slice(0)));
+  StopReason stop = StopReason::kMaxIterations;
+  double previous = -1.0;
+  while (best.iterations < options.max_iterations) {
+    double variation = 0.0;
+    if (!heap.PopNextGreater(previous + options.min_variation_step,
+                             &variation)) {
+      stop = StopReason::kHeapDrained;
+      break;
+    }
+    previous = variation;
+    StReference candidate =
+        EvaluateFromScratch(series, extractor.Extract(variation));
+    if (!(candidate.information_loss <= options.ifl_threshold)) {
+      stop = StopReason::kThetaExceeded;
+      break;
+    }
+    candidate.iterations = best.iterations + 1;
+    best = std::move(candidate);
+  }
+  best.stop_reason = stop;
+  return best;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(const std::vector<std::vector<double>>& a,
+              const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t g = 0; g < a.size(); ++g) {
+    if (!SameBits(a[g], b[g])) return false;
+  }
+  return true;
+}
+
+/// The committed state of `got` equals `want` bit for bit; the stop reason
+/// is compared by the caller.
+void ExpectSameCommittedState(const StRepartitionResult& got,
+                              const StReference& want) {
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_TRUE(SameBits(got.information_loss, want.information_loss))
+      << got.information_loss << " vs " << want.information_loss;
+  EXPECT_TRUE(SameBits(got.per_slice_loss, want.per_slice_loss));
+  const Partition& p = got.partition;
+  EXPECT_EQ(p.groups, want.partition.groups);
+  EXPECT_EQ(p.cell_to_group, want.partition.cell_to_group);
+  ASSERT_EQ(got.slice_features.size(), want.slice_features.size());
+  for (size_t t = 0; t < want.slice_features.size(); ++t) {
+    EXPECT_TRUE(SameBits(got.slice_features[t], want.slice_features[t]))
+        << "slice " << t;
+  }
+  EXPECT_EQ(got.slice_group_null, want.slice_group_null);
+  // The shared partition carries slice 0's rows.
+  EXPECT_TRUE(SameBits(p.features, want.slice_features[0]));
+  EXPECT_EQ(p.group_null, want.slice_group_null[0]);
+  EXPECT_EQ(p.group_valid_count, want.slice_valid_count[0]);
+}
+
+TEST(StRepartitionerReferenceTest, IncrementalRunMatchesPlainReference) {
+  size_t coarsened = 0;
+  for (const uint64_t seed : {3u, 17u}) {
+    for (size_t num_slices = 1; num_slices <= 5; ++num_slices) {
+      const TemporalGridSeries series = RandomSeries(num_slices, seed);
+      for (const TemporalAggregation aggregation :
+           {TemporalAggregation::kMax, TemporalAggregation::kMean}) {
+        for (const double step : {0.0, 2.5e-3}) {
+          for (const double theta : {0.05, 0.1, 0.2}) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " T " << num_slices
+                         << (aggregation == TemporalAggregation::kMax
+                                 ? " max"
+                                 : " mean")
+                         << " step " << step << " theta " << theta);
+            StRepartitionOptions options;
+            options.ifl_threshold = theta;
+            options.min_variation_step = step;
+            options.aggregation = aggregation;
+            auto got = StRepartitioner(options).Run(series);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            const StReference want = ReferenceRun(series, options);
+            ExpectSameCommittedState(*got, want);
+            EXPECT_EQ(got->stop_reason, want.stop_reason);
+            if (want.iterations > 0) ++coarsened;
+          }
+        }
+      }
+    }
+  }
+  // The grid must actually coarsen, or the comparison proves little.
+  EXPECT_GT(coarsened, 100u);
+}
+
+/// Disarms every fault and clears the sleep override when the scope ends,
+/// even on a failed assertion.
+struct DisarmFaultsOnExit {
+  ~DisarmFaultsOnExit() {
+    FaultInjector::Get().Disarm();
+    unsetenv("SRP_FAULT_SLEEP_MS");
+  }
+};
+
+TEST(StRepartitionerUndoTest, CancelMidCandidateKeepsCommittedSlices) {
+  // Arms a sleep at the nth core.allocate_features hit and cancels the run
+  // while the driver sleeps there, so the engine that woke up is the first
+  // to see the cancel: the engines before it in this candidate allocated
+  // their window and must be undone too. The seed allocates every slice
+  // once and every candidate allocates every slice once, so the hit that
+  // starts slice s of candidate k + 1 is T + k * T + s + 1.
+  constexpr size_t kSlices = 4;
+  const TemporalGridSeries series = RandomSeries(kSlices, 29);
+  StRepartitionOptions options;
+  options.ifl_threshold = 0.1;
+  const StReference full = ReferenceRun(series, options);
+  ASSERT_GE(full.iterations, 4u);
+  ASSERT_EQ(full.stop_reason, StopReason::kThetaExceeded);
+  DisarmFaultsOnExit disarm;
+  ASSERT_EQ(setenv("SRP_FAULT_SLEEP_MS", "400", 1), 0);
+  for (const size_t k : {size_t{0}, full.iterations / 2, full.iterations}) {
+    for (const size_t s : {size_t{0}, kSlices - 1}) {
+      SCOPED_TRACE(testing::Message() << "cancel in candidate " << k + 1
+                                      << ", slice " << s);
+      ASSERT_TRUE(FaultInjector::Get()
+                      .Arm("core.allocate_features", FaultKind::kSleep,
+                           kSlices + k * kSlices + s + 1)
+                      .ok());
+      CancellationToken token;
+      RunContext ctx;
+      ctx.set_token(token);
+      ctx.set_best_effort(true);
+      std::atomic<bool> done{false};
+      std::thread canceller([&token, &done] {
+        while (!done.load() && FaultInjector::Get().fired_count() == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        token.RequestCancel();
+      });
+      auto result = StRepartitioner(options).Run(series, &ctx);
+      done.store(true);
+      canceller.join();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(FaultInjector::Get().fired_count(), 1u);
+      EXPECT_TRUE(result->interrupted);
+      EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
+
+      // Exactly k candidates were committed, and each slice's loss
+      // recomputes from scratch on the returned rows.
+      StRepartitionOptions capped = options;
+      capped.max_iterations = std::max<size_t>(k, 1);
+      const StReference want =
+          k == 0 ? EvaluateFromScratch(series,
+                                       TrivialPartition(series.slice(0)))
+                 : ReferenceRun(series, capped);
+      ExpectSameCommittedState(*result, want);
+      Partition per_slice = result->partition;
+      for (size_t t = 0; t < kSlices; ++t) {
+        per_slice.features = result->slice_features[t];
+        per_slice.group_null = result->slice_group_null[t];
+        EXPECT_TRUE(SameBits(InformationLoss(series.slice(t), per_slice),
+                             result->per_slice_loss[t]))
+            << "slice " << t;
+      }
+    }
+  }
+}
+
+TEST(StRepartitionerUndoTest, AllocateFaultFailsEvenInBestEffortMode) {
+  // The point fires once per slice: in the seed (hit 2 is slice 1), in the
+  // first candidate (hit T + 2 is its slice 1), and in a later one.
+  constexpr size_t kSlices = 3;
+  const TemporalGridSeries series = RandomSeries(kSlices, 5);
+  StRepartitionOptions options;
+  options.ifl_threshold = 0.1;
+  ASSERT_GE(ReferenceRun(series, options).iterations, 3u);
+  DisarmFaultsOnExit disarm;
+  for (const size_t nth : {size_t{2}, kSlices + 2, 3 * kSlices + kSlices}) {
+    for (const bool best_effort : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "fault at hit " << nth
+                                      << (best_effort ? " best-effort" : ""));
+      ASSERT_TRUE(FaultInjector::Get()
+                      .Arm("core.allocate_features", FaultKind::kError, nth)
+                      .ok());
+      RunContext ctx;
+      ctx.set_best_effort(best_effort);
+      auto result = StRepartitioner(options).Run(series, &ctx);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(FaultInjector::Get().fired_count(), 1u);
+    }
+  }
 }
 
 }  // namespace
