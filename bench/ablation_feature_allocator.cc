@@ -71,9 +71,9 @@ void Run() {
                     FormatDouble(ifl_adaptive, 4), FormatDouble(ifl_mean, 4),
                     FormatDouble(ifl_mean - ifl_adaptive, 4)});
       AddBenchRow({kTier.label, theta, spec.name + "/ifl_mean_or_mode",
-                   ifl_adaptive, "ifl", 1, 0.0, {}});
+                   ifl_adaptive, "ifl", 1, 0.0});
       AddBenchRow({kTier.label, theta, spec.name + "/ifl_mean_only",
-                   ifl_mean, "ifl", 1, 0.0, {}});
+                   ifl_mean, "ifl", 1, 0.0});
     }
   }
   table.Print();

@@ -36,9 +36,9 @@ void Run() {
           spec.name + "/step=" + FormatDouble(step, 4);
       AddBenchRow({kTier.label, kTheta, metric_base + "/groups",
                    static_cast<double>(result->partition.num_groups()),
-                   "groups", 1, 0.0, {}});
+                   "groups", 1, 0.0});
       AddBenchRow({kTier.label, kTheta, metric_base + "/ifl",
-                   result->information_loss, "ifl", 1, 0.0, {}});
+                   result->information_loss, "ifl", 1, 0.0});
     }
   }
   table.Print();

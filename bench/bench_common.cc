@@ -157,7 +157,6 @@ RepeatTiming RepeatSamples(const std::function<double()>& sample) {
     }
     out.stddev_seconds = std::sqrt(sq / static_cast<double>(n - 1));
   }
-  out.samples_seconds = std::move(samples);
   return out;
 }
 
@@ -179,7 +178,6 @@ void AddBenchTiming(std::string tier, double threshold, std::string metric,
   row.unit = "s";
   row.repeats = timing.repeats;
   row.stddev = timing.stddev_seconds;
-  row.samples = timing.samples_seconds;
   AddBenchRow(std::move(row));
 }
 
@@ -199,11 +197,6 @@ Status WriteBenchJson(const std::string& path, const std::string& bench_name) {
     entry.Set("unit", row.unit);
     entry.Set("repeats", row.repeats);
     entry.Set("stddev", row.stddev);
-    if (!row.samples.empty()) {
-      JsonValue samples = JsonValue::Array();
-      for (const double sample : row.samples) samples.Append(sample);
-      entry.Set("samples", std::move(samples));
-    }
     rows.Append(std::move(entry));
   }
   doc.Set("rows", std::move(rows));
@@ -601,7 +594,7 @@ std::vector<CorePerfRow> MeasureCorePerf(size_t rows, size_t cols) {
   // Forced-scalar reference rows (threads=1): the same operators with the
   // SIMD dispatcher pinned to the portable tier — the gap to the rows above
   // is the vectorization win, tracked so a dispatch regression (silently
-  // falling back to scalar) trips the bench-diff gate.
+  // falling back to scalar) shows in the rows.
   {
     kernels::ScopedSimdLevel forced(kernels::SimdLevel::kScalar);
     results.push_back({"pair_variations_scalar", 1,

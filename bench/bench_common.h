@@ -39,8 +39,8 @@ inline constexpr double kThresholds[] = {0.05, 0.1, 0.15};
 
 /// kTiers filtered by SRP_BENCH_TIERS — a comma-separated list of label
 /// substrings ("small,medium" keeps the first two tiers). Unset or empty
-/// keeps every tier. Lets CI's perf-smoke job run one tier in seconds while
-/// the full sweep stays the default.
+/// keeps every tier. Lets a quick run use one tier while the full sweep
+/// stays the default.
 std::vector<GridTier> ActiveTiers();
 
 /// AllDatasetSpecs() filtered the same way by SRP_BENCH_DATASETS (name
@@ -48,11 +48,9 @@ std::vector<GridTier> ActiveTiers();
 std::vector<DatasetSpec> ActiveDatasetSpecs();
 
 /// Version of the BENCH_*.json document schema. Independent of the embedded
-/// run report's own schema_version (obs::RunReport::kSchemaVersion). v4
-/// added the optional per-row "samples" array (raw per-repeat measurements,
-/// sorted ascending) that lets the diff gate run a real distribution-overlap
-/// significance test instead of the 2×stddev heuristic.
-inline constexpr int kBenchSchemaVersion = 4;
+/// run report's own schema_version (obs::RunReport::kSchemaVersion). v5
+/// dropped v4's per-row "samples" array (DESIGN.md §9).
+inline constexpr int kBenchSchemaVersion = 5;
 
 /// One row of the common bench JSON schema (DESIGN.md §9). Every bench
 /// binary appends rows via AddBenchRow(); the named ObsSession writes them
@@ -68,24 +66,19 @@ struct BenchRow {
   std::string unit;  ///< "s", "bytes", "cells/sec", "ifl", "f1", "groups", ...
   int repeats = 1;
   double stddev = 0.0;
-  /// Raw per-repeat measurements (sorted ascending), empty for single-shot
-  /// rows. Serialized as the row's "samples" array (schema v4).
-  std::vector<double> samples;
 };
 
 /// Appends one row to the process-wide bench report.
 void AddBenchRow(BenchRow row);
 
-/// Timing aggregate over BenchRepeats() runs. The regression gate compares
-/// medians: the median is robust to one slow outlier run, and `stddev`
-/// lets the diff tool widen its tolerance on noisy rows.
+/// Timing aggregate over BenchRepeats() runs. Rows report the median, which
+/// is robust to one slow outlier run, and the sample stddev.
 struct RepeatTiming {
   double min_seconds = 0.0;
   double median_seconds = 0.0;
   double mean_seconds = 0.0;
   double stddev_seconds = 0.0;  ///< sample stddev; 0 when repeats == 1
   int repeats = 0;
-  std::vector<double> samples_seconds;  ///< raw per-repeat values, sorted
 };
 
 /// Number of repetitions for timed measurements: SRP_BENCH_REPEATS when set
@@ -118,7 +111,7 @@ Status WriteBenchJson(const std::string& path, const std::string& bench_name);
 /// information loss at threads=1 and threads=max) on a rows×cols
 /// kHomeSalesMulti grid and appends the results to the bench report as
 /// tier "threads=<n>", metric "<op>/cells_per_sec" rows — the hot-path
-/// regression anchors for the perf gate.
+/// throughput anchors.
 void AddCorePerfBenchRows(size_t rows = 128, size_t cols = 128);
 
 /// Default options for bench re-partitioning runs: paper-faithful except
@@ -193,9 +186,9 @@ class ResultTable {
 ///
 /// A non-empty `bench_name` additionally writes the accumulated BenchRow
 /// list (plus an embedded RunReport) to
-/// "$SRP_BENCH_JSON_DIR/BENCH_<bench_name>.json" at scope exit — the
-/// perf-regression gate's input. The directory defaults to the working
-/// directory; SRP_BENCH_JSON=0 suppresses the file.
+/// "$SRP_BENCH_JSON_DIR/BENCH_<bench_name>.json" at scope exit. The
+/// directory defaults to the working directory; SRP_BENCH_JSON=0 suppresses
+/// the file.
 class ObsSession {
  public:
   explicit ObsSession(std::string bench_name = "");

@@ -32,7 +32,7 @@ void ClassificationPanel(ResultTable* table, bool use_gbt) {
     AddBenchRow({kTier.label, 0.0,
                  metric_base + "/original/peak_train_bytes",
                  static_cast<double>(base.peak_train_bytes), "bytes", 1,
-                 0.0, {}});
+                 0.0});
     for (double theta : kThresholds) {
       const RepartitionResult repart = MustRepartition(grid, theta);
       auto reduced =
@@ -48,7 +48,7 @@ void ClassificationPanel(ResultTable* table, bool use_gbt) {
       AddBenchRow({kTier.label, theta,
                    metric_base + "/repartitioned/peak_train_bytes",
                    static_cast<double>(run.peak_train_bytes), "bytes", 1,
-                   0.0, {}});
+                   0.0});
     }
   }
 }
@@ -65,7 +65,7 @@ void ClusteringPanel(ResultTable* table) {
     AddBenchRow({kTier.label, 0.0,
                  metric_base + "/original/peak_train_bytes",
                  static_cast<double>(base.peak_train_bytes), "bytes", 1,
-                 0.0, {}});
+                 0.0});
     for (double theta : kThresholds) {
       const RepartitionResult repart = MustRepartition(grid, theta);
       auto reduced =
@@ -80,7 +80,7 @@ void ClusteringPanel(ResultTable* table) {
       AddBenchRow({kTier.label, theta,
                    metric_base + "/repartitioned/peak_train_bytes",
                    static_cast<double>(run.peak_train_bytes), "bytes", 1,
-                   0.0, {}});
+                   0.0});
     }
   }
 }

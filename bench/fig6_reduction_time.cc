@@ -25,7 +25,7 @@ void Run() {
       for (double theta : kThresholds) {
         // Repeated runs (SRP_BENCH_REPEATS, default 3): the table shows the
         // last run's phase breakdown, the bench row carries the median and
-        // stddev so the regression gate can discount noise.
+        // stddev.
         RepartitionResult result;
         const RepeatTiming timing = RepeatSamples([&] {
           result = MustRepartition(grid, theta);

@@ -29,7 +29,7 @@ void RunPanel(ResultTable* table, const DatasetSpec& spec,
   table->AddRow({spec.name, RegressionModelName(model), "original", "-",
                  Mib(base.peak_train_bytes), "-"});
   AddBenchRow({kTier.label, 0.0, metric_base + "/original/peak_train_bytes",
-               static_cast<double>(base.peak_train_bytes), "bytes", 1, 0.0, {}});
+               static_cast<double>(base.peak_train_bytes), "bytes", 1, 0.0});
   for (double theta : kThresholds) {
     const RepartitionResult repart = MustRepartition(grid, theta);
     auto reduced =
@@ -43,7 +43,7 @@ void RunPanel(ResultTable* table, const DatasetSpec& spec,
                            std::max<int64_t>(base.peak_train_bytes, 1))});
     AddBenchRow({kTier.label, theta,
                  metric_base + "/repartitioned/peak_train_bytes",
-                 static_cast<double>(run.peak_train_bytes), "bytes", 1, 0.0, {}});
+                 static_cast<double>(run.peak_train_bytes), "bytes", 1, 0.0});
   }
 }
 

@@ -265,8 +265,8 @@ BENCHMARK(BM_FullRepartition)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 // Flight-recorder journal overhead (DESIGN.md §11): one Append is the unit
 // cost every journaled milestone pays (phase changes, span begin/end, log
 // records). The recorder ships always-on, so this bounds what "always-on"
-// costs — tens of nanoseconds, far below the bench-diff gate's noise floor
-// for the operator benchmarks above.
+// costs — tens of nanoseconds, far below the run-to-run noise of the
+// operator benchmarks above.
 void BM_JournalAppend(benchmark::State& state) {
   for (auto _ : state) {
     obs::Journal::Append(obs::JournalEventKind::kLog, 1,
@@ -300,8 +300,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Core-operator throughput rows for BENCH_micro_core_ops.json — the
-  // stable row keys the perf-regression gate diffs across commits.
+  // Core-operator throughput rows for BENCH_micro_core_ops.json, under
+  // row keys that stay stable across commits.
   srp::bench::AddCorePerfBenchRows();
   srp::bench::MaybeWriteCorePerfJson();
   return 0;

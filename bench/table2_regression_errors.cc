@@ -39,16 +39,16 @@ void AddOutcomeRow(ResultTable* table, const std::string& dataset,
                    FormatDouble(run.standard_error, 2),
                    FormatDouble(run.pseudo_r2, 3), "-", "-"});
     AddBenchRow({kTier.label, theta_value, metric_base + "/se",
-                 run.standard_error, "se", 1, 0.0, {}});
+                 run.standard_error, "se", 1, 0.0});
     AddBenchRow({kTier.label, theta_value, metric_base + "/pseudo_r2",
-                 run.pseudo_r2, "r2", 1, 0.0, {}});
+                 run.pseudo_r2, "r2", 1, 0.0});
   } else {
     table->AddRow({dataset, RegressionModelName(model), variant, theta, "-",
                    "-", FormatDouble(run.mae, 2), FormatDouble(run.rmse, 2)});
     AddBenchRow({kTier.label, theta_value, metric_base + "/mae", run.mae,
-                 "mae", 1, 0.0, {}});
+                 "mae", 1, 0.0});
     AddBenchRow({kTier.label, theta_value, metric_base + "/rmse", run.rmse,
-                 "rmse", 1, 0.0, {}});
+                 "rmse", 1, 0.0});
   }
 }
 

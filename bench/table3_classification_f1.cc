@@ -35,7 +35,7 @@ void RunModel(ResultTable* table, bool use_gbt) {
                    FormatDouble(base.weighted_f1, 3)});
     AddBenchRow({kTier.label, 0.0,
                  spec.name + "/" + model + "/original/weighted_f1",
-                 base.weighted_f1, "f1", 1, 0.0, {}});
+                 base.weighted_f1, "f1", 1, 0.0});
     for (double theta : kThresholds) {
       for (const MethodDataset& method :
            ReducedVariants(grid, spec.target_attribute, theta)) {
@@ -47,7 +47,7 @@ void RunModel(ResultTable* table, bool use_gbt) {
         AddBenchRow({kTier.label, theta,
                      spec.name + "/" + model + "/" + method.method +
                          "/weighted_f1",
-                     run.weighted_f1, "f1", 1, 0.0, {}});
+                     run.weighted_f1, "f1", 1, 0.0});
       }
     }
   }

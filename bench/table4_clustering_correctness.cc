@@ -67,7 +67,7 @@ void Run() {
                       FormatDouble(correctness, 2)});
         AddBenchRow({kTier.label, theta,
                      spec.name + "/" + method.method + "/correctness",
-                     correctness, "pct_correct", 1, 0.0, {}});
+                     correctness, "pct_correct", 1, 0.0});
       }
     }
   }

@@ -30,11 +30,11 @@ void Run() {
     table.AddRow({spec.name, FormatDouble(*rows2, 3), FormatDouble(*cols2, 3),
                   FormatDouble(*both, 3)});
     AddBenchRow({kTier.label, 0.0, spec.name + "/merge_2_rows/ifl", *rows2,
-                 "ifl", 1, 0.0, {}});
+                 "ifl", 1, 0.0});
     AddBenchRow({kTier.label, 0.0, spec.name + "/merge_2_columns/ifl", *cols2,
-                 "ifl", 1, 0.0, {}});
+                 "ifl", 1, 0.0});
     AddBenchRow({kTier.label, 0.0, spec.name + "/merge_2_rows_2_columns/ifl",
-                 *both, "ifl", 1, 0.0, {}});
+                 *both, "ifl", 1, 0.0});
   }
   table.Print();
 }

@@ -274,7 +274,11 @@ Result<StoredCheckpoint> Deserialize(const std::string& bytes,
         "checkpoint CMAP size disagrees with META dimensions");
   }
   part.cell_to_group.resize(rows * cols);
-  std::memcpy(part.cell_to_group.data(), payload, payload_size);
+  // memcpy's pointers must be non-null even for zero bytes, and an empty
+  // vector's data() may be null: skip empty sections.
+  if (payload_size > 0) {
+    std::memcpy(part.cell_to_group.data(), payload, payload_size);
+  }
 
   SRP_RETURN_IF_ERROR(ReadSection(&cursor, "FEAT", &payload, &payload_size));
   if (payload_size != num_groups * num_attributes * sizeof(double)) {
@@ -296,10 +300,12 @@ Result<StoredCheckpoint> Deserialize(const std::string& bytes,
         "checkpoint GMET size disagrees with META group count");
   }
   part.group_null.resize(num_groups);
-  std::memcpy(part.group_null.data(), payload, num_groups);
   part.group_valid_count.resize(num_groups);
-  std::memcpy(part.group_valid_count.data(), payload + num_groups,
-              num_groups * sizeof(uint32_t));
+  if (num_groups > 0) {
+    std::memcpy(part.group_null.data(), payload, num_groups);
+    std::memcpy(part.group_valid_count.data(), payload + num_groups,
+                num_groups * sizeof(uint32_t));
+  }
 
   SRP_RETURN_IF_ERROR(ReadSection(&cursor, "END ", &payload, &payload_size));
   if (payload_size != 0 || cursor.pos != cursor.size) {

@@ -17,9 +17,8 @@ namespace srp {
 ///  * Objects preserve INSERTION order. The report writers emit keys in a
 ///    fixed order, so two reports built the same way serialize to
 ///    byte-identical documents (modulo the numeric values themselves) — the
-///    stable-key-order contract the perf-diff gate and the round-trip tests
-///    rely on. `Set` on an existing key overwrites in place, keeping the
-///    original position.
+///    stable-key-order contract the round-trip tests rely on. `Set` on an
+///    existing key overwrites in place, keeping the original position.
 ///  * Parse(Dump(v)) == v. Numbers that hold integral values within the
 ///    exact-double range serialize without a decimal point; everything else
 ///    uses round-trip (%.17g) precision.

@@ -281,9 +281,22 @@ Status InstallLogFile(const std::string& path, LogFormat format) {
   if (file == nullptr) {
     return Status::IOError("cannot open log file: " + path);
   }
-  // Leaked by design: a replaced sink may still be mid-Write on another
-  // thread; the handful of sinks a process installs is bounded.
-  SetLogSink(new FileLogSink(file, format));
+  // Never freed: a replaced sink may still be mid-Write on another thread.
+  // This process-lifetime list (itself never destroyed) keeps every
+  // installed sink reachable, so leak checkers do not report the replaced
+  // ones; the handful of sinks a process installs is bounded.
+  struct InstalledSinks {
+    std::mutex mu;
+    std::vector<std::unique_ptr<FileLogSink>> sinks;
+  };
+  static InstalledSinks* installed = new InstalledSinks();
+  FileLogSink* sink = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(installed->mu);
+    installed->sinks.push_back(std::make_unique<FileLogSink>(file, format));
+    sink = installed->sinks.back().get();
+  }
+  SetLogSink(sink);
   return Status::OK();
 }
 

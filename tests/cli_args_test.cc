@@ -86,6 +86,23 @@ TEST(CliNumbersTest, WellFormedValuesRun) {
   std::filesystem::remove_all(dir);
 }
 
+// A missing --out-dir fails (exit 1) before any compute: no run, so no
+// "stopped:" summary, and nothing is created.
+TEST(CliOutDirTest, MissingOutDirFailsBeforeAnyCompute) {
+  const std::string dir = FreshOutDir();
+  const std::string missing = dir + "/missing";
+  const std::string out = dir + "/stdout.txt";
+  EXPECT_EQ(RunTool(SRP_REPARTITION_BIN,
+                    std::string(kBaseArgs) + "--theta 0.1 --out-dir " +
+                        missing,
+                    out),
+            1);
+  EXPECT_EQ(ReadFile(out).find("stopped:"), std::string::npos)
+      << ReadFile(out);
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CliReportTest, RunReportCarriesStopReason) {
   const std::string dir = FreshOutDir();
   const std::string report = dir + "/report.json";

@@ -18,6 +18,9 @@
 // order. Schema entries are name:agg[:int] with agg in {sum, avg, count};
 // "count" ignores fields and counts records.
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -714,6 +717,17 @@ int Run(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &options)) {
     Usage();
     return 2;
+  }
+  // A missing or read-only --out-dir fails here, before any compute, not at
+  // the CSV export after the whole run. Nothing is created.
+  if (!options.print_version) {
+    struct stat st {};
+    if (::stat(options.out_dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
+        ::access(options.out_dir.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr, "--out-dir %s is not a writable directory\n",
+                   options.out_dir.c_str());
+      return 1;
+    }
   }
 
   // Env first, flags override; then arm the flight recorder so any crash or
