@@ -421,10 +421,8 @@ ObsSession::ObsSession(std::string bench_name)
   }();
   (void)obs_env_applied;
   const char* trace_out = std::getenv("SRP_TRACE_OUT");
-  const char* metrics_out = std::getenv("SRP_METRICS_OUT");
   const char* profile_out = std::getenv("SRP_PROFILE_OUT");
   if (trace_out != nullptr) trace_out_ = trace_out;
-  if (metrics_out != nullptr) metrics_out_ = metrics_out;
   if (profile_out != nullptr) profile_out_ = profile_out;
   if (!trace_out_.empty()) obs::Tracer::Get().Enable();
   if (!profile_out_.empty()) {
@@ -499,20 +497,6 @@ ObsSession::~ObsSession() {
                     << obs::Tracer::Get().dropped() << " dropped)";
     } else {
       SRP_LOG(Warning) << "trace export failed: " << status.ToString();
-    }
-  }
-  if (!metrics_out_.empty()) {
-    auto& registry = obs::MetricsRegistry::Get();
-    registry.UpdateMemoryGauges();
-    const bool json = metrics_out_.size() >= 5 &&
-                      metrics_out_.compare(metrics_out_.size() - 5, 5,
-                                           ".json") == 0;
-    const Status status = json ? registry.WriteJson(metrics_out_)
-                               : registry.WriteCsv(metrics_out_);
-    if (status.ok()) {
-      SRP_LOG(Info) << "wrote metrics snapshot to " << metrics_out_;
-    } else {
-      SRP_LOG(Warning) << "metrics export failed: " << status.ToString();
     }
   }
   // Bench JSON last: it embeds the final metrics/trace state. Written by
@@ -644,43 +628,6 @@ void AddCorePerfBenchRows(size_t rows, size_t cols) {
     row.value = result.cells_per_sec;
     row.unit = "cells/sec";
     AddBenchRow(std::move(row));
-  }
-}
-
-Status WriteCorePerfJson(const std::string& path, size_t rows, size_t cols) {
-  const std::vector<CorePerfRow> results = MeasureCorePerf(rows, cols);
-  const size_t max_threads = ResolveThreadCount(0);
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  std::fprintf(f,
-               "{\n  \"grid\": {\"rows\": %zu, \"cols\": %zu, "
-               "\"dataset\": \"home_sales_multi\"},\n"
-               "  \"max_threads\": %zu,\n  \"results\": [\n",
-               rows, cols, max_threads);
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"threads\": %zu, "
-                 "\"cells_per_sec\": %.6g}%s\n",
-                 results[i].op, results[i].threads, results[i].cells_per_sec,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return Status::OK();
-}
-
-void MaybeWriteCorePerfJson() {
-  const char* env = std::getenv("SRP_BENCH_CORE_JSON");
-  if (env == nullptr) return;
-  const std::string path = *env == '\0' ? "BENCH_core.json" : env;
-  const Status status = WriteCorePerfJson(path);
-  if (status.ok()) {
-    SRP_LOG(Info) << "wrote core perf trajectory to " << path;
-  } else {
-    SRP_LOG(Warning) << "core perf export failed: " << status.ToString();
   }
 }
 

@@ -175,14 +175,12 @@ class ResultTable {
 /// Env-driven observability for bench binaries. Construct one at the top of
 /// main(): when SRP_TRACE_OUT is set, span tracing is enabled for the whole
 /// run and a Chrome trace-event JSON is written there at scope exit; when
-/// SRP_METRICS_OUT is set, a metrics snapshot (counters, histogram
-/// percentiles, memory gauges) is written there (".json" suffix selects
-/// JSON, anything else CSV); when SRP_PROFILE_OUT is set, the sampling
-/// profiler runs for the whole bench and folded collapsed stacks (ready for
-/// flamegraph.pl / speedscope) are written there; when SRP_HW_COUNTERS=1,
-/// hardware counters cover the whole bench and the totals (or the explicit
-/// unavailable_reason) land in the bench JSON's embedded RunReport. All are
-/// opt-in, so default bench timings stay unperturbed.
+/// SRP_PROFILE_OUT is set, the sampling profiler runs for the whole bench
+/// and folded collapsed stacks (ready for flamegraph.pl / speedscope) are
+/// written there; when SRP_HW_COUNTERS=1, hardware counters cover the whole
+/// bench and the totals (or the explicit unavailable_reason) land in the
+/// bench JSON's embedded RunReport. All are opt-in, so default bench
+/// timings stay unperturbed.
 ///
 /// A non-empty `bench_name` additionally writes the accumulated BenchRow
 /// list (plus an embedded RunReport) to
@@ -200,7 +198,6 @@ class ObsSession {
  private:
   std::string bench_name_;
   std::string trace_out_;
-  std::string metrics_out_;
   std::string profile_out_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   /// SRP_TELEMETRY_OUT streams live samples during the bench (the sampler
@@ -208,19 +205,6 @@ class ObsSession {
   /// SRP_TELEMETRY_INTERVAL_MS overrides the 250 ms default.
   std::unique_ptr<obs::TelemetrySampler> sampler_;
 };
-
-/// Perf trajectory of the core operators: measures cells/sec of the
-/// pair-variation precomputation, cell-group extraction, and information
-/// loss on a fixed synthetic grid (kHomeSalesMulti, seed 2022) at threads=1
-/// and threads=max (ResolveThreadCount(0)), and writes one JSON file —
-/// successive PRs diff these numbers to catch hot-path regressions.
-Status WriteCorePerfJson(const std::string& path, size_t rows = 256,
-                         size_t cols = 256);
-
-/// Writes the core perf JSON to $SRP_BENCH_CORE_JSON when the variable is
-/// set (an empty value selects "BENCH_core.json"); no-op otherwise. Call at
-/// the end of a bench main.
-void MaybeWriteCorePerfJson();
 
 /// Formats a fraction as a percentage string with one decimal.
 std::string Percent(double fraction);

@@ -263,10 +263,10 @@ void BM_FullRepartition(benchmark::State& state) {
 BENCHMARK(BM_FullRepartition)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // Flight-recorder journal overhead (DESIGN.md §11): one Append is the unit
-// cost every journaled milestone pays (phase changes, span begin/end, log
-// records). The recorder ships always-on, so this bounds what "always-on"
-// costs — tens of nanoseconds, far below the run-to-run noise of the
-// operator benchmarks above.
+// cost every journaled milestone pays (phase changes, log records, faults).
+// The recorder ships always-on, so this bounds what "always-on" costs —
+// tens of nanoseconds, far below the run-to-run noise of the operator
+// benchmarks above.
 void BM_JournalAppend(benchmark::State& state) {
   for (auto _ : state) {
     obs::Journal::Append(obs::JournalEventKind::kLog, 1,
@@ -290,10 +290,9 @@ BENCHMARK(BM_JournalPhaseFlip);
 }  // namespace bench
 }  // namespace srp
 
-// Expanded BENCHMARK_MAIN() so the ObsSession (SRP_TRACE_OUT /
-// SRP_METRICS_OUT artifacts, BENCH_micro_core_ops.json) brackets the
-// benchmark run and the perf trajectory (SRP_BENCH_CORE_JSON) is emitted
-// after the measured run.
+// Expanded BENCHMARK_MAIN() so the ObsSession (SRP_TRACE_OUT artifact,
+// BENCH_micro_core_ops.json) brackets the benchmark run and the core
+// throughput rows are added after the measured run.
 int main(int argc, char** argv) {
   srp::bench::ObsSession obs("micro_core_ops");
   benchmark::Initialize(&argc, argv);
@@ -303,6 +302,5 @@ int main(int argc, char** argv) {
   // Core-operator throughput rows for BENCH_micro_core_ops.json, under
   // row keys that stay stable across commits.
   srp::bench::AddCorePerfBenchRows();
-  srp::bench::MaybeWriteCorePerfJson();
   return 0;
 }

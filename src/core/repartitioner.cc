@@ -31,9 +31,6 @@ struct CoreMetrics {
   obs::Counter* heap_pops;
   obs::Counter* cells_in;
   obs::Counter* groups_out;
-  obs::Histogram* extract_ms;
-  obs::Histogram* allocate_ms;
-  obs::Histogram* information_loss_ms;
   obs::Histogram* run_ms;
 };
 
@@ -46,10 +43,6 @@ CoreMetrics& Metrics() {
     m->heap_pops = registry.GetCounter("repartition.heap_pops");
     m->cells_in = registry.GetCounter("repartition.cells_in");
     m->groups_out = registry.GetCounter("repartition.groups_out");
-    m->extract_ms = registry.GetHistogram("repartition.extract_ms");
-    m->allocate_ms = registry.GetHistogram("repartition.allocate_ms");
-    m->information_loss_ms =
-        registry.GetHistogram("repartition.information_loss_ms");
     m->run_ms = registry.GetHistogram("repartition.run_ms");
     return m;
   }();
@@ -60,11 +53,11 @@ CoreMetrics& Metrics() {
 /// almost certainly a corrupted or hostile options struct.
 constexpr size_t kMaxThreads = 4096;
 
-/// Times the phases of one run. Take adds the time since the last Take or
-/// Restart to a phase, folds the phase's allocation high-water (srp_memtrack
-/// scoped delta; 0 without the hooks) into a running max, adds its
-/// hardware-counter delta when collection is on, and optionally feeds a
-/// latency histogram. The memory scope is re-opened per phase so phases
+/// Times the phases of one run into RunStats, the one record of phase time.
+/// Take adds the time since the last Take or Restart to a phase, folds the
+/// phase's allocation high-water (srp_memtrack scoped delta; 0 without the
+/// hooks) into a running max and adds its hardware-counter delta when
+/// collection is on. The memory scope is re-opened per phase so phases
 /// never share a baseline; the nesting-safe ScopedMemoryPeak keeps any
 /// enclosing measurement (e.g. bench MeasureRun) intact.
 class PhaseClock {
@@ -89,11 +82,23 @@ class PhaseClock {
 
   void Restart() { timer_.Restart(); }
 
-  void Take(double* seconds, int64_t* peak_bytes, obs::HwCounterValues* hw,
-            obs::Histogram* histogram = nullptr) {
-    const double elapsed = timer_.ElapsedSeconds();
-    *seconds += elapsed;
-    if (histogram != nullptr) histogram->Observe(elapsed * 1e3);
+  /// Runs `f` as the phase `name` and takes its time: marks the journal
+  /// phase and, when `traced`, opens a span of that name around `f`.
+  template <typename F>
+  auto Measure(const char* name, bool traced, double* seconds,
+               int64_t* peak_bytes, obs::HwCounterValues* hw, F&& f) {
+    auto out = [&] {
+      std::optional<obs::ScopedSpan> span;
+      if (traced) span.emplace(name);
+      obs::Journal::SetPhase(name);
+      return f();
+    }();
+    Take(seconds, peak_bytes, hw);
+    return out;
+  }
+
+  void Take(double* seconds, int64_t* peak_bytes, obs::HwCounterValues* hw) {
+    *seconds += timer_.ElapsedSeconds();
     if (MemoryTracker::Hooked()) {
       *peak_bytes = std::max(*peak_bytes, memory_->PeakDeltaBytes());
     }
@@ -140,9 +145,8 @@ Status Snapshot(CheckpointSink* sink, const CoarseningState& committed,
 }
 
 /// Repartitioner::Run's evaluator: one IflEngine over the input grid. Its
-/// hooks time each phase into RunStats, open the phase spans and journal
-/// phases, and feed progress, the introspection sink and periodic
-/// checkpoints.
+/// hooks measure each loop phase through PhaseClock::Measure and feed
+/// progress, the introspection sink and periodic checkpoints.
 class CoreEvaluator : public CoarseningHooks {
  public:
   CoreEvaluator(const GridDataset& grid, const RepartitionOptions& options,
@@ -157,28 +161,27 @@ class CoreEvaluator : public CoarseningHooks {
   auto Phase(F&& f) {
     RunStats& s = *stats_;
     if constexpr (kPhase == LoopPhase::kPop) {
+      // Pops are too frequent to trace; the phase and its time suffice.
       clock_->Restart();
-      obs::Journal::SetPhase("repartition.variation_pop");
-      const bool popped = f();
-      clock_->Take(&s.variation_pop_seconds, &s.variation_pop_peak_bytes,
-                   &s.variation_pop_hw);
+      const bool popped = clock_->Measure(
+          "repartition.variation_pop", false, &s.variation_pop_seconds,
+          &s.variation_pop_peak_bytes, &s.variation_pop_hw, f);
       if (popped) obs::ProgressTracker::Get().SetWorkDone(++s.heap_pops);
       return popped;
     } else if constexpr (kPhase == LoopPhase::kExtract) {
       ++s.extractions;
-      return Traced("repartition.extract", f, &s.extract_seconds,
-                    &s.extract_peak_bytes, &s.extract_hw,
-                    Metrics().extract_ms);
+      return clock_->Measure("repartition.extract", true, &s.extract_seconds,
+                             &s.extract_peak_bytes, &s.extract_hw, f);
     } else if constexpr (kPhase == LoopPhase::kAllocate) {
-      return Traced("repartition.allocate_features", f, &s.allocate_seconds,
-                    &s.allocate_peak_bytes, &s.allocate_hw,
-                    Metrics().allocate_ms);
+      return clock_->Measure("repartition.allocate_features", true,
+                             &s.allocate_seconds, &s.allocate_peak_bytes,
+                             &s.allocate_hw, f);
     } else {
       SRP_INJECT_FAULT("core.information_loss");
-      return Traced("repartition.information_loss", f,
-                    &s.information_loss_seconds,
-                    &s.information_loss_peak_bytes, &s.information_loss_hw,
-                    Metrics().information_loss_ms);
+      return clock_->Measure("repartition.information_loss", true,
+                             &s.information_loss_seconds,
+                             &s.information_loss_peak_bytes,
+                             &s.information_loss_hw, f);
     }
   }
 
@@ -221,20 +224,6 @@ class CoreEvaluator : public CoarseningHooks {
   }
 
  private:
-  /// Runs `f` under a span and journal phase named `name`, then takes the
-  /// phase's time.
-  template <typename F>
-  auto Traced(const char* name, F& f, double* seconds, int64_t* peak_bytes,
-              obs::HwCounterValues* hw, obs::Histogram* histogram) {
-    auto out = [&] {
-      obs::ScopedSpan span(name);
-      obs::Journal::SetPhase(name);
-      return f();
-    }();
-    clock_->Take(seconds, peak_bytes, hw, histogram);
-    return out;
-  }
-
   IflEngine engine_;
   const RepartitionOptions& options_;
   ThreadPool* pool_;
@@ -342,41 +331,34 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     // Pre-computation (done exactly once): normalized grid, adjacent-pair
     // variations, and the min-adjacent-variation heap.
     clock.Restart();
-    const GridDataset normalized = [&] {
-      SRP_TRACE_SPAN("repartition.normalize");
-      obs::Journal::SetPhase("repartition.normalize");
-      return AttributeNormalized(grid);
-    }();
-    clock.Take(&stats.normalize_seconds, &stats.normalize_peak_bytes,
-               &stats.normalize_hw);
+    const GridDataset normalized = clock.Measure(
+        "repartition.normalize", true, &stats.normalize_seconds,
+        &stats.normalize_peak_bytes, &stats.normalize_hw,
+        [&] { return AttributeNormalized(grid); });
     SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
     if (degrade) return Status::OK();
 
     SRP_INJECT_FAULT("core.pair_variations");
-    const PairVariations variations = [&] {
-      SRP_TRACE_SPAN("repartition.pair_variations");
-      obs::Journal::SetPhase("repartition.pair_variations");
-      return ComputePairVariations(normalized, pool.get(), ctx);
-    }();
-    clock.Take(&stats.pair_variation_seconds, &stats.pair_variation_peak_bytes,
-               &stats.pair_variation_hw);
+    const PairVariations variations = clock.Measure(
+        "repartition.pair_variations", true, &stats.pair_variation_seconds,
+        &stats.pair_variation_peak_bytes, &stats.pair_variation_hw,
+        [&] { return ComputePairVariations(normalized, pool.get(), ctx); });
     // An interrupted variation pass leaves +inf placeholders; the heap must
     // not be built over them.
     SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
     if (degrade) return Status::OK();
 
-    MinAdjacentVariationHeap heap;
-    heap.set_introspection_sink(options_.introspection);
-    {
-      SRP_TRACE_SPAN("repartition.heap_build");
-      obs::Journal::SetPhase("repartition.heap_build");
-      heap.Build(variations, &normalized);
-    }
+    MinAdjacentVariationHeap heap = clock.Measure(
+        "repartition.heap_build", true, &stats.heap_build_seconds,
+        &stats.heap_build_peak_bytes, &stats.heap_build_hw, [&] {
+          MinAdjacentVariationHeap built;
+          built.set_introspection_sink(options_.introspection);
+          built.Build(variations, &normalized);
+          return built;
+        });
     // The heap size bounds the remaining pops — the depletion denominator
     // the telemetry ETA is derived from.
     obs::ProgressTracker::Get().SetWorkTotal(heap.Size());
-    clock.Take(&stats.heap_build_seconds, &stats.heap_build_peak_bytes,
-               &stats.heap_build_hw);
 
     // The committed partition is re-extracted in place: the extractor
     // rescans only the window the new threshold can change, and the engine

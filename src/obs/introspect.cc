@@ -1,7 +1,6 @@
 #include "obs/introspect.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace srp {
 namespace obs {
@@ -100,35 +99,6 @@ JsonValue IntrospectionRecord::ToJson() const {
     doc.Set("merge_rounds", std::move(rounds));
   }
   return doc;
-}
-
-Status IntrospectionRecord::WriteCsv(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IOError("cannot open introspection output file: " + path);
-  }
-  std::fputs("series,index,value,accepted\n", file);
-  for (size_t i = 0; i < ifl_series.size(); ++i) {
-    const bool accepted = i < ifl_accepted.size() && ifl_accepted[i];
-    std::fprintf(file, "ifl,%zu,%.17g,%d\n", i, ifl_series[i],
-                 accepted ? 1 : 0);
-  }
-  for (size_t i = 0; i < variation_series.size(); ++i) {
-    std::fprintf(file, "variation,%zu,%.17g,1\n", i, variation_series[i]);
-  }
-  for (size_t i = 0; i < variation_histogram.size(); ++i) {
-    std::fprintf(file, "variation_histogram,%zu,%lld,1\n", i,
-                 static_cast<long long>(variation_histogram[i]));
-  }
-  for (size_t i = 0; i < merge_rounds.size(); ++i) {
-    std::fprintf(file, "merge_round_ifl,%zu,%.17g,%d\n",
-                 merge_rounds[i].factor, merge_rounds[i].information_loss,
-                 merge_rounds[i].accepted ? 1 : 0);
-  }
-  if (std::fclose(file) != 0) {
-    return Status::IOError("error writing introspection output file: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace obs

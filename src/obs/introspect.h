@@ -3,11 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/json.h"
-#include "util/status.h"
 
 namespace srp {
 namespace obs {
@@ -52,10 +50,6 @@ struct IntrospectionRecord {
 
   /// The run-report "introspection" section (DESIGN.md §10).
   JsonValue ToJson() const;
-
-  /// Long-format CSV: `series,index,value,accepted` rows covering ifl,
-  /// variation, histogram buckets and merge rounds.
-  Status WriteCsv(const std::string& path) const;
 };
 
 /// Observer of the core algorithms' inner loops. All callbacks default to

@@ -64,7 +64,6 @@ struct ThreadRegistration {
 };
 
 thread_local ThreadRegistration t_reg;
-thread_local uint64_t t_active_span_id = 0;
 
 ThreadSlot* ClaimSlot() {
   if (t_reg.slot != nullptr) return t_reg.slot;
@@ -101,10 +100,6 @@ const char* JournalEventKindName(JournalEventKind kind) {
   switch (kind) {
     case JournalEventKind::kLog:
       return "log";
-    case JournalEventKind::kSpanBegin:
-      return "span_begin";
-    case JournalEventKind::kSpanEnd:
-      return "span_end";
     case JournalEventKind::kFault:
       return "fault";
     case JournalEventKind::kInterrupt:
@@ -193,12 +188,6 @@ const char* Journal::SetPhase(const char* phase) {
 const char* Journal::CurrentPhase() {
   return g_phase.load(std::memory_order_acquire);
 }
-
-void Journal::SetActiveSpanId(uint64_t span_id) {
-  t_active_span_id = span_id;
-}
-
-uint64_t Journal::ActiveSpanId() { return t_active_span_id; }
 
 void Journal::SetCrashCause(const char* text) {
   BoundedCopy(g_crash_cause, sizeof(g_crash_cause), text);

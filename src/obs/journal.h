@@ -11,7 +11,7 @@ namespace obs {
 
 /// Lock-free per-thread flight-recorder journal (DESIGN.md §11).
 ///
-/// Every thread that logs, opens a span, fires a fault point, or hits an
+/// Every thread that logs, enters a phase, fires a fault point, or hits an
 /// interrupt appends fixed-size events into its own ring buffer; a global
 /// sequence counter orders events across threads after the fact. The journal
 /// is the black box the crash handler reads when the process dies, so the
@@ -30,8 +30,6 @@ namespace obs {
 /// (postmortem JSON / srp_inspect), append-only.
 enum class JournalEventKind : uint8_t {
   kLog = 0,        ///< a log record that passed the level filter
-  kSpanBegin = 1,  ///< ScopedSpan opened (tracer enabled)
-  kSpanEnd = 2,    ///< ScopedSpan closed
   kFault = 3,      ///< fault-injection point fired
   kInterrupt = 4,  ///< RunContext observed its first interrupt
   kTask = 5,       ///< ThreadPool lifecycle milestone
@@ -116,7 +114,7 @@ class Journal {
   static int64_t NowNanos();
 
   /// Dense per-process id of the calling thread, assigned on first use.
-  /// Independent of (and generally different from) Tracer::CurrentThreadId.
+  /// Log records and tracer spans carry the same id.
   static uint32_t CurrentThreadId();
 
   /// Labels the calling thread in journal snapshots and log records
@@ -131,11 +129,6 @@ class Journal {
   /// Appends a kPhase event when the phase actually changes.
   static const char* SetPhase(const char* phase);
   static const char* CurrentPhase();
-
-  /// Active tracer span id of the calling thread (0 = none); maintained by
-  /// ScopedSpan, stamped into structured log records.
-  static void SetActiveSpanId(uint64_t span_id);
-  static uint64_t ActiveSpanId();
 
   /// Fixed-buffer copy of the fatal-check text, written by the logging
   /// fatal path immediately before abort() so the SIGABRT postmortem can

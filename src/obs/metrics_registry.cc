@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
-#include "obs/json_util.h"
-#include "util/csv.h"
 #include "util/memory_tracker.h"
-#include "util/string_util.h"
 
 namespace srp {
 namespace obs {
@@ -28,25 +24,6 @@ void AtomicMax(std::atomic<double>* target, double value) {
          !target->compare_exchange_weak(current, value,
                                         std::memory_order_relaxed)) {
   }
-}
-
-Status WriteWholeFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open file: " + path);
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != contents.size() || !close_ok) {
-    return Status::IOError("short write to file: " + path);
-  }
-  return Status::OK();
-}
-
-/// Shortest lossless-enough decimal for metric values (trailing zeros kept
-/// simple: 6 significant digits).
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
 }
 
 }  // namespace
@@ -200,75 +177,6 @@ void MetricsRegistry::ResetValues() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-Status MetricsRegistry::WriteCsv(const std::string& path) const {
-  const MetricsSnapshot snapshot = Snapshot();
-  CsvTable table;
-  table.header = {"kind", "name", "value", "count", "sum", "min",
-                  "max",  "p50",  "p90",   "p95",   "p99"};
-  for (const auto& [name, value] : snapshot.counters) {
-    table.rows.push_back({"counter", name, std::to_string(value), "", "", "",
-                          "", "", "", "", ""});
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    table.rows.push_back(
-        {"gauge", name, Num(value), "", "", "", "", "", "", "", ""});
-  }
-  for (const auto& h : snapshot.histograms) {
-    table.rows.push_back({"histogram", h.name, "", std::to_string(h.count),
-                          Num(h.sum), Num(h.min), Num(h.max), Num(h.p50),
-                          Num(h.p90), Num(h.p95), Num(h.p99)});
-  }
-  return srp::WriteCsv(table, path);
-}
-
-Status MetricsRegistry::WriteJson(const std::string& path) const {
-  const MetricsSnapshot snapshot = Snapshot();
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    internal::AppendJsonEscaped(&out, name);
-    out += "\": " + std::to_string(value);
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    internal::AppendJsonEscaped(&out, name);
-    out += "\": " + Num(value);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& h : snapshot.histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    internal::AppendJsonEscaped(&out, h.name);
-    out += "\": {\"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + Num(h.sum);
-    out += ", \"min\": " + Num(h.min);
-    out += ", \"max\": " + Num(h.max);
-    out += ", \"p50\": " + Num(h.p50);
-    out += ", \"p90\": " + Num(h.p90);
-    out += ", \"p95\": " + Num(h.p95);
-    out += ", \"p99\": " + Num(h.p99);
-    out += ", \"buckets\": [";
-    for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"le\": ";
-      out += i < h.upper_bounds.size() ? Num(h.upper_bounds[i]) : "\"inf\"";
-      out += ", \"count\": " + std::to_string(h.bucket_counts[i]) + "}";
-    }
-    out += "]}";
-  }
-  out += "\n  }\n}\n";
-  return WriteWholeFile(path, out);
 }
 
 }  // namespace obs

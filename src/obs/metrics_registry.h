@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/status.h"
-
 namespace srp {
 namespace obs {
 
@@ -130,14 +128,6 @@ class MetricsRegistry {
 
   /// Zeroes every value but keeps all registrations (handles stay valid).
   void ResetValues();
-
-  /// One CSV with columns kind,name,value,count,sum,min,max,p50,p90,p95,
-  /// p99. Counter/gauge rows fill `value`; histogram rows fill the rest.
-  Status WriteCsv(const std::string& path) const;
-
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,
-  ///  max,p50,p90,p95,p99,buckets:[{le,count},...]}}}
-  Status WriteJson(const std::string& path) const;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;

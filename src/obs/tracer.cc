@@ -13,11 +13,6 @@ namespace srp {
 namespace obs {
 namespace {
 
-constexpr uint32_t kUnassignedTid = 0xffffffffu;
-
-std::atomic<uint32_t> g_next_tid{0};
-std::atomic<uint64_t> g_next_span_id{0};
-thread_local uint32_t t_tid = kUnassignedTid;
 thread_local uint32_t t_depth = 0;
 
 }  // namespace
@@ -27,13 +22,6 @@ std::atomic<bool> Tracer::enabled_{false};
 Tracer& Tracer::Get() {
   static Tracer* tracer = new Tracer();  // leaked: outlives static dtors
   return *tracer;
-}
-
-uint32_t Tracer::CurrentThreadId() {
-  if (t_tid == kUnassignedTid) {
-    t_tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
-  }
-  return t_tid;
 }
 
 size_t Tracer::ResolveCapacity(size_t explicit_capacity) {
@@ -164,23 +152,16 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
 void ScopedSpan::Begin(const char* name) {
   active_ = true;
   event_.name = name;
-  event_.tid = Tracer::CurrentThreadId();
+  // The journal's thread id, so a span's tid matches the same thread's log
+  // records and journal events.
+  event_.tid = Journal::CurrentThreadId();
   event_.depth = t_depth++;
-  // Journal correlation: every span gets a process-unique id; while it is
-  // open it is the thread's "active span", stamped into structured log
-  // records produced inside it.
-  span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed) + 1;
-  parent_span_id_ = Journal::ActiveSpanId();
-  Journal::SetActiveSpanId(span_id_);
-  Journal::Append(JournalEventKind::kSpanBegin, 0, name);
   event_.start_us = Tracer::Get().NowMicros();
 }
 
 void ScopedSpan::End() {
   --t_depth;
   event_.duration_us = Tracer::Get().NowMicros() - event_.start_us;
-  Journal::Append(JournalEventKind::kSpanEnd, 0, event_.name);
-  Journal::SetActiveSpanId(parent_span_id_);
   Tracer::Get().Record(event_);
 }
 

@@ -21,7 +21,7 @@ struct SpanEvent {
   const char* name = nullptr;
   double start_us = 0.0;     ///< microseconds since the tracer epoch
   double duration_us = 0.0;  ///< wall duration in microseconds
-  uint32_t tid = 0;          ///< dense per-process thread id (0, 1, ...)
+  uint32_t tid = 0;          ///< Journal::CurrentThreadId() of the recorder
   uint32_t depth = 0;        ///< nesting depth within the recording thread
 };
 
@@ -83,9 +83,6 @@ class Tracer {
   /// Microseconds since the epoch set by the last Enable().
   double NowMicros() const;
 
-  /// Dense id of the calling thread (assigned on first use).
-  static uint32_t CurrentThreadId();
-
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
@@ -123,8 +120,6 @@ class ScopedSpan {
 
   bool active_ = false;
   SpanEvent event_{};
-  uint64_t span_id_ = 0;         ///< process-unique id, journal-correlated
-  uint64_t parent_span_id_ = 0;  ///< restored as the thread's active span
 };
 
 }  // namespace obs

@@ -223,8 +223,6 @@ std::string FormatLogRecordJson(const LogRecord& record) {
   AppendJsonEscaped(&out, record.file);
   out += "\",\"line\":";
   out += std::to_string(record.line);
-  out += ",\"span_id\":";
-  out += std::to_string(record.span_id);
   out += ",\"msg\":\"";
   AppendJsonEscaped(&out, record.message.c_str());
   out += "\"}";
@@ -343,7 +341,7 @@ void ConfigureLoggingFromEnv() {
 void CaptureLogSink::Write(const LogRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
   records_.push_back(Record{record.level, FormatLogRecordText(record),
-                            record.module, record.span_id});
+                            record.module});
   ++write_calls_;
 }
 
@@ -382,7 +380,6 @@ LogMessage::~LogMessage() {
     record.ts_ns = obs::Journal::NowNanos();
     record.tid = obs::Journal::CurrentThreadId();
     record.thread_label = obs::Journal::ThreadLabel();
-    record.span_id = obs::Journal::ActiveSpanId();
     record.message = stream_.str();
 
     if (fatal_) {

@@ -49,7 +49,6 @@ struct LogRecord {
   int64_t ts_ns = 0;           ///< CLOCK_MONOTONIC ns, journal time domain
   uint32_t tid = 0;            ///< journal-dense thread id
   const char* thread_label = "";  ///< journal thread label ("" = unset)
-  uint64_t span_id = 0;        ///< active tracer span id, 0 when none
   std::string message;
 };
 
@@ -58,7 +57,7 @@ struct LogRecord {
 std::string FormatLogRecordText(const LogRecord& record);
 
 /// One JSON object per record (no trailing newline): keys ts_ns, level,
-/// tid, thread, module, file, line, span_id, msg — in that fixed order.
+/// tid, thread, module, file, line, msg — in that fixed order.
 std::string FormatLogRecordJson(const LogRecord& record);
 
 /// Component a path belongs to: "src/<comp>/..." → "<comp>"; files under
@@ -114,7 +113,6 @@ class CaptureLogSink : public LogSink {
     LogLevel level;
     std::string text;    ///< FormatLogRecordText() of the record
     std::string module;
-    uint64_t span_id = 0;
   };
 
   void Write(const LogRecord& record) override;

@@ -124,6 +124,42 @@ TEST(CliReportTest, RunReportCarriesStopReason) {
   std::filesystem::remove_all(dir);
 }
 
+// The run report is the one export of a finished run's metrics and
+// introspection series.
+TEST(CliReportTest, RunReportCarriesMetricsAndIntrospection) {
+  const std::string dir = FreshOutDir();
+  const std::string report = dir + "/report.json";
+  ASSERT_EQ(RunCli(std::string(kBaseArgs) + "--out-dir " + dir +
+                   " --theta 0.1 --report-out " + report),
+            0);
+  auto json = srp::JsonValue::Parse(ReadFile(report));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const srp::JsonValue* counters = json->FindPath("metrics.counters");
+  ASSERT_NE(counters, nullptr);
+  const srp::JsonValue* runs = counters->Find("repartition.runs");
+  ASSERT_NE(runs, nullptr);
+  EXPECT_GE(runs->number_value(), 1.0);
+  const srp::JsonValue* ifl = json->FindPath("introspection.ifl_series");
+  ASSERT_NE(ifl, nullptr);
+  EXPECT_GT(ifl->size(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// The per-format export flags are gone: naming one is a usage error before
+// any compute.
+TEST(CliReportTest, RemovedExportFlagsAreUsageErrors) {
+  for (const char* flag : {"--metrics-out", "--introspect-out"}) {
+    const std::string dir = FreshOutDir();
+    EXPECT_EQ(RunCli(std::string(kBaseArgs) + "--out-dir " + dir + " " +
+                     flag + " " + dir + "/x"),
+              2)
+        << flag;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/groups.csv")) << flag;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/x")) << flag;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 // srp_inspect --tail and srp_top --interval-ms: a malformed number is a
 // usage error (exit 2) before any file is opened; a well-formed one gets
 // past parsing and fails only on the missing input.

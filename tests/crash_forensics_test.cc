@@ -10,6 +10,7 @@
 // name, and fork()-then-crash inside a TSan process is not supportable.
 
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -26,6 +27,12 @@
 #include "obs/introspect.h"
 #include "util/json.h"
 #include "util/logging.h"
+
+#ifdef __SANITIZE_ADDRESS__
+// Leave SIGSEGV to the flight recorder: under ASan its own handler would
+// report the deliberate fault and exit before the postmortem is written.
+extern "C" const char* __asan_default_options() { return "handle_segv=0"; }
+#endif
 
 namespace srp {
 namespace obs {
@@ -46,7 +53,12 @@ GridDataset SmoothGrid(size_t rows, size_t cols) {
 class CrashingSink : public IntrospectionSink {
  public:
   void OnIteration(size_t, double, double, size_t, bool) override {
-    *reinterpret_cast<volatile int*>(0) = 1;  // genuine SEGV_MAPERR
+    // A store to an inaccessible page is a genuine SIGSEGV without the
+    // undefined behaviour of a null store, which UBSan would halt on.
+    void* page = mmap(nullptr, 4096, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+    ASSERT_NE(page, MAP_FAILED);
+    *static_cast<volatile int*>(page) = 1;
   }
 };
 

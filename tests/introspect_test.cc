@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -169,7 +168,7 @@ TEST(IntrospectTest, HistogramBucketsValuesAndSkipsNonFinite) {
             2);  // 0.999, 1.0
 }
 
-TEST(IntrospectTest, ToJsonAndCsvCoverEverySeries) {
+TEST(IntrospectTest, ToJsonCoversEverySeries) {
   obs::RecordingIntrospectionSink sink;
   const double variations[] = {0.1, 0.4};
   sink.OnCandidateVariations(variations, 2);
@@ -187,25 +186,6 @@ TEST(IntrospectTest, ToJsonAndCsvCoverEverySeries) {
   ASSERT_NE(doc.Find("merge_rounds"), nullptr);
   EXPECT_EQ(doc.Find("merge_rounds")->at(0).Find("factor")->number_value(),
             2.0);
-
-  const std::string path =
-      ::testing::TempDir() + "/introspect_test_series.csv";
-  ASSERT_TRUE(sink.record().WriteCsv(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_NE(contents.find("series,index,value,accepted\n"), std::string::npos);
-  EXPECT_NE(contents.find("ifl,0,"), std::string::npos);
-  EXPECT_NE(contents.find("variation,0,"), std::string::npos);
-  EXPECT_NE(contents.find("variation_histogram,0,"), std::string::npos);
-  EXPECT_NE(contents.find("merge_round_ifl,2,"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the lock-free per-thread flight-recorder journal (DESIGN.md
 // §11): append/snapshot ordering, ring wrap-around, thread labels, the
-// process-wide phase, the per-thread active span id, the crash-cause buffer
+// process-wide phase, the crash-cause buffer
 // and the interrupt hook the fail layer fires through.
 
 #include "obs/journal.h"
@@ -105,16 +105,6 @@ TEST_F(JournalTest, PhaseChangeAppendsOneEventOnlyWhenItChanges) {
   EXPECT_STREQ(merged[0].text, "test.phase_a");
   EXPECT_STREQ(merged[1].text, "test.phase_b");
   Journal::SetPhase("");
-}
-
-TEST_F(JournalTest, ActiveSpanIdIsPerThread) {
-  Journal::SetActiveSpanId(42);
-  EXPECT_EQ(Journal::ActiveSpanId(), 42u);
-  uint64_t seen_in_other_thread = 99;
-  std::thread other([&] { seen_in_other_thread = Journal::ActiveSpanId(); });
-  other.join();
-  EXPECT_EQ(seen_in_other_thread, 0u);
-  Journal::SetActiveSpanId(0);
 }
 
 TEST_F(JournalTest, DisabledJournalDropsAppends) {
@@ -303,9 +293,6 @@ TEST_F(JournalTest, SlotChurnBeyondArenaRecyclesOnlyAfterVirginSlotsGone) {
 
 TEST_F(JournalTest, EventKindNamesAreStable) {
   EXPECT_STREQ(JournalEventKindName(JournalEventKind::kLog), "log");
-  EXPECT_STREQ(JournalEventKindName(JournalEventKind::kSpanBegin),
-               "span_begin");
-  EXPECT_STREQ(JournalEventKindName(JournalEventKind::kSpanEnd), "span_end");
   EXPECT_STREQ(JournalEventKindName(JournalEventKind::kFault), "fault");
   EXPECT_STREQ(JournalEventKindName(JournalEventKind::kInterrupt),
                "interrupt");

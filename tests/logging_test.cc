@@ -156,14 +156,13 @@ TEST(LoggingTest, JsonEncodingHasTheFixedKeyOrderAndEscapes) {
   record.ts_ns = 1234567;
   record.tid = 3;
   record.thread_label = "main";
-  record.span_id = 9;
   record.message = "quote \" and\nnewline";
 
   const std::string json = FormatLogRecordJson(record);
   EXPECT_EQ(json,
             "{\"ts_ns\":1234567,\"level\":\"warn\",\"tid\":3,"
             "\"thread\":\"main\",\"module\":\"core\","
-            "\"file\":\"src/core/x.cc\",\"line\":12,\"span_id\":9,"
+            "\"file\":\"src/core/x.cc\",\"line\":12,"
             "\"msg\":\"quote \\\" and\\nnewline\"}");
   // The line is valid JSON and round-trips the escaped message.
   const Result<JsonValue> parsed = JsonValue::Parse(json);

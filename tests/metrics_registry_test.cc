@@ -2,22 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "util/csv.h"
-
 namespace srp {
 namespace obs {
 namespace {
-
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 TEST(CounterTest, AddsAtomicallyAcrossThreads) {
   Counter counter;
@@ -137,132 +128,6 @@ TEST(MetricsRegistryTest, MemoryGaugesAreRegistered) {
     }
   }
   EXPECT_TRUE(found_peak);
-}
-
-TEST(MetricsRegistryTest, CsvRoundTripsThroughTheCsvReader) {
-  MetricsRegistry registry;
-  registry.GetCounter("runs")->Add(17);
-  registry.GetGauge("memory.peak_bytes")->Set(4096.0);
-  Histogram* histogram = registry.GetHistogram("latency_ms", {1.0, 2.0, 4.0});
-  histogram->Observe(0.5);
-  histogram->Observe(1.5);
-  histogram->Observe(3.0);
-  histogram->Observe(10.0);
-
-  const std::string path = TempPath("metrics.csv");
-  ASSERT_TRUE(registry.WriteCsv(path).ok());
-
-  auto table = ReadCsv(path);
-  ASSERT_TRUE(table.ok());
-  ASSERT_EQ(table->header.size(), 11u);
-  EXPECT_EQ(table->header[0], "kind");
-  bool saw_counter = false;
-  bool saw_gauge = false;
-  bool saw_histogram = false;
-  for (const auto& row : table->rows) {
-    ASSERT_EQ(row.size(), 11u);
-    if (row[0] == "counter" && row[1] == "runs") {
-      saw_counter = true;
-      EXPECT_EQ(row[2], "17");
-    }
-    if (row[0] == "gauge" && row[1] == "memory.peak_bytes") {
-      saw_gauge = true;
-      EXPECT_DOUBLE_EQ(std::stod(row[2]), 4096.0);
-    }
-    if (row[0] == "histogram" && row[1] == "latency_ms") {
-      saw_histogram = true;
-      EXPECT_EQ(row[3], "4");                       // count
-      EXPECT_DOUBLE_EQ(std::stod(row[7]), 2.0);     // p50
-      EXPECT_GT(std::stod(row[9]), 0.0);            // p95
-      EXPECT_GT(std::stod(row[10]), 0.0);           // p99
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_gauge);
-  EXPECT_TRUE(saw_histogram);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsRegistryTest, CsvEscapesAwkwardMetricNames) {
-  // Names with the CSV metacharacters — separator, quote, newline — must
-  // survive WriteCsv → ReadCsv byte-for-byte.
-  MetricsRegistry registry;
-  const std::string comma_name = "latency,phase=extract";
-  const std::string quote_name = "gauge \"peak\"";
-  const std::string newline_name = "multi\nline";
-  registry.GetCounter(comma_name)->Add(3);
-  registry.GetGauge(quote_name)->Set(1.5);
-  registry.GetHistogram(newline_name, {1.0})->Observe(0.5);
-
-  const std::string path = TempPath("metrics_escaped.csv");
-  ASSERT_TRUE(registry.WriteCsv(path).ok());
-  auto table = ReadCsv(path);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-
-  bool saw_comma = false;
-  bool saw_quote = false;
-  bool saw_newline = false;
-  for (const auto& row : table->rows) {
-    ASSERT_EQ(row.size(), 11u);
-    if (row[1] == comma_name) {
-      saw_comma = true;
-      EXPECT_EQ(row[0], "counter");
-      EXPECT_EQ(row[2], "3");
-    }
-    if (row[1] == quote_name) {
-      saw_quote = true;
-      EXPECT_EQ(row[0], "gauge");
-    }
-    if (row[1] == newline_name) {
-      saw_newline = true;
-      EXPECT_EQ(row[0], "histogram");
-      EXPECT_EQ(row[3], "1");
-    }
-  }
-  EXPECT_TRUE(saw_comma);
-  EXPECT_TRUE(saw_quote);
-  EXPECT_TRUE(saw_newline);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsRegistryTest, JsonExportIsWellFormed) {
-  MetricsRegistry registry;
-  registry.GetCounter("runs")->Add(1);
-  registry.GetGauge("g")->Set(2.5);
-  registry.GetHistogram("h", {1.0})->Observe(0.25);
-
-  const std::string path = TempPath("metrics.json");
-  ASSERT_TRUE(registry.WriteJson(path).ok());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"runs\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-  int braces = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    const char ch = json[i];
-    if (in_string) {
-      if (ch == '\\') {
-        ++i;
-      } else if (ch == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (ch == '"') in_string = true;
-    if (ch == '{') ++braces;
-    if (ch == '}') --braces;
-    EXPECT_GE(braces, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_FALSE(in_string);
-  std::remove(path.c_str());
 }
 
 }  // namespace

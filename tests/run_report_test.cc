@@ -115,6 +115,35 @@ TEST(RunReportTest, CaptureMetricsElidesZeroCountBuckets) {
   EXPECT_EQ(buckets->at(0).Find("count")->number_value(), 1.0);
 }
 
+TEST(RunReportTest, AwkwardMetricNamesSurviveTheReport) {
+  // Names with a separator, a quote and a newline round-trip through the
+  // report's JSON byte-for-byte.
+  MetricsRegistry registry;
+  const std::string comma_name = "latency,phase=extract";
+  const std::string quote_name = "gauge \"peak\"";
+  const std::string newline_name = "multi\nline";
+  registry.GetCounter(comma_name)->Add(3);
+  registry.GetGauge(quote_name)->Set(1.5);
+  registry.GetHistogram(newline_name, {1.0})->Observe(0.5);
+
+  RunReport report("metric_names");
+  report.CaptureMetrics(registry);
+  const Result<JsonValue> parsed = JsonValue::Parse(report.ToJsonString());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* metrics = parsed->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const JsonValue* counter = metrics->Find("counters")->Find(comma_name);
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->number_value(), 3.0);
+  const JsonValue* gauge = metrics->Find("gauges")->Find(quote_name);
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->number_value(), 1.5);
+  const JsonValue* histogram =
+      metrics->Find("histograms")->Find(newline_name);
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_EQ(histogram->Find("count")->number_value(), 1.0);
+}
+
 TEST(RunReportTest, CaptureTracerReconstructsNesting) {
   Tracer::Get().Disable();
   Tracer::Get().Clear();

@@ -229,34 +229,34 @@ TEST_F(TracerTest, EvictedSpansBumpTheDroppedSpansCounter) {
             static_cast<int64_t>(Tracer::Get().dropped()));
 }
 
-TEST_F(TracerTest, SpansMaintainTheJournalActiveSpanId) {
+TEST_F(TracerTest, EnabledSpansStayOutOfTheJournalAndCarryItsThreadId) {
   Journal::ResetForTesting();
-  ASSERT_EQ(Journal::ActiveSpanId(), 0u);
+  const uint32_t main_tid = Journal::CurrentThreadId();
+  uint32_t worker_tid = 0;
+  const uint64_t events_before = Journal::total_events();
   Tracer::Get().Enable();
   {
     SRP_TRACE_SPAN("outer");
-    const uint64_t outer_id = Journal::ActiveSpanId();
-    EXPECT_NE(outer_id, 0u);
-    {
-      SRP_TRACE_SPAN("inner");
-      EXPECT_NE(Journal::ActiveSpanId(), 0u);
-      EXPECT_NE(Journal::ActiveSpanId(), outer_id);
-    }
-    // Closing the inner span restores the parent's id.
-    EXPECT_EQ(Journal::ActiveSpanId(), outer_id);
+    SRP_TRACE_SPAN("inner");
   }
-  EXPECT_EQ(Journal::ActiveSpanId(), 0u);
+  std::thread worker([&worker_tid] {
+    worker_tid = Journal::CurrentThreadId();
+    SRP_TRACE_SPAN("worker");
+  });
+  worker.join();
   Tracer::Get().Disable();
 
-  // The journal saw balanced span_begin/span_end events naming the spans.
-  int begins = 0;
-  int ends = 0;
-  for (const JournalEvent& event : Journal::SnapshotMerged()) {
-    if (event.kind == JournalEventKind::kSpanBegin) ++begins;
-    if (event.kind == JournalEventKind::kSpanEnd) ++ends;
+  // Spans live only in the tracer ring; the journal keeps its history for
+  // phases, logs and faults.
+  EXPECT_EQ(Journal::total_events(), events_before);
+  const std::vector<SpanEvent> spans = Tracer::Get().Snapshot();
+  ASSERT_EQ(spans.size(), 3u);
+  for (const SpanEvent& span : spans) {
+    const uint32_t expected =
+        std::string(span.name) == "worker" ? worker_tid : main_tid;
+    EXPECT_EQ(span.tid, expected) << span.name;
   }
-  EXPECT_EQ(begins, 2);
-  EXPECT_EQ(ends, 2);
+  EXPECT_NE(worker_tid, main_tid);
   Journal::ResetForTesting();
 }
 
@@ -264,7 +264,6 @@ TEST_F(TracerTest, DisabledTracerLeavesTheJournalUntouched) {
   Journal::ResetForTesting();
   {
     SRP_TRACE_SPAN("invisible");
-    EXPECT_EQ(Journal::ActiveSpanId(), 0u);
   }
   EXPECT_EQ(Journal::total_events(), 0u);
 }

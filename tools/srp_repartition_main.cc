@@ -61,10 +61,8 @@ struct CliOptions {
   std::string trace_out;    ///< Chrome trace-event JSON (empty = no tracing)
   /// Span ring capacity; 0 = resolve from $SRP_TRACE_CAPACITY / default.
   size_t trace_capacity = 0;
-  std::string metrics_out;  ///< metrics snapshot; ".json" → JSON, else CSV
   std::string report_out;   ///< unified run report JSON (DESIGN.md §9)
   std::string profile_out;  ///< folded sampling-profiler stacks (§10)
-  std::string introspect_out;  ///< algorithm-introspection series CSV (§10)
   std::string log_level;  ///< overrides SRP_LOG_LEVEL when non-empty
   std::string log_out;    ///< overrides SRP_LOG_OUT when non-empty
   /// Collect per-phase hardware counters (perf_event; degrades to a printed
@@ -108,13 +106,11 @@ void Usage() {
                "                       [--theta T] [--step S] [--seed S] "
                "[--out-dir D] [--threads N]\n"
                "                       [--trace-out trace.json] "
-               "[--trace-capacity N] [--metrics-out metrics.csv]\n"
+               "[--trace-capacity N]\n"
                "                       [--report-out report.json] "
                "[--deadline-ms MS] [--best-effort]\n"
                "                       [--profile-out prof.folded] "
-               "[--hw-counters]\n"
-               "                       [--introspect-out series.csv] "
-               "[--version]\n"
+               "[--hw-counters] [--version]\n"
                "                       [--checkpoint-dir D] "
                "[--checkpoint-every N] [--resume]\n"
                "                       [--log-level LEVEL] "
@@ -137,10 +133,10 @@ void Usage() {
                "file (flamegraph.pl / speedscope);\n"
                "  --hw-counters adds per-phase cycle/instruction/cache "
                "counts (perf_event) to the\n"
-               "  breakdown and the run report; --introspect-out exports "
-               "the per-iteration IFL and\n"
-               "  variation series as CSV. --version prints build "
-               "provenance and exits.\n"
+               "  breakdown and the run report; --report-out also carries "
+               "metrics, spans and the\n"
+               "  per-iteration IFL and variation series. --version prints "
+               "build provenance and exits.\n"
                "  --checkpoint-dir makes the run durably resumable: a "
                "crash-consistent snapshot is\n"
                "  written every --checkpoint-every accepted iterations "
@@ -277,10 +273,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       if (!ParseCount("--trace-capacity", v, 1, &out->trace_capacity)) {
         return false;
       }
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->metrics_out = v;
     } else if (arg == "--report-out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -289,10 +281,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = next();
       if (v == nullptr) return false;
       out->profile_out = v;
-    } else if (arg == "--introspect-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->introspect_out = v;
     } else if (arg == "--log-level") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -817,10 +805,9 @@ int Run(int argc, char** argv) {
   ropt.num_threads = options.num_threads;
   ropt.hw_counters = options.hw_counters;
   // Recording costs a few appends per iteration, so it is attached only
-  // when some output will carry the series (CSV export or the v2 report).
+  // when the run report will carry the series.
   obs::RecordingIntrospectionSink introspection;
-  const bool record_introspection =
-      !options.introspect_out.empty() || !options.report_out.empty();
+  const bool record_introspection = !options.report_out.empty();
   if (record_introspection) ropt.introspection = &introspection;
   RunContext ctx;
   const RunContext* ctx_ptr = nullptr;
@@ -968,21 +955,6 @@ int Run(int argc, char** argv) {
                 obs::Tracer::Get().Snapshot().size(),
                 obs::Tracer::Get().dropped());
   }
-  if (!options.metrics_out.empty()) {
-    auto& registry = obs::MetricsRegistry::Get();
-    registry.UpdateMemoryGauges();
-    const std::string& path = options.metrics_out;
-    const bool json =
-        path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-    const Status s =
-        json ? registry.WriteJson(path) : registry.WriteCsv(path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "metrics export failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote metrics snapshot to %s\n", path.c_str());
-  }
   if (!options.profile_out.empty()) {
     if (const Status s = profiler.WriteFolded(options.profile_out); !s.ok()) {
       std::fprintf(stderr, "profile export failed: %s\n",
@@ -992,18 +964,6 @@ int Run(int argc, char** argv) {
     std::printf("wrote %zu folded stack sample(s) to %s (%zu dropped)\n",
                 profiler.CollectedSamples(), options.profile_out.c_str(),
                 profiler.DroppedSamples());
-  }
-  if (!options.introspect_out.empty()) {
-    if (const Status s =
-            introspection.record().WriteCsv(options.introspect_out);
-        !s.ok()) {
-      std::fprintf(stderr, "introspection export failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote introspection series to %s (%zu iterations)\n",
-                options.introspect_out.c_str(),
-                introspection.record().ifl_series.size());
   }
   if (!options.report_out.empty()) {
     // After the trace-out block so an enabled tracer is already disabled
