@@ -1,6 +1,7 @@
 // Micro benchmarks (google-benchmark) of the core re-partitioning operators:
-// normalization, pair-variation precomputation, heap construction, cell-group
-// extraction, feature allocation, IFL and adjacency-list construction.
+// normalization, pair-variation precomputation, heap construction and
+// drain, cell-group extraction, feature allocation, IFL and adjacency-list
+// construction.
 
 #include <benchmark/benchmark.h>
 
@@ -70,6 +71,29 @@ void BM_HeapBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeapBuild)->Arg(32)->Arg(64)->Arg(96);
+
+/// Build plus a full drain at the default step (2.5e-3), the way the loop
+/// consumes the min-adjacent variations: sorting moves the cost out of the
+/// pops and into the build, and this measures both sides together.
+/// items/sec is pops/sec.
+void BM_VariationDrain(benchmark::State& state) {
+  const GridDataset norm = AttributeNormalized(GridForSize(state.range(0)));
+  const PairVariations variations = ComputePairVariations(norm);
+  int64_t pops = 0;
+  for (auto _ : state) {
+    MinAdjacentVariationHeap heap;
+    heap.Build(variations, &norm);
+    double previous = -1.0;
+    double value = 0.0;
+    while (heap.PopNextGreater(previous + 2.5e-3, &value)) {
+      previous = value;
+      ++pops;
+    }
+    benchmark::DoNotOptimize(previous);
+  }
+  state.SetItemsProcessed(pops);
+}
+BENCHMARK(BM_VariationDrain)->Arg(32)->Arg(64)->Arg(96);
 
 void BM_CellGroupExtraction(benchmark::State& state) {
   const GridDataset norm = AttributeNormalized(GridForSize(state.range(0)));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "fail/fault_injection.h"
 #include "parallel/parallel_for.h"
@@ -17,23 +16,45 @@ double LocalLoss(const std::vector<double>& cell_values,
   return acc / static_cast<double>(cell_values.size());
 }
 
-namespace {
-
-/// Most frequent value; ties resolved toward the smaller value so the result
-/// is deterministic regardless of cell order.
-double ModeOf(const std::vector<double>& values) {
-  std::map<double, size_t> counts;
-  for (double v : values) ++counts[v];
-  double best_value = values.front();
+double ModeOf(std::span<const double> values, std::vector<double>* sorted) {
+  sorted->assign(values.begin(), values.end());
+  std::sort(sorted->begin(), sorted->end());
+  const double* v = sorted->data();
+  const size_t n = sorted->size();
+  double best_value = v[0];
   size_t best_count = 0;
-  for (const auto& [value, count] : counts) {
-    if (count > best_count) {
-      best_count = count;
-      best_value = value;
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && v[j] == v[i]) ++j;
+    // Runs come in ascending order, so a strict > keeps the smaller value
+    // on a tie.
+    if (j - i > best_count) {
+      best_count = j - i;
+      best_value = v[i];
     }
+    i = j;
+  }
+  // 0.0 and -0.0 form one run in an unspecified order; report the zero that
+  // comes first in cell order.
+  if (best_value == 0.0) {
+    best_value = *std::find(values.begin(), values.end(), 0.0);
   }
   return best_value;
 }
+
+double AverageRepresentative(const AttributeSpec& attr,
+                             const std::vector<double>& values, double sum,
+                             std::vector<double>* sorted) {
+  const double mode = ModeOf(values, sorted);
+  // The mean of category ids is meaningless; the mode is the only sensible
+  // representative.
+  if (attr.is_categorical) return mode;
+  double mean = sum / static_cast<double>(values.size());
+  if (attr.is_integer) mean = std::round(mean);
+  return LocalLoss(values, mean) <= LocalLoss(values, mode) ? mean : mode;
+}
+
+namespace {
 
 /// Groups per ParallelFor chunk. Groups are small early in the coarsening
 /// run and the per-group work is light, so shards batch many of them.
@@ -42,7 +63,7 @@ constexpr size_t kGroupGrain = 64;
 }  // namespace
 
 void AllocateGroupFeatures(const GridDataset& grid, const CellGroup& group,
-                           std::vector<double>* scratch,
+                           FeatureScratch* scratch,
                            std::vector<double>* features, uint8_t* group_null,
                            uint32_t* valid_count) {
   const size_t p = grid.num_attributes();
@@ -57,12 +78,16 @@ void AllocateGroupFeatures(const GridDataset& grid, const CellGroup& group,
   }
   *valid_count = static_cast<uint32_t>(group.NumCells());
   const size_t cols = grid.cols();
-  std::vector<double>& values = *scratch;
+  std::vector<double>& values = scratch->values;
   for (size_t k = 0; k < p; ++k) {
     const AttributeSpec& attr = grid.attributes()[k];
     // Hoisted plane pointer: same doubles as grid.At(r, c, k), read in the
     // same order, without re-deriving the cell index per read.
     const double* plane = grid.AttributeValues(k).data();
+    // Summation attributes need only the sum, added in the same row-major
+    // order; the others gather their values for the mode and Eq. 2.
+    const bool sum_only = attr.agg_type == AggType::kSum &&
+                          !attr.is_categorical;
     values.clear();
     values.reserve(group.NumCells());
     double sum = 0.0;
@@ -70,26 +95,13 @@ void AllocateGroupFeatures(const GridDataset& grid, const CellGroup& group,
       const double* row = plane + r * cols;
       for (size_t c = group.c_beg; c <= group.c_end; ++c) {
         const double v = row[c];
-        values.push_back(v);
+        if (!sum_only) values.push_back(v);
         sum += v;
       }
     }
-    if (attr.is_categorical) {
-      // The mean of category ids is meaningless; the mode is the only
-      // sensible representative.
-      (*features)[k] = ModeOf(values);
-      continue;
-    }
-    if (attr.agg_type == AggType::kSum) {
-      (*features)[k] = sum;
-      continue;
-    }
-    double mean = sum / static_cast<double>(values.size());
-    if (attr.is_integer) mean = std::round(mean);
-    const double mode = ModeOf(values);
-    const double loss_mean = LocalLoss(values, mean);
-    const double loss_mode = LocalLoss(values, mode);
-    (*features)[k] = loss_mean <= loss_mode ? mean : mode;
+    (*features)[k] = sum_only ? sum
+                              : AverageRepresentative(attr, values, sum,
+                                                      &scratch->sorted);
   }
 }
 
@@ -110,9 +122,9 @@ Status AllocateFeatures(const GridDataset& grid, Partition* partition,
   // group_valid_count, and each group reads only its own cells.
   ParallelFor(pool, 0, partition->num_groups(), kGroupGrain,
               [&grid, partition](size_t g_beg, size_t g_end) {
-    std::vector<double> values;
+    FeatureScratch scratch;
     for (size_t g = g_beg; g < g_end; ++g) {
-      AllocateGroupFeatures(grid, partition->groups[g], &values,
+      AllocateGroupFeatures(grid, partition->groups[g], &scratch,
                             &partition->features[g],
                             &partition->group_null[g],
                             &partition->group_valid_count[g]);

@@ -1,6 +1,7 @@
 #ifndef SRP_CORE_FEATURE_ALLOCATOR_H_
 #define SRP_CORE_FEATURE_ALLOCATOR_H_
 
+#include <span>
 #include <vector>
 
 #include "core/partition.h"
@@ -16,13 +17,36 @@ namespace srp {
 /// values from `representative`.
 double LocalLoss(const std::vector<double>& cell_values, double representative);
 
+/// Most frequent of `values` (non-empty, no NaN), ties going to the smaller
+/// value. 0.0 and -0.0 count as one value, reported as whichever comes
+/// first in `values`. Sorts a copy in `sorted`, a reusable buffer, so
+/// `values` keeps its order and nothing is allocated once `sorted` is warm.
+double ModeOf(std::span<const double> values, std::vector<double>* sorted);
+
+/// Algorithm 2's representative of one attribute that is not summed: the
+/// mode for a categorical attribute; otherwise the mean (rounded for an
+/// integer-typed attribute) or the mode, whichever has the smaller local
+/// loss (Eq. 2), the mean winning ties (Example 4). `values` are the group's
+/// valid cell values in row-major order (non-empty), `sum` is their sum added
+/// in that order, and `sorted` is ModeOf's buffer.
+double AverageRepresentative(const AttributeSpec& attr,
+                             const std::vector<double>& values, double sum,
+                             std::vector<double>* sorted);
+
+/// Reusable buffers of AllocateGroupFeatures: one attribute's cell values
+/// in row-major cell order, and the sorted copy ModeOf tallies.
+struct FeatureScratch {
+  std::vector<double> values;
+  std::vector<double> sorted;
+};
+
 /// One group's slice of the Feature Allocator — the per-group body of
 /// AllocateFeatures, shared with the incremental engine so both paths
 /// produce the same doubles for the same group rectangle. Fills the group's
 /// feature row (resized to the attribute count), null flag and valid-cell
-/// count. `scratch` is a reusable cell-value buffer.
+/// count.
 void AllocateGroupFeatures(const GridDataset& grid, const CellGroup& group,
-                           std::vector<double>* scratch,
+                           FeatureScratch* scratch,
                            std::vector<double>* features, uint8_t* group_null,
                            uint32_t* valid_count);
 

@@ -1,8 +1,6 @@
 #include "core/homogeneous.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <utility>
 
 #include "core/feature_allocator.h"
@@ -35,7 +33,8 @@ void AllocateHomogeneousFeatures(const GridDataset& grid, Partition* p,
   ParallelFor(pool, 0, p->num_groups(), kGroupGrain,
               [&grid, p, num_attrs, null_mask, cols](size_t g_beg,
                                                      size_t g_end) {
-  std::vector<double> values;
+  FeatureScratch scratch;
+  std::vector<double>& values = scratch.values;
   for (size_t g = g_beg; g < g_end; ++g) {
     const CellGroup& cg = p->groups[g];
     size_t valid = 0;
@@ -53,6 +52,8 @@ void AllocateHomogeneousFeatures(const GridDataset& grid, Partition* p,
     for (size_t k = 0; k < num_attrs; ++k) {
       const AttributeSpec& attr = grid.attributes()[k];
       const double* plane = grid.AttributeValues(k).data();
+      const bool sum_only = attr.agg_type == AggType::kSum &&
+                            !attr.is_categorical;
       values.clear();
       double sum = 0.0;
       for (size_t r = cg.r_beg; r <= cg.r_end; ++r) {
@@ -61,32 +62,13 @@ void AllocateHomogeneousFeatures(const GridDataset& grid, Partition* p,
         for (size_t c = cg.c_beg; c <= cg.c_end; ++c) {
           if (null_row[c] != 0) continue;
           const double v = value_row[c];
-          values.push_back(v);
+          if (!sum_only) values.push_back(v);
           sum += v;
         }
       }
-      std::map<double, size_t> counts;
-      for (double v : values) ++counts[v];
-      double mode = values.front();
-      size_t best = 0;
-      for (const auto& [value, count] : counts) {
-        if (count > best) {
-          best = count;
-          mode = value;
-        }
-      }
-      if (attr.is_categorical) {
-        p->features[g][k] = mode;  // category means are meaningless
-        continue;
-      }
-      if (attr.agg_type == AggType::kSum) {
-        p->features[g][k] = sum;
-        continue;
-      }
-      double mean = sum / static_cast<double>(values.size());
-      if (attr.is_integer) mean = std::round(mean);
-      p->features[g][k] =
-          LocalLoss(values, mean) <= LocalLoss(values, mode) ? mean : mode;
+      p->features[g][k] = sum_only ? sum
+                                   : AverageRepresentative(attr, values, sum,
+                                                           &scratch.sorted);
     }
   }
   }, ctx);

@@ -74,7 +74,7 @@ Status IflEngine::AllocateWindow(Partition* p, const ExtractionWindow& window,
   ParallelFor(cells < kInlineCells ? nullptr : pool, begin,
               window.new_group_end, kGroupGrain,
               [this, p, begin, previous](size_t g_beg, size_t g_end) {
-                std::vector<double> values;
+                FeatureScratch scratch;
                 for (size_t g = g_beg; g < g_end; ++g) {
                   const int32_t j =
                       previous.empty() ? -1 : previous[g - begin];
@@ -84,7 +84,7 @@ Status IflEngine::AllocateWindow(Partition* p, const ExtractionWindow& window,
                     p->group_valid_count[g] = window_valid_count_[j];
                     continue;
                   }
-                  AllocateGroupFeatures(grid_, p->groups[g], &values,
+                  AllocateGroupFeatures(grid_, p->groups[g], &scratch,
                                         &p->features[g], &p->group_null[g],
                                         &p->group_valid_count[g]);
                 }

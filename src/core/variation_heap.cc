@@ -1,7 +1,7 @@
 #include "core/variation_heap.h"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -9,7 +9,8 @@ namespace srp {
 
 void MinAdjacentVariationHeap::Build(const PairVariations& variations,
                                      const GridDataset* normalized) {
-  heap_.clear();
+  sorted_.clear();
+  next_ = 0;
   const size_t rows = variations.rows;
   const size_t cols = variations.cols;
   auto pair_ok = [&](size_t r1, size_t c1, size_t r2, size_t c2) {
@@ -20,74 +21,46 @@ void MinAdjacentVariationHeap::Build(const PairVariations& variations,
     for (size_t c = 0; c < cols; ++c) {
       if (c + 1 < cols && std::isfinite(variations.Right(r, c)) &&
           pair_ok(r, c, r, c + 1)) {
-        heap_.push_back(variations.Right(r, c));
+        sorted_.push_back(variations.Right(r, c));
       }
       if (r + 1 < rows && std::isfinite(variations.Down(r, c)) &&
           pair_ok(r, c, r + 1, c)) {
-        heap_.push_back(variations.Down(r, c));
+        sorted_.push_back(variations.Down(r, c));
       }
     }
   }
   if (sink_ != nullptr) {
-    sink_->OnCandidateVariations(heap_.data(), heap_.size());
+    sink_->OnCandidateVariations(sorted_.data(), sorted_.size());
   }
-  // Floyd heap construction: O(n).
-  if (heap_.empty()) return;
-  for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
+  std::sort(sorted_.begin(), sorted_.end());
 }
 
 void MinAdjacentVariationHeap::Push(double value) {
-  heap_.push_back(value);
-  SiftUp(heap_.size() - 1);
+  sorted_.insert(
+      std::upper_bound(sorted_.begin() + next_, sorted_.end(), value), value);
 }
 
 double MinAdjacentVariationHeap::PeekMin() const {
-  SRP_CHECK(!heap_.empty()) << "PeekMin on empty heap";
-  return heap_.front();
+  SRP_CHECK(!Empty()) << "PeekMin on empty heap";
+  return sorted_[next_];
 }
 
 double MinAdjacentVariationHeap::PopMin() {
-  SRP_CHECK(!heap_.empty()) << "PopMin on empty heap";
-  const double top = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  return top;
+  SRP_CHECK(!Empty()) << "PopMin on empty heap";
+  return sorted_[next_++];
 }
 
 bool MinAdjacentVariationHeap::PopNextGreater(double previous, double* value) {
-  while (!heap_.empty()) {
-    const double v = PopMin();
-    if (v > previous) {
-      *value = v;
-      if (sink_ != nullptr) sink_->OnHeapPop(v);
-      return true;
-    }
+  const auto next = std::upper_bound(sorted_.begin() + next_, sorted_.end(),
+                                     previous);
+  if (next == sorted_.end()) {
+    next_ = sorted_.size();
+    return false;
   }
-  return false;
-}
-
-void MinAdjacentVariationHeap::SiftUp(size_t i) {
-  while (i > 0) {
-    const size_t parent = (i - 1) / 2;
-    if (heap_[parent] <= heap_[i]) break;
-    std::swap(heap_[parent], heap_[i]);
-    i = parent;
-  }
-}
-
-void MinAdjacentVariationHeap::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  for (;;) {
-    const size_t left = 2 * i + 1;
-    const size_t right = left + 1;
-    size_t smallest = i;
-    if (left < n && heap_[left] < heap_[smallest]) smallest = left;
-    if (right < n && heap_[right] < heap_[smallest]) smallest = right;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
+  *value = *next;
+  next_ = static_cast<size_t>(next - sorted_.begin()) + 1;
+  if (sink_ != nullptr) sink_->OnHeapPop(*value);
+  return true;
 }
 
 }  // namespace srp

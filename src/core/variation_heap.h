@@ -15,53 +15,54 @@ namespace srp {
 /// Built exactly once from the variations between all pairs of adjacent
 /// *valid* cells (pairs involving null cells carry no attribute information
 /// and are excluded; null-null merging is always permitted during extraction
-/// because its variation is 0). Each re-partitioning iteration pops the root
-/// and uses it as the updated min-adjacent variation.
+/// because its variation is 0). Each re-partitioning iteration takes the
+/// smallest remaining variation as the updated min-adjacent variation.
 ///
-/// Implemented as an explicit binary min-heap rather than std::priority_queue
-/// to expose PopMin()/PeekMin() and to keep the structure unit-testable.
+/// The paper's heap is only ever drained in ascending order, so it is kept
+/// as one sorted array with a cursor: Build sorts once, a pop advances the
+/// cursor, and PopNextGreater skips a run of duplicates with one binary
+/// search instead of one sift per value.
 class MinAdjacentVariationHeap {
  public:
   MinAdjacentVariationHeap() = default;
 
-  /// Fills the heap from precomputed adjacent-pair variations. When
+  /// Fills the array from precomputed adjacent-pair variations. When
   /// `normalized` is provided, pairs touching a null cell are excluded (their
   /// 0 / +inf variations encode mergeability, not attribute similarity).
   void Build(const PairVariations& variations,
              const GridDataset* normalized = nullptr);
 
-  /// Inserts a single variation value (mainly for tests).
+  /// Inserts a single variation value in order (tests only: O(n)).
   void Push(double value);
 
-  bool Empty() const { return heap_.empty(); }
-  size_t Size() const { return heap_.size(); }
+  bool Empty() const { return next_ == sorted_.size(); }
+  /// Values not yet popped.
+  size_t Size() const { return sorted_.size() - next_; }
 
-  /// Smallest stored variation. Precondition: !Empty().
+  /// Smallest variation not yet popped. Precondition: !Empty().
   double PeekMin() const;
 
-  /// Removes and returns the smallest stored variation. Precondition:
-  /// !Empty().
+  /// Pops and returns the smallest variation not yet popped.
+  /// Precondition: !Empty().
   double PopMin();
 
   /// Pops until a value strictly greater than `previous` surfaces and
-  /// returns it; returns false when the heap drains first. This is how the
+  /// returns it; returns false when the values run out first. This is how the
   /// Repartitioner obtains "a different min-adjacent variation that is
   /// higher than the variation … in the previous iteration" when duplicates
   /// exist.
   bool PopNextGreater(double previous, double* value);
 
   /// Optional introspection observer (DESIGN.md §10): Build reports the
-  /// collected candidate variations (OnCandidateVariations, pre-heapify scan
+  /// collected candidate variations (OnCandidateVariations, pre-sort scan
   /// order, so the series is thread-count independent) and every successful
   /// PopNextGreater reports the accepted value (OnHeapPop). Null disables
   /// both at the cost of one pointer test.
   void set_introspection_sink(obs::IntrospectionSink* sink) { sink_ = sink; }
 
  private:
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-
-  std::vector<double> heap_;
+  std::vector<double> sorted_;  // ascending; [next_, size) not yet popped
+  size_t next_ = 0;
   obs::IntrospectionSink* sink_ = nullptr;
 };
 

@@ -60,7 +60,8 @@ class IntrospectionSink {
  public:
   virtual ~IntrospectionSink();
 
-  /// All candidate-pair variations collected before the heap is built.
+  /// All candidate-pair variations, in the build's scan order, before
+  /// they are sorted.
   /// `values` is only valid for the duration of the call.
   virtual void OnCandidateVariations(const double* values, size_t count);
 

@@ -75,7 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
                     "--step=-0.5", "--step inf", "--theta nan",
                     "--theta 1.5", "--rows 12x", "--cols 0", "--seed -5",
                     "--threads 2.5", "--trace-capacity 0",
-                    "--checkpoint-every 99999999999999999999"));
+                    "--checkpoint-every 99999999999999999999",
+                    "--max-iterations 0", "--max-iterations abc"));
 
 TEST(CliNumbersTest, WellFormedValuesRun) {
   const std::string dir = FreshOutDir();
@@ -121,6 +122,24 @@ TEST(CliReportTest, RunReportCarriesStopReason) {
   EXPECT_NE(ReadFile(out).find("stopped: " + reason->string_value()),
             std::string::npos)
       << reason->string_value();
+  std::filesystem::remove_all(dir);
+}
+
+// A run that stops at the iteration cap says so: the summary names the
+// reason and a NOTE warns that the partition did not reach theta.
+TEST(CliReportTest, IterationCapPrintsANote) {
+  const std::string dir = FreshOutDir();
+  const std::string out = dir + "/stdout.txt";
+  ASSERT_EQ(RunTool(SRP_REPARTITION_BIN,
+                    std::string(kBaseArgs) + "--out-dir " + dir +
+                        " --theta 0.1 --step 0 --max-iterations 3",
+                    out),
+            0);
+  const std::string text = ReadFile(out);
+  EXPECT_NE(text.find("stopped: max_iterations"), std::string::npos) << text;
+  EXPECT_NE(text.find("NOTE: stopped at the --max-iterations cap (3)"),
+            std::string::npos)
+      << text;
   std::filesystem::remove_all(dir);
 }
 

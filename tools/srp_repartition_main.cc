@@ -74,6 +74,8 @@ struct CliOptions {
   double theta = 0.1;
   uint64_t seed = 2022;
   double min_variation_step = 2.5e-3;
+  /// Iteration cap of the coarsening loop (RepartitionOptions).
+  size_t max_iterations = RepartitionOptions{}.max_iterations;
   /// 0 = auto (SRP_THREADS env var, else hardware concurrency).
   size_t num_threads = 0;
   /// Wall-clock budget for the re-partitioning run; 0 = unlimited.
@@ -105,6 +107,7 @@ void Usage() {
                "S) [--rows N] [--cols N]\n"
                "                       [--theta T] [--step S] [--seed S] "
                "[--out-dir D] [--threads N]\n"
+               "                       [--max-iterations N]\n"
                "                       [--trace-out trace.json] "
                "[--trace-capacity N]\n"
                "                       [--report-out report.json] "
@@ -123,6 +126,10 @@ void Usage() {
                "earnings_uni\n"
                "  S:    comma list of name:agg[:int], agg in "
                "{sum, avg, count}\n"
+               "  --max-iterations caps the coarsening loop (default "
+               "10000); a run that stops\n"
+               "  at the cap prints a NOTE that its partition did not "
+               "reach theta.\n"
                "  --threads 0 (default) resolves SRP_THREADS, then hardware "
                "concurrency; 1 = sequential.\n"
                "  --deadline-ms bounds the run's wall time (fails with "
@@ -256,6 +263,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = next();
       if (v == nullptr) return false;
       if (!ParseCount("--threads", v, 0, &out->num_threads)) return false;
+    } else if (arg == "--max-iterations") {
+      const char* v = next();
+      if (v == nullptr) return false;
+      if (!ParseCount("--max-iterations", v, 1, &out->max_iterations)) {
+        return false;
+      }
     } else if (arg == "--step") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -600,6 +613,8 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
   report.SetConfig("theta", options.theta);
   report.SetConfig("seed", options.seed);
   report.SetConfig("min_variation_step", options.min_variation_step);
+  report.SetConfig("max_iterations",
+                   static_cast<uint64_t>(options.max_iterations));
   report.SetConfig("num_threads",
                    static_cast<uint64_t>(ResolveThreadCount(
                        options.num_threads)));
@@ -802,6 +817,7 @@ int Run(int argc, char** argv) {
   RepartitionOptions ropt;
   ropt.ifl_threshold = options.theta;
   ropt.min_variation_step = options.min_variation_step;
+  ropt.max_iterations = options.max_iterations;
   ropt.num_threads = options.num_threads;
   ropt.hw_counters = options.hw_counters;
   // Recording costs a few appends per iteration, so it is attached only
@@ -893,6 +909,12 @@ int Run(int argc, char** argv) {
       options.theta, result->iterations, result->elapsed_seconds,
       ResolveThreadCount(options.num_threads),
       StopReasonName(result->stop_reason), options.out_dir.c_str());
+  if (result->stop_reason == StopReason::kMaxIterations) {
+    std::fprintf(stderr,
+                 "NOTE: stopped at the --max-iterations cap (%zu); the "
+                 "partition did not reach theta %g\n",
+                 options.max_iterations, options.theta);
+  }
   if (result->stats.interrupted) {
     std::printf("NOTE: run interrupted by the %.1fms deadline; partition is "
                 "the best found so far\n",
