@@ -463,8 +463,8 @@ ObsSession::ObsSession(std::string bench_name)
 }
 
 ObsSession::~ObsSession() {
-  // Sampler first: its final sample (and last exposition rewrite) must be
-  // on disk before the exports below snapshot the registry.
+  // Sampler first, so the stream ends with its final sample before the
+  // exports below run.
   if (sampler_ != nullptr) {
     sampler_->Stop();
     SRP_LOG(Info) << "wrote " << sampler_->samples_taken()

@@ -31,7 +31,6 @@ struct CoreMetrics {
   obs::Counter* heap_pops;
   obs::Counter* cells_in;
   obs::Counter* groups_out;
-  obs::Histogram* run_ms;
 };
 
 CoreMetrics& Metrics() {
@@ -43,7 +42,6 @@ CoreMetrics& Metrics() {
     m->heap_pops = registry.GetCounter("repartition.heap_pops");
     m->cells_in = registry.GetCounter("repartition.cells_in");
     m->groups_out = registry.GetCounter("repartition.groups_out");
-    m->run_ms = registry.GetHistogram("repartition.run_ms");
     return m;
   }();
   return *metrics;
@@ -393,6 +391,7 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   result.final_min_adjacent_variation = state.final_min_adjacent_variation;
   result.stop_reason = degrade ? StopReason::kInterrupted : state.stop_reason;
   stats.interrupted = result.stop_reason == StopReason::kInterrupted;
+  obs::ProgressTracker::Get().SetStopReason(StopReasonName(result.stop_reason));
   clock.Stop();
 
   if (pool != nullptr) {
@@ -411,7 +410,6 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   metrics.heap_pops->Add(static_cast<int64_t>(stats.heap_pops));
   metrics.cells_in->Add(static_cast<int64_t>(grid.num_cells()));
   metrics.groups_out->Add(static_cast<int64_t>(result.partition.num_groups()));
-  metrics.run_ms->Observe(result.elapsed_seconds * 1e3);
   return result;
 }
 

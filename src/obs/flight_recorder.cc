@@ -555,19 +555,7 @@ static void AppendNormalContextSections(JsonValue* doc_ptr) {
 
   // Normal-context dump → the metrics registry is safe to snapshot (this is
   // the section signal dumps must omit).
-  const MetricsSnapshot snapshot = MetricsRegistry::Get().Snapshot();
-  JsonValue metrics = JsonValue::Object();
-  JsonValue counters = JsonValue::Object();
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, value);
-  }
-  metrics.Set("counters", std::move(counters));
-  JsonValue gauges = JsonValue::Object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.Set(name, value);
-  }
-  metrics.Set("gauges", std::move(gauges));
-  doc.Set("metrics", std::move(metrics));
+  doc.Set("metrics", MetricsRegistry::Get().ToJson());
 
   doc.Set("journal", JournalThreadsToJson());
 }

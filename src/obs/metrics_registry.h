@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.h"
+
 namespace srp {
 namespace obs {
 
@@ -38,66 +40,15 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram over non-negative observations (durations, sizes).
-/// Bucket i counts observations with value <= upper_bounds[i] (first
-/// matching bucket); one implicit overflow bucket catches the rest.
-/// Percentiles are estimated by linear interpolation inside the bucket that
-/// contains the requested rank, tightened by the observed min/max.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void Observe(double value);
-
-  int64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  double Min() const;  ///< 0 when empty
-  double Max() const;  ///< 0 when empty
-
-  const std::vector<double>& upper_bounds() const { return bounds_; }
-
-  /// Per-bucket counts; size() == upper_bounds().size() + 1 (overflow last).
-  std::vector<int64_t> BucketCounts() const;
-
-  /// q in [0, 100]. Returns 0 when empty.
-  double Percentile(double q) const;
-
-  void Reset();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<int64_t>> bucket_counts_;
-  std::atomic<int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-};
-
-/// Exported state of one histogram.
-struct HistogramStats {
-  std::string name;
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  std::vector<double> upper_bounds;
-  std::vector<int64_t> bucket_counts;  ///< one longer than upper_bounds
-};
-
 /// Point-in-time copy of every registered metric, names sorted.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, int64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramStats> histograms;
 };
 
-/// Named metric registry. Get*() registers on first use and returns a
-/// pointer that stays valid for the registry's lifetime, so call sites
-/// resolve their handles once (function-local static) and pay only an
+/// Named registry of counters and gauges. Get*() registers on first use and
+/// returns a pointer that stays valid for the registry's lifetime, so call
+/// sites resolve their handles once (function-local static) and pay only an
 /// atomic bump per update afterwards.
 ///
 /// The process-wide instance is MetricsRegistry::Get(); independent
@@ -108,16 +59,8 @@ class MetricsRegistry {
 
   static MetricsRegistry& Get();
 
-  /// Default histogram bucketing for millisecond latencies: exponential
-  /// 0.001ms .. ~8.2s.
-  static std::vector<double> DefaultLatencyBoundsMs();
-
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// First registration under `name` fixes the bucket bounds; later calls
-  /// return the existing histogram regardless of `upper_bounds`.
-  Histogram* GetHistogram(const std::string& name,
-                          std::vector<double> upper_bounds = {});
 
   /// Refreshes the "memory.current_bytes" / "memory.peak_bytes" /
   /// "memory.hooked" gauges from MemoryTracker (zeros when the
@@ -125,6 +68,10 @@ class MetricsRegistry {
   void UpdateMemoryGauges();
 
   MetricsSnapshot Snapshot() const;
+
+  /// Snapshot() as {"counters": {...}, "gauges": {...}}: the one JSON shape
+  /// of the registry, shared by the run report and the postmortem.
+  JsonValue ToJson() const;
 
   /// Zeroes every value but keeps all registrations (handles stay valid).
   void ResetValues();
@@ -136,7 +83,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace obs

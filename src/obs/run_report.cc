@@ -199,48 +199,7 @@ void RunReport::SetTelemetry(const RunReportTelemetry& telemetry) {
 }
 
 void RunReport::CaptureMetrics(const MetricsRegistry& registry) {
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  metrics_ = JsonValue::Object();
-  JsonValue counters = JsonValue::Object();
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, value);
-  }
-  metrics_.Set("counters", std::move(counters));
-  JsonValue gauges = JsonValue::Object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.Set(name, value);
-  }
-  metrics_.Set("gauges", std::move(gauges));
-  JsonValue histograms = JsonValue::Object();
-  for (const HistogramStats& h : snapshot.histograms) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("count", h.count);
-    entry.Set("sum", h.sum);
-    entry.Set("min", h.min);
-    entry.Set("max", h.max);
-    entry.Set("p50", h.p50);
-    entry.Set("p90", h.p90);
-    entry.Set("p95", h.p95);
-    entry.Set("p99", h.p99);
-    // Zero-count buckets are elided: the default latency bucketing has ~24
-    // buckets per histogram, nearly all empty in a typical run, and the
-    // report embeds every histogram.
-    JsonValue buckets = JsonValue::Array();
-    for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      if (h.bucket_counts[i] == 0) continue;
-      JsonValue bucket = JsonValue::Object();
-      if (i < h.upper_bounds.size()) {
-        bucket.Set("le", h.upper_bounds[i]);
-      } else {
-        bucket.Set("le", "inf");
-      }
-      bucket.Set("count", h.bucket_counts[i]);
-      buckets.Append(std::move(bucket));
-    }
-    entry.Set("buckets", std::move(buckets));
-    histograms.Set(h.name, std::move(entry));
-  }
-  metrics_.Set("histograms", std::move(histograms));
+  metrics_ = registry.ToJson();
   has_metrics_ = true;
 }
 
@@ -307,7 +266,6 @@ JsonValue RunReport::ToJson() const {
     JsonValue telemetry = JsonValue::Object();
     telemetry.Set("samples", telemetry_.samples);
     telemetry.Set("interval_ms", telemetry_.interval_ms);
-    telemetry.Set("dropped_samples", telemetry_.dropped_samples);
     telemetry.Set("stall_dumps", telemetry_.stall_dumps);
     telemetry.Set("stream_path", telemetry_.stream_path);
     if (telemetry_.has_final_progress) {
@@ -337,118 +295,6 @@ JsonValue RunReport::ToJson() const {
 }
 
 std::string RunReport::ToJsonString() const { return ToJson().Dump(2) + "\n"; }
-
-Status ValidateRunReportJson(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("run report: document is not an object");
-  }
-  const JsonValue* version = doc.Find("schema_version");
-  if (version == nullptr || !version->is_number()) {
-    return Status::InvalidArgument(
-        "run report: missing numeric schema_version");
-  }
-  const double raw = version->number_value();
-  const int v = static_cast<int>(raw);
-  if (static_cast<double>(v) != raw ||
-      v < RunReport::kMinSupportedSchemaVersion ||
-      v > RunReport::kSchemaVersion) {
-    return Status::InvalidArgument(
-        "run report: unsupported schema_version " + std::to_string(raw) +
-        " (supported: " + std::to_string(RunReport::kMinSupportedSchemaVersion) +
-        ".." + std::to_string(RunReport::kSchemaVersion) + ")");
-  }
-  const JsonValue* tool = doc.Find("tool");
-  if (tool == nullptr || !tool->is_string()) {
-    return Status::InvalidArgument("run report: missing string \"tool\"");
-  }
-  const JsonValue* provenance = doc.Find("provenance");
-  if (provenance == nullptr || !provenance->is_object()) {
-    return Status::InvalidArgument(
-        "run report: missing object \"provenance\"");
-  }
-  for (const char* key : {"git_sha", "build_type", "compiler"}) {
-    const JsonValue* field = provenance->Find(key);
-    if (field == nullptr || !field->is_string()) {
-      return Status::InvalidArgument(
-          std::string("run report: provenance missing string \"") + key +
-          "\"");
-    }
-  }
-  const JsonValue* phases = doc.Find("phases");
-  if (phases == nullptr || !phases->is_array()) {
-    return Status::InvalidArgument("run report: missing array \"phases\"");
-  }
-  for (const JsonValue& phase : phases->items()) {
-    if (!phase.is_object() || phase.Find("name") == nullptr ||
-        phase.Find("seconds") == nullptr ||
-        phase.Find("alloc_peak_bytes") == nullptr) {
-      return Status::InvalidArgument(
-          "run report: phase rows need name/seconds/alloc_peak_bytes");
-    }
-    const JsonValue* hw = phase.Find("hw");
-    if (hw != nullptr && (!hw->is_object() || hw->Find("cycles") == nullptr ||
-                          hw->Find("instructions") == nullptr)) {
-      return Status::InvalidArgument(
-          "run report: phase \"hw\" needs cycles/instructions");
-    }
-  }
-  // The v2 sections are optional, but when present they must be well-formed
-  // (a v1 document simply never carries them).
-  const JsonValue* hw_counters = doc.Find("hw_counters");
-  if (hw_counters != nullptr) {
-    if (!hw_counters->is_object()) {
-      return Status::InvalidArgument(
-          "run report: \"hw_counters\" is not an object");
-    }
-    const JsonValue* collected = hw_counters->Find("collected");
-    if (collected == nullptr || !collected->is_bool()) {
-      return Status::InvalidArgument(
-          "run report: hw_counters missing bool \"collected\"");
-    }
-    const JsonValue* reason = hw_counters->Find("unavailable_reason");
-    if (reason == nullptr || !reason->is_string()) {
-      return Status::InvalidArgument(
-          "run report: hw_counters missing string \"unavailable_reason\"");
-    }
-    if (!collected->bool_value() && reason->string_value().empty()) {
-      return Status::InvalidArgument(
-          "run report: uncollected hw_counters need an unavailable_reason");
-    }
-  }
-  const JsonValue* introspection = doc.Find("introspection");
-  if (introspection != nullptr && !introspection->is_object()) {
-    return Status::InvalidArgument(
-        "run report: \"introspection\" is not an object");
-  }
-  // The v3 telemetry section is optional, but when present it must carry
-  // the sampler accounting triple (final_progress stays optional — a run
-  // that never started a driver has no progress to report).
-  const JsonValue* telemetry = doc.Find("telemetry");
-  if (telemetry != nullptr) {
-    if (!telemetry->is_object()) {
-      return Status::InvalidArgument(
-          "run report: \"telemetry\" is not an object");
-    }
-    for (const char* key : {"samples", "interval_ms", "dropped_samples"}) {
-      const JsonValue* field = telemetry->Find(key);
-      if (field == nullptr || !field->is_number()) {
-        return Status::InvalidArgument(
-            std::string("run report: telemetry missing number \"") + key +
-            "\"");
-      }
-    }
-    const JsonValue* progress = telemetry->Find("final_progress");
-    if (progress != nullptr &&
-        (!progress->is_object() ||
-         progress->Find("fraction_done") == nullptr ||
-         !progress->Find("fraction_done")->is_number())) {
-      return Status::InvalidArgument(
-          "run report: telemetry.final_progress needs numeric "
-          "fraction_done");
-    }
-  }
-  return Status::OK();
-}
 
 Status RunReport::WriteJson(const std::string& path) const {
   return WriteWholeFile(path, ToJsonString());

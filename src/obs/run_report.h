@@ -54,9 +54,8 @@ RunReportProvenance BuildProvenance();
 /// plane behaved during the run, plus the final progress snapshot so a
 /// report is self-describing without the stream file.
 struct RunReportTelemetry {
-  uint64_t samples = 0;        ///< samples taken (ring + sinks)
+  uint64_t samples = 0;        ///< samples taken
   double interval_ms = 0.0;    ///< configured sampling period
-  uint64_t dropped_samples = 0;  ///< evicted from the in-memory ring
   uint64_t stall_dumps = 0;    ///< watchdog postmortems triggered
   std::string stream_path;     ///< "" when no stream sink was configured
   bool has_final_progress = false;
@@ -81,11 +80,10 @@ struct RunReportTelemetry {
 class RunReport {
  public:
   /// v2 added the optional "hw_counters" section, per-phase "hw" objects and
-  /// the optional "introspection" section; v3 adds the optional "telemetry"
-  /// summary section and the "p95" histogram key — all purely additive, so
-  /// v1/v2 documents stay valid (ValidateRunReportJson accepts all three).
-  static constexpr int kSchemaVersion = 3;
-  static constexpr int kMinSupportedSchemaVersion = 1;
+  /// the optional "introspection" section; v3 the optional "telemetry"
+  /// summary; v4 removed "metrics.histograms" and
+  /// "telemetry.dropped_samples".
+  static constexpr int kSchemaVersion = 4;
 
   /// `tool` names the producing binary ("srp_repartition", a bench name...).
   explicit RunReport(std::string tool = "unknown");
@@ -166,13 +164,6 @@ class RunReport {
   bool has_telemetry_ = false;
   RunReportTelemetry telemetry_;
 };
-
-/// Structural validation of a parsed run-report document: accepts any schema
-/// version in [RunReport::kMinSupportedSchemaVersion, kSchemaVersion]
-/// (v2 readers keep reading v1 artifacts — the committed bench baselines),
-/// rejects unknown versions, and checks the invariant sections
-/// (tool/provenance/phases) plus the v2 sections when present.
-Status ValidateRunReportJson(const JsonValue& doc);
 
 }  // namespace obs
 }  // namespace srp

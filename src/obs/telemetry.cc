@@ -4,16 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/flight_recorder.h"
 #include "obs/journal.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/memory_tracker.h"
 
 namespace srp {
 namespace obs {
@@ -34,6 +31,10 @@ int64_t ReadRssBytes() {
 }
 
 std::atomic<PoolStatsProviderFn> g_pool_stats_provider{nullptr};
+
+/// Upper bound of the sampling period: keeps the sampler's wait far inside
+/// the clock's range when a caller passes a huge or infinite interval.
+constexpr double kMaxIntervalMs = 3'600'000.0;
 
 }  // namespace
 
@@ -59,6 +60,7 @@ uint64_t ProgressTracker::BeginRun(const char* driver, double theta) {
   groups_.store(0, std::memory_order_relaxed);
   current_ifl_.store(0.0, std::memory_order_relaxed);
   last_variation_.store(0.0, std::memory_order_relaxed);
+  stop_reason_.store("", std::memory_order_relaxed);
   active_.store(true, std::memory_order_release);
   return token;
 }
@@ -76,6 +78,11 @@ void ProgressTracker::SetWorkTotal(uint64_t total) {
 
 void ProgressTracker::SetWorkDone(uint64_t done) {
   work_done_.store(done, std::memory_order_relaxed);
+}
+
+void ProgressTracker::SetStopReason(const char* reason) {
+  stop_reason_.store(reason != nullptr ? reason : "",
+                     std::memory_order_relaxed);
 }
 
 void ProgressTracker::OnCandidate(double variation, double ifl,
@@ -100,6 +107,7 @@ ProgressSnapshot ProgressTracker::Snapshot() const {
   snap.groups = groups_.load(std::memory_order_relaxed);
   snap.current_ifl = current_ifl_.load(std::memory_order_relaxed);
   snap.last_variation = last_variation_.load(std::memory_order_relaxed);
+  snap.stop_reason = stop_reason_.load(std::memory_order_relaxed);
 
   const int64_t started = started_ns_.load(std::memory_order_relaxed);
   const int64_t ended = ended_ns_.load(std::memory_order_relaxed);
@@ -144,33 +152,6 @@ ProgressSnapshot ProgressTracker::Snapshot() const {
   return snap;
 }
 
-void ProgressTracker::PublishGauges(MetricsRegistry* registry) const {
-  if (registry == nullptr) registry = &MetricsRegistry::Get();
-  const ProgressSnapshot snap = Snapshot();
-  registry->GetGauge("progress.active")->Set(snap.active ? 1.0 : 0.0);
-  registry->GetGauge("progress.run_id")
-      ->Set(static_cast<double>(snap.run_id));
-  registry->GetGauge("progress.theta")->Set(snap.theta);
-  registry->GetGauge("progress.work_total")
-      ->Set(static_cast<double>(snap.work_total));
-  registry->GetGauge("progress.work_done")
-      ->Set(static_cast<double>(snap.work_done));
-  registry->GetGauge("progress.candidates")
-      ->Set(static_cast<double>(snap.candidates));
-  registry->GetGauge("progress.iterations")
-      ->Set(static_cast<double>(snap.iterations));
-  registry->GetGauge("progress.groups")
-      ->Set(static_cast<double>(snap.groups));
-  registry->GetGauge("progress.ifl")->Set(snap.current_ifl);
-  registry->GetGauge("progress.variation")->Set(snap.last_variation);
-  registry->GetGauge("progress.elapsed_seconds")->Set(snap.elapsed_seconds);
-  registry->GetGauge("progress.iterations_per_second")
-      ->Set(snap.iterations_per_second);
-  registry->GetGauge("progress.accept_rate")->Set(snap.accept_rate);
-  registry->GetGauge("progress.fraction_done")->Set(snap.fraction_done);
-  registry->GetGauge("progress.eta_seconds")->Set(snap.eta_seconds);
-}
-
 uint64_t ProgressTracker::ActivitySignature() const {
   // Every term is monotone within the process, so the sum only moves
   // forward — the watchdog needs "changed", never "which way".
@@ -195,6 +176,7 @@ void ProgressTracker::ResetForTesting() {
   groups_.store(0);
   current_ifl_.store(0.0);
   last_variation_.store(0.0);
+  stop_reason_.store("");
   eta_clamp_run_.store(0);
   eta_clamp_.store(-1.0);
 }
@@ -249,6 +231,7 @@ std::string TelemetrySample::ToJsonLine() const {
   prog.Set("accept_rate", progress.accept_rate);
   prog.Set("fraction_done", progress.fraction_done);
   prog.Set("eta_seconds", progress.eta_seconds);
+  prog.Set("stop_reason", progress.stop_reason);
   line.Set("progress", std::move(prog));
 
   if (pool_valid) {
@@ -266,14 +249,6 @@ std::string TelemetrySample::ToJsonLine() const {
   mem.Set("alloc_current_bytes", alloc_current_bytes);
   mem.Set("alloc_peak_bytes", alloc_peak_bytes);
   line.Set("mem", std::move(mem));
-
-  JsonValue counter_obj = JsonValue::Object();
-  for (const auto& [name, value] : counters) counter_obj.Set(name, value);
-  line.Set("counters", std::move(counter_obj));
-  JsonValue gauge_obj = JsonValue::Object();
-  for (const auto& [name, value] : gauges) gauge_obj.Set(name, value);
-  line.Set("gauges", std::move(gauge_obj));
-
   return line.Dump();
 }
 
@@ -283,10 +258,8 @@ std::string TelemetrySample::ToJsonLine() const {
 
 TelemetrySampler::TelemetrySampler(TelemetrySamplerOptions options)
     : options_(std::move(options)) {
-  options_.interval_ms = std::max(1.0, options_.interval_ms);
-  options_.ring_capacity = std::max<size_t>(1, options_.ring_capacity);
-  registry_ =
-      options_.registry != nullptr ? options_.registry : &MetricsRegistry::Get();
+  options_.interval_ms =
+      std::min(kMaxIntervalMs, std::max(1.0, options_.interval_ms));
 }
 
 TelemetrySampler::~TelemetrySampler() { Stop(); }
@@ -320,23 +293,13 @@ void TelemetrySampler::Stop() {
 
   // One last synchronous sample so the stream always ends with the final
   // state ("final":true, which srp_top --follow uses to detect completion).
-  const TelemetrySample final_sample = TakeSample(/*final_sample=*/true);
-  (void)final_sample;
+  TakeSample(/*final_sample=*/true);
 
   if (stream_file_ != nullptr) {
     std::fclose(static_cast<std::FILE*>(stream_file_));
     stream_file_ = nullptr;
   }
   started_ = false;
-}
-
-TelemetrySample TelemetrySampler::SampleNow() {
-  return TakeSample(/*final_sample=*/false);
-}
-
-std::vector<TelemetrySample> TelemetrySampler::RingSnapshot() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  return ring_;
 }
 
 void TelemetrySampler::SamplerLoop() {
@@ -356,12 +319,6 @@ void TelemetrySampler::SamplerLoop() {
 }
 
 TelemetrySample TelemetrySampler::TakeSample(bool final_sample) {
-  // Publish progress first so the registry snapshot (and hence the
-  // OpenMetrics exposition) carries fresh progress.* gauges.
-  ProgressTracker::Get().PublishGauges(registry_);
-  registry_->UpdateMemoryGauges();
-  const MetricsSnapshot snapshot = registry_->Snapshot();
-
   TelemetrySample sample;
   sample.index = samples_taken_.fetch_add(1, std::memory_order_relaxed);
   sample.ts_ns = Journal::NowNanos();
@@ -372,33 +329,9 @@ TelemetrySample TelemetrySampler::TakeSample(bool final_sample) {
   sample.progress = ProgressTracker::Get().Snapshot();
   sample.pool_valid = ReadPoolStats(&sample.pool);
   sample.rss_bytes = ReadRssBytes();
-  sample.counters = snapshot.counters;
-  sample.gauges = snapshot.gauges;
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (name == "memory.current_bytes") {
-      sample.alloc_current_bytes = static_cast<int64_t>(value);
-    } else if (name == "memory.peak_bytes") {
-      sample.alloc_peak_bytes = static_cast<int64_t>(value);
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    if (ring_.size() >= options_.ring_capacity) {
-      ring_.erase(ring_.begin());
-      dropped_samples_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ring_.push_back(sample);
-  }
-
+  sample.alloc_current_bytes = MemoryTracker::CurrentBytes();
+  sample.alloc_peak_bytes = MemoryTracker::PeakBytes();
   ExportSample(sample);
-  if (!options_.openmetrics_path.empty()) {
-    const Status status =
-        WriteOpenMetricsFile(options_.openmetrics_path, snapshot);
-    if (!status.ok() && sample.index == 0) {
-      SRP_LOG(Warning) << "telemetry: " << status.ToString();
-    }
-  }
   return sample;
 }
 
@@ -467,176 +400,6 @@ void TelemetrySampler::CheckStall(const TelemetrySample& sample) {
   // Re-arm: another full quiet window must elapse before the next dump.
   last_seq_ = Journal::total_events();
   last_change_ns_ = sample.ts_ns;
-}
-
-// ---------------------------------------------------------------------------
-// OpenMetrics exposition
-// ---------------------------------------------------------------------------
-
-std::string OpenMetricsName(const std::string& registry_name) {
-  std::string out = "srp_";
-  out.reserve(registry_name.size() + 4);
-  for (char c : registry_name) {
-    const bool valid = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(valid ? c : '_');
-  }
-  return out;
-}
-
-namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  out->append(buf);
-}
-
-}  // namespace
-
-std::string RenderOpenMetrics(const MetricsSnapshot& snapshot) {
-  std::string out;
-  out.reserve(4096);
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string om = OpenMetricsName(name);
-    out += "# TYPE " + om + " counter\n";
-    out += om + "_total ";
-    AppendNumber(&out, static_cast<double>(value));
-    out += "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string om = OpenMetricsName(name);
-    out += "# TYPE " + om + " gauge\n";
-    out += om + " ";
-    AppendNumber(&out, value);
-    out += "\n";
-  }
-  for (const HistogramStats& h : snapshot.histograms) {
-    const std::string om = OpenMetricsName(h.name);
-    out += "# TYPE " + om + " histogram\n";
-    int64_t cumulative = 0;
-    for (size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      cumulative += i < h.bucket_counts.size() ? h.bucket_counts[i] : 0;
-      char le[48];
-      std::snprintf(le, sizeof(le), "%g", h.upper_bounds[i]);
-      out += om + "_bucket{le=\"" + le + "\"} ";
-      AppendNumber(&out, static_cast<double>(cumulative));
-      out += "\n";
-    }
-    out += om + "_bucket{le=\"+Inf\"} ";
-    AppendNumber(&out, static_cast<double>(h.count));
-    out += "\n";
-    out += om + "_sum ";
-    AppendNumber(&out, h.sum);
-    out += "\n";
-    out += om + "_count ";
-    AppendNumber(&out, static_cast<double>(h.count));
-    out += "\n";
-  }
-  out += "# EOF\n";
-  return out;
-}
-
-Status WriteOpenMetricsFile(const std::string& path,
-                            const MetricsSnapshot& snapshot) {
-  const std::string text = RenderOpenMetrics(snapshot);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open exposition tmp file: " + tmp);
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != text.size() || !close_ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to exposition tmp file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename exposition into place: " + path);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<OpenMetricsPoint>> ParseOpenMetricsText(
-    const std::string& text) {
-  auto invalid = [](size_t line_no, const std::string& what) {
-    return Status::InvalidArgument("openmetrics line " +
-                                   std::to_string(line_no) + ": " + what);
-  };
-  std::vector<OpenMetricsPoint> points;
-  bool saw_eof = false;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    if (saw_eof) return invalid(line_no, "content after # EOF");
-    if (line[0] == '#') {
-      if (line == "# EOF") {
-        saw_eof = true;
-        continue;
-      }
-      if (line.rfind("# TYPE ", 0) != 0 && line.rfind("# HELP ", 0) != 0 &&
-          line.rfind("# UNIT ", 0) != 0) {
-        return invalid(line_no, "unknown comment '" + line + "'");
-      }
-      if (line.rfind("# TYPE ", 0) == 0) {
-        // "# TYPE <name> <counter|gauge|histogram|...>"
-        const std::string rest = line.substr(7);
-        const size_t space = rest.find(' ');
-        if (space == std::string::npos || space == 0 ||
-            space + 1 >= rest.size()) {
-          return invalid(line_no, "malformed TYPE metadata");
-        }
-      }
-      continue;
-    }
-    OpenMetricsPoint point;
-    size_t i = 0;
-    while (i < line.size() && line[i] != '{' && line[i] != ' ') ++i;
-    if (i == 0) return invalid(line_no, "missing metric name");
-    point.name = line.substr(0, i);
-    for (char c : point.name) {
-      const bool valid = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                         (c >= '0' && c <= '9') || c == '_' || c == ':';
-      if (!valid) return invalid(line_no, "invalid metric name character");
-    }
-    if (i < line.size() && line[i] == '{') {
-      const size_t close = line.find('}', i);
-      if (close == std::string::npos) {
-        return invalid(line_no, "unterminated label block");
-      }
-      point.labels = line.substr(i + 1, close - i - 1);
-      i = close + 1;
-    }
-    if (i >= line.size() || line[i] != ' ') {
-      return invalid(line_no, "missing value separator");
-    }
-    ++i;
-    const std::string value_text = line.substr(i);
-    char* parse_end = nullptr;
-    point.value = std::strtod(value_text.c_str(), &parse_end);
-    if (parse_end == value_text.c_str() ||
-        (parse_end != nullptr && *parse_end != '\0')) {
-      return invalid(line_no, "malformed sample value '" + value_text + "'");
-    }
-    points.push_back(std::move(point));
-  }
-  if (!saw_eof) {
-    return Status::InvalidArgument("openmetrics: missing # EOF terminator");
-  }
-  return points;
 }
 
 }  // namespace obs

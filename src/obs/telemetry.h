@@ -7,10 +7,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
-#include "obs/metrics_registry.h"
 #include "util/status.h"
 
 namespace srp {
@@ -21,11 +18,10 @@ namespace obs {
 ///  * ProgressTracker — lock-free progress state fed from the repartition
 ///    drivers (iterations/sec, accepted-merge rate, current IFL vs θ, and a
 ///    monotone ETA derived from the variation-heap depletion rate).
-///  * TelemetrySampler — a background thread that periodically snapshots the
-///    metrics registry, live thread-pool stats, progress, memory, and the
-///    current journal phase into a fixed-capacity in-memory ring, exporting
-///    each sample to an append-only JSON-lines stream and an atomically
-///    rewritten OpenMetrics text exposition.
+///  * TelemetrySampler — a background thread that periodically samples
+///    progress, live thread-pool stats, memory and the current journal phase
+///    and appends each sample to a JSON-lines stream, the one record of a
+///    run's live progress (the registry's one export is the run report).
 ///  * Stall watchdog — the sampler doubles as a watchdog: when the journal
 ///    sequence counter and the progress gauges make no forward progress for
 ///    a configurable window it records the cause and triggers a
@@ -37,8 +33,10 @@ namespace obs {
 /// with it off (enforced by telemetry_test across thread counts).
 
 /// Version stamped into every telemetry stream line ("v"). Bump when the
-/// line schema changes shape (additive fields do not require a bump).
-inline constexpr int kTelemetryStreamVersion = 1;
+/// line schema changes shape (additive fields do not require a bump). v2
+/// dropped the per-line "counters"/"gauges" registry copy and added
+/// "progress.stop_reason".
+inline constexpr int kTelemetryStreamVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Progress engine
@@ -58,6 +56,7 @@ struct ProgressSnapshot {
   uint64_t groups = 0;       ///< group count after the last iteration
   double current_ifl = 0.0;  ///< IFL of the last evaluated candidate
   double last_variation = 0.0;
+  std::string stop_reason;   ///< why the run stopped; "" while running
 
   // Derived at snapshot time.
   double elapsed_seconds = 0.0;
@@ -68,9 +67,9 @@ struct ProgressSnapshot {
 };
 
 /// Process-wide progress state. The driver thread calls Begin/On*/End; the
-/// sampler (a different thread) calls Snapshot and PublishGauges. Every
-/// field is a relaxed atomic: updates cost one store on the hot path and
-/// readers tolerate mid-iteration skew (telemetry, not a barrier).
+/// sampler (a different thread) calls Snapshot. Every field is a relaxed
+/// atomic: updates cost one store on the hot path and readers tolerate
+/// mid-iteration skew (telemetry, not a barrier).
 class ProgressTracker {
  public:
   static ProgressTracker& Get();
@@ -92,12 +91,11 @@ class ProgressTracker {
   void OnCandidate(double variation, double ifl, uint64_t groups,
                    bool accepted);
 
-  ProgressSnapshot Snapshot() const;
+  /// Why the run stopped (StopReasonName). `reason` must have static
+  /// storage duration, like `driver`; BeginRun clears it.
+  void SetStopReason(const char* reason);
 
-  /// Copies the snapshot into `progress.*` gauges of `registry` (the
-  /// process registry when null). Called by the sampler each tick and by
-  /// EndRun so the final state survives into exports.
-  void PublishGauges(MetricsRegistry* registry = nullptr) const;
+  ProgressSnapshot Snapshot() const;
 
   /// Monotone composite of the raw forward-progress counters; the stall
   /// watchdog compares successive values. Changes whenever work is done.
@@ -122,6 +120,7 @@ class ProgressTracker {
   std::atomic<uint64_t> groups_{0};
   std::atomic<double> current_ifl_{0.0};
   std::atomic<double> last_variation_{0.0};
+  std::atomic<const char*> stop_reason_{""};
   /// Monotone-ETA clamp: the ETA published for a run never increases
   /// (raw rate estimates jitter early on). Keyed by run_id.
   mutable std::atomic<uint64_t> eta_clamp_run_{0};
@@ -188,12 +187,9 @@ struct TelemetrySample {
   PoolStatsSample pool;
   bool pool_valid = false;  ///< a provider was installed
 
-  int64_t rss_bytes = 0;         ///< /proc/self/statm resident set
-  int64_t alloc_current_bytes = 0;  ///< memory.current_bytes gauge
-  int64_t alloc_peak_bytes = 0;     ///< memory.peak_bytes gauge
-
-  std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
+  int64_t rss_bytes = 0;            ///< /proc/self/statm resident set
+  int64_t alloc_current_bytes = 0;  ///< MemoryTracker::CurrentBytes
+  int64_t alloc_peak_bytes = 0;     ///< MemoryTracker::PeakBytes
 
   /// The versioned JSON-lines stream representation (one object per line;
   /// each line self-contained so a crash mid-run loses at most one row).
@@ -201,27 +197,21 @@ struct TelemetrySample {
 };
 
 struct TelemetrySamplerOptions {
-  /// Sampling period. Clamped to >= 1 ms.
+  /// Sampling period. Clamped to [1 ms, 1 h].
   double interval_ms = 250.0;
-  /// In-memory ring capacity; older samples are dropped (counted) once full.
-  size_t ring_capacity = 1024;
   /// Append-only JSON-lines sink; "" disables. Flushed per line.
   std::string stream_path;
-  /// Atomically rewritten OpenMetrics text exposition; "" disables.
-  std::string openmetrics_path;
   /// Stall watchdog window; <= 0 disables the watchdog (the default).
   double stall_timeout_ms = 0.0;
   /// Max kind-"stall" flight-recorder dumps this sampler may trigger.
   int max_stall_dumps = 2;
-  /// Registry to snapshot; the process registry when null.
-  MetricsRegistry* registry = nullptr;
 };
 
 /// Background sampler thread. Start() spawns the thread; Stop() (also run
 /// by the destructor) joins it, takes one final synchronous sample (tagged
-/// "final":true), rewrites the exposition, and closes the stream. After
-/// Stop() returns no further samples are taken — guaranteed, not best
-/// effort. Start/Stop are not re-entrant from multiple threads.
+/// "final":true) and closes the stream. After Stop() returns no further
+/// samples are taken — guaranteed, not best effort. Start/Stop are not
+/// re-entrant from multiple threads.
 class TelemetrySampler {
  public:
   explicit TelemetrySampler(TelemetrySamplerOptions options = {});
@@ -231,20 +221,8 @@ class TelemetrySampler {
   void Stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Takes one sample immediately on the calling thread (also ringed and
-  /// exported). Used by tests and by Stop() for the final sample.
-  TelemetrySample SampleNow();
-
-  /// Copy of the retained ring, oldest first.
-  std::vector<TelemetrySample> RingSnapshot() const;
-
   uint64_t samples_taken() const {
     return samples_taken_.load(std::memory_order_relaxed);
-  }
-  /// Samples evicted from the ring because it was full (they still reached
-  /// the sinks; only in-memory history is bounded).
-  uint64_t dropped_samples() const {
-    return dropped_samples_.load(std::memory_order_relaxed);
   }
   uint64_t stall_dumps_triggered() const {
     return stall_dumps_.load(std::memory_order_relaxed);
@@ -262,7 +240,6 @@ class TelemetrySampler {
   void CheckStall(const TelemetrySample& sample);
 
   TelemetrySamplerOptions options_;
-  MetricsRegistry* registry_ = nullptr;
 
   std::thread thread_;
   std::mutex stop_mu_;
@@ -271,10 +248,7 @@ class TelemetrySampler {
   std::atomic<bool> running_{false};
   bool started_ = false;  ///< Start() ever succeeded (guards double Stop)
 
-  mutable std::mutex ring_mu_;
-  std::vector<TelemetrySample> ring_;
   std::atomic<uint64_t> samples_taken_{0};
-  std::atomic<uint64_t> dropped_samples_{0};
 
   void* stream_file_ = nullptr;  ///< FILE*; void* keeps <cstdio> out of here
 
@@ -285,38 +259,6 @@ class TelemetrySampler {
   int64_t last_change_ns_ = 0;
   std::atomic<uint64_t> stall_dumps_{0};
 };
-
-// ---------------------------------------------------------------------------
-// OpenMetrics text exposition
-// ---------------------------------------------------------------------------
-
-/// Renders `snapshot` as OpenMetrics text: "# TYPE" metadata per family,
-/// counters suffixed "_total", histograms as cumulative _bucket{le=...}/
-/// _sum/_count series, terminated by "# EOF". Metric names are sanitized
-/// ('.' and other invalid chars become '_') and prefixed "srp_".
-std::string RenderOpenMetrics(const MetricsSnapshot& snapshot);
-
-/// Writes the exposition atomically (tmp file + rename) so a scraper never
-/// observes a torn file.
-Status WriteOpenMetricsFile(const std::string& path,
-                            const MetricsSnapshot& snapshot);
-
-/// One parsed sample line of an exposition.
-struct OpenMetricsPoint {
-  std::string name;    ///< full series name, e.g. "srp_foo_total"
-  std::string labels;  ///< raw label block without braces; "" when none
-  double value = 0.0;
-};
-
-/// Strict-enough parser for round-trip validation: checks "# TYPE"/"# HELP"
-/// comment shape, one "name[{labels}] value" per sample line, and the
-/// mandatory "# EOF" terminator. Returns the parsed points.
-Result<std::vector<OpenMetricsPoint>> ParseOpenMetricsText(
-    const std::string& text);
-
-/// The OpenMetrics family name for a registry metric name ("pool.tasks" →
-/// "srp_pool_tasks"). Exposed for tests and srp_top.
-std::string OpenMetricsName(const std::string& registry_name);
 
 }  // namespace obs
 }  // namespace srp

@@ -76,7 +76,10 @@ INSTANTIATE_TEST_SUITE_P(
                     "--theta 1.5", "--rows 12x", "--cols 0", "--seed -5",
                     "--threads 2.5", "--trace-capacity 0",
                     "--checkpoint-every 99999999999999999999",
-                    "--max-iterations 0", "--max-iterations abc"));
+                    "--max-iterations 0", "--max-iterations abc",
+                    "--deadline-ms inf", "--deadline-ms 1e300",
+                    "--telemetry-interval-ms inf",
+                    "--stall-timeout-ms inf"));
 
 TEST(CliNumbersTest, WellFormedValuesRun) {
   const std::string dir = FreshOutDir();
@@ -122,6 +125,35 @@ TEST(CliReportTest, RunReportCarriesStopReason) {
   EXPECT_NE(ReadFile(out).find("stopped: " + reason->string_value()),
             std::string::npos)
       << reason->string_value();
+  std::filesystem::remove_all(dir);
+}
+
+// The telemetry stream's final sample names the same stop reason as the
+// report, and srp_top prints it when it renders that sample.
+TEST(CliReportTest, TelemetryFinalSampleCarriesStopReason) {
+  const std::string dir = FreshOutDir();
+  const std::string report = dir + "/report.json";
+  const std::string stream = dir + "/run.tlm";
+  const std::string top = dir + "/top.txt";
+  ASSERT_EQ(RunCli(std::string(kBaseArgs) + "--out-dir " + dir +
+                   " --theta 0.1 --report-out " + report +
+                   " --telemetry-out " + stream),
+            0);
+  auto json = srp::JsonValue::Parse(ReadFile(report));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const std::string reason =
+      json->FindPath("result.stop_reason")->string_value();
+  const std::string lines = ReadFile(stream);
+  const size_t last = lines.rfind('\n', lines.size() - 2);
+  auto final_line = srp::JsonValue::Parse(
+      lines.substr(last == std::string::npos ? 0 : last + 1));
+  ASSERT_TRUE(final_line.ok()) << lines;
+  EXPECT_TRUE(final_line->Find("final")->bool_value());
+  EXPECT_EQ(final_line->FindPath("progress.stop_reason")->string_value(),
+            reason);
+  ASSERT_EQ(RunTool(SRP_TOP_BIN, "--once " + stream, top), 0);
+  EXPECT_NE(ReadFile(top).find("stopped: " + reason), std::string::npos)
+      << ReadFile(top);
   std::filesystem::remove_all(dir);
 }
 

@@ -33,48 +33,6 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_DOUBLE_EQ(gauge.Value(), -1.25);
 }
 
-TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram histogram({1.0, 2.0, 4.0});
-  histogram.Observe(1.0);     // lands in the le=1 bucket (value <= bound)
-  histogram.Observe(1.0001);  // first bucket beyond 1 → le=2
-  histogram.Observe(4.0);     // le=4
-  histogram.Observe(100.0);   // overflow bucket
-  const std::vector<int64_t> counts = histogram.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 1);
-  EXPECT_EQ(counts[1], 1);
-  EXPECT_EQ(counts[2], 1);
-  EXPECT_EQ(counts[3], 1);
-  EXPECT_EQ(histogram.Count(), 4);
-  EXPECT_DOUBLE_EQ(histogram.Sum(), 1.0 + 1.0001 + 4.0 + 100.0);
-  EXPECT_DOUBLE_EQ(histogram.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(histogram.Max(), 100.0);
-}
-
-TEST(HistogramTest, PercentilesInterpolateWithinBuckets) {
-  Histogram histogram({1.0, 2.0, 4.0});
-  histogram.Observe(0.5);
-  histogram.Observe(1.5);
-  histogram.Observe(3.0);
-  histogram.Observe(10.0);
-  // target rank 2 falls exactly at the end of the le=2 bucket.
-  EXPECT_DOUBLE_EQ(histogram.Percentile(50), 2.0);
-  // p100 is the observed max, p0 never exceeds the first bucket.
-  EXPECT_DOUBLE_EQ(histogram.Percentile(100), 10.0);
-  EXPECT_LE(histogram.Percentile(25), 1.0);
-  // Percentiles are monotone in q.
-  EXPECT_LE(histogram.Percentile(50), histogram.Percentile(90));
-  EXPECT_LE(histogram.Percentile(90), histogram.Percentile(99));
-}
-
-TEST(HistogramTest, EmptyHistogramReportsZeros) {
-  Histogram histogram({1.0});
-  EXPECT_EQ(histogram.Count(), 0);
-  EXPECT_DOUBLE_EQ(histogram.Min(), 0.0);
-  EXPECT_DOUBLE_EQ(histogram.Max(), 0.0);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(50), 0.0);
-}
-
 TEST(MetricsRegistryTest, HandlesAreStableAndNamesDeduplicate) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("x");
@@ -82,10 +40,8 @@ TEST(MetricsRegistryTest, HandlesAreStableAndNamesDeduplicate) {
   EXPECT_EQ(a, b);
   a->Add(2);
   EXPECT_EQ(registry.GetCounter("x")->Value(), 2);
-  Histogram* h1 = registry.GetHistogram("h", {1.0, 2.0});
-  Histogram* h2 = registry.GetHistogram("h", {99.0});  // bounds ignored
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h1->upper_bounds().size(), 2u);
+  Gauge* g = registry.GetGauge("g");
+  EXPECT_EQ(registry.GetGauge("g"), g);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete) {
@@ -93,26 +49,29 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete) {
   registry.GetCounter("b.count")->Add(3);
   registry.GetCounter("a.count")->Add(1);
   registry.GetGauge("g")->Set(7.5);
-  registry.GetHistogram("h", {1.0})->Observe(0.5);
   const MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.counters.size(), 2u);
   EXPECT_EQ(snapshot.counters[0].first, "a.count");
   EXPECT_EQ(snapshot.counters[1].first, "b.count");
   ASSERT_EQ(snapshot.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snapshot.gauges[0].second, 7.5);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].count, 1);
+
+  // ToJson is the same snapshot as {"counters": {...}, "gauges": {...}}.
+  const JsonValue doc = registry.ToJson();
+  ASSERT_EQ(doc.members().size(), 2u);
+  EXPECT_EQ(doc.Find("counters")->Find("b.count")->number_value(), 3.0);
+  EXPECT_EQ(doc.Find("gauges")->Find("g")->number_value(), 7.5);
 }
 
 TEST(MetricsRegistryTest, ResetValuesKeepsRegistrations) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("c");
-  Histogram* histogram = registry.GetHistogram("h", {1.0});
+  Gauge* gauge = registry.GetGauge("g");
   counter->Add(5);
-  histogram->Observe(0.5);
+  gauge->Set(0.5);
   registry.ResetValues();
   EXPECT_EQ(counter->Value(), 0);
-  EXPECT_EQ(histogram->Count(), 0);
+  EXPECT_DOUBLE_EQ(gauge->Value(), 0.0);
   EXPECT_EQ(registry.GetCounter("c"), counter);
 }
 

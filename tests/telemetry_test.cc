@@ -1,9 +1,8 @@
 // Tests for the live-telemetry plane (DESIGN.md §14): the progress tracker
 // and its monotone ETA, the pool-stats provider bridge, the background
-// sampler (ring, stream sink, stop semantics), the OpenMetrics exposition
-// round-trip, the stall watchdog's kind-"stall" postmortems, and the
-// determinism contract — a run with the sampler on is bit-identical to one
-// with it off.
+// sampler (stream sink, stop semantics), the stall watchdog's kind-"stall"
+// postmortems, and the determinism contract — a run with the sampler on is
+// bit-identical to one with it off.
 
 #include "obs/telemetry.h"
 
@@ -33,6 +32,7 @@ class ProgressTrackerTest : public testing::Test {
 
 TEST_F(ProgressTrackerTest, BeginRunResetsStateAndSnapshotDerives) {
   ProgressTracker& tracker = ProgressTracker::Get();
+  tracker.SetStopReason("heap_drained");  // left over from an earlier run
   const uint64_t token = tracker.BeginRun("repartition", 0.25);
   tracker.SetWorkTotal(100);
   tracker.SetWorkDone(25);
@@ -54,6 +54,7 @@ TEST_F(ProgressTrackerTest, BeginRunResetsStateAndSnapshotDerives) {
   EXPECT_DOUBLE_EQ(snap.accept_rate, 0.5);
   EXPECT_DOUBLE_EQ(snap.fraction_done, 0.25);
   EXPECT_GE(snap.eta_seconds, 0.0);  // depletion data exists -> known
+  EXPECT_EQ(snap.stop_reason, "");
 
   tracker.EndRun(token);
   EXPECT_FALSE(tracker.Snapshot().active);
@@ -109,24 +110,6 @@ TEST_F(ProgressTrackerTest, ActivitySignatureAdvancesWithWork) {
   tracker.EndRun(token);
 }
 
-TEST_F(ProgressTrackerTest, PublishGaugesExportsProgressNamespace) {
-  MetricsRegistry registry;
-  ProgressTracker& tracker = ProgressTracker::Get();
-  const uint64_t token = tracker.BeginRun("repartition", 0.3);
-  tracker.SetWorkTotal(10);
-  tracker.SetWorkDone(5);
-  tracker.OnCandidate(0.4, 0.12, 7, true);
-  tracker.PublishGauges(&registry);
-  tracker.EndRun(token);
-
-  EXPECT_DOUBLE_EQ(registry.GetGauge("progress.active")->Value(), 1.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("progress.theta")->Value(), 0.3);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("progress.work_done")->Value(), 5.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("progress.fraction_done")->Value(), 0.5);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("progress.groups")->Value(), 7.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("progress.ifl")->Value(), 0.12);
-}
-
 TEST(PoolStatsBridgeTest, ProviderInstallAndRestore) {
   static bool fake_called = false;
   const PoolStatsProviderFn fake = [](PoolStatsSample* out) {
@@ -160,13 +143,36 @@ class TelemetrySamplerTest : public testing::Test {
     ProgressTracker::Get().ResetForTesting();
     Journal::ResetForTesting();
   }
-  MetricsRegistry registry_;
 };
 
+/// The stream file's lines, each parsed; a malformed line fails the test.
+std::vector<JsonValue> ReadStream(const std::string& path) {
+  std::vector<JsonValue> out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return out;
+  std::string contents;
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    contents.append(buffer, n);
+  }
+  std::fclose(f);
+  for (const std::string& line : Split(contents, '\n')) {
+    if (line.empty()) continue;
+    auto doc = JsonValue::Parse(line);
+    EXPECT_TRUE(doc.ok()) << line;
+    if (doc.ok()) out.push_back(std::move(*doc));
+  }
+  return out;
+}
+
 TEST_F(TelemetrySamplerTest, StartStopTakesSamplesAndNoneAfterStop) {
+  const std::string path = testing::TempDir() + "/telemetry_start_stop.jsonl";
+  std::remove(path.c_str());
   TelemetrySamplerOptions options;
   options.interval_ms = 2.0;
-  options.registry = &registry_;
+  options.stream_path = path;
   TelemetrySampler sampler(options);
   ASSERT_TRUE(sampler.Start().ok());
   EXPECT_TRUE(sampler.running());
@@ -180,46 +186,30 @@ TEST_F(TelemetrySamplerTest, StartStopTakesSamplesAndNoneAfterStop) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(sampler.samples_taken(), after_stop);
 
-  // The ring ends with the synchronous final sample.
-  const std::vector<TelemetrySample> ring = sampler.RingSnapshot();
-  ASSERT_FALSE(ring.empty());
-  EXPECT_TRUE(ring.back().final_sample);
-  for (size_t i = 1; i < ring.size(); ++i) {
-    EXPECT_EQ(ring[i].index, ring[i - 1].index + 1);
-    EXPECT_GE(ring[i].ts_ns, ring[i - 1].ts_ns);
+  // The stream holds every sample, in order, and ends with the synchronous
+  // final sample.
+  const std::vector<JsonValue> lines = ReadStream(path);
+  ASSERT_EQ(lines.size(), after_stop);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].Find("i")->number_value(), static_cast<double>(i));
+    EXPECT_EQ(lines[i].Find("final")->bool_value(), i + 1 == lines.size());
+    if (i > 0) {
+      EXPECT_GE(lines[i].Find("ts_ns")->number_value(),
+                lines[i - 1].Find("ts_ns")->number_value());
+    }
   }
+  std::remove(path.c_str());
 }
 
 TEST_F(TelemetrySamplerTest, StopIsIdempotentAndStartAfterStopFails) {
   TelemetrySamplerOptions options;
   options.interval_ms = 5.0;
-  options.registry = &registry_;
   TelemetrySampler sampler(options);
   ASSERT_TRUE(sampler.Start().ok());
   sampler.Stop();
   const uint64_t count = sampler.samples_taken();
   sampler.Stop();  // second Stop is a no-op
   EXPECT_EQ(sampler.samples_taken(), count);
-}
-
-TEST_F(TelemetrySamplerTest, RingCapacityEvictsOldestAndCountsDrops) {
-  TelemetrySamplerOptions options;
-  options.interval_ms = 1.0;
-  options.ring_capacity = 4;
-  options.registry = &registry_;
-  TelemetrySampler sampler(options);
-  ASSERT_TRUE(sampler.Start().ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  sampler.Stop();
-
-  EXPECT_GT(sampler.samples_taken(), 4u);
-  EXPECT_GT(sampler.dropped_samples(), 0u);
-  EXPECT_EQ(sampler.samples_taken() - sampler.dropped_samples(), 4u);
-  const std::vector<TelemetrySample> ring = sampler.RingSnapshot();
-  ASSERT_EQ(ring.size(), 4u);
-  // Oldest evicted first: the retained window is the newest contiguous run.
-  EXPECT_EQ(ring.back().index, sampler.samples_taken() - 1);
-  EXPECT_EQ(ring.front().index, sampler.samples_taken() - 4);
 }
 
 TEST_F(TelemetrySamplerTest, StreamSinkWritesSelfContainedVersionedLines) {
@@ -230,7 +220,6 @@ TEST_F(TelemetrySamplerTest, StreamSinkWritesSelfContainedVersionedLines) {
   {
     TelemetrySamplerOptions options;
     options.interval_ms = 2.0;
-    options.registry = &registry_;
     options.stream_path = path;
     TelemetrySampler sampler(options);
     ASSERT_TRUE(sampler.Start().ok());
@@ -239,146 +228,41 @@ TEST_F(TelemetrySamplerTest, StreamSinkWritesSelfContainedVersionedLines) {
     ProgressTracker::Get().SetWorkDone(4);
     ProgressTracker::Get().OnCandidate(0.1, 0.2, 6, true);
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    ProgressTracker::Get().SetStopReason("theta_exceeded");
     ProgressTracker::Get().EndRun(token);
     sampler.Stop();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  std::fclose(f);
-
-  const std::vector<std::string> lines = Split(contents, '\n');
-  size_t parsed = 0;
-  bool saw_final = false;
+  const std::vector<JsonValue> lines = ReadStream(path);
   bool saw_active_progress = false;
-  for (const std::string& line : lines) {
-    if (line.empty()) continue;
-    auto doc = JsonValue::Parse(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    const JsonValue* version = doc->Find("v");
+  for (const JsonValue& doc : lines) {
+    const JsonValue* version = doc.Find("v");
     ASSERT_NE(version, nullptr);
     EXPECT_EQ(static_cast<int>(version->number_value()),
               kTelemetryStreamVersion);
-    ASSERT_NE(doc->FindPath("journal.seq"), nullptr);
-    ASSERT_NE(doc->FindPath("progress.iterations"), nullptr);
-    ASSERT_NE(doc->FindPath("mem.rss_bytes"), nullptr);
-    const JsonValue* final_flag = doc->Find("final");
-    ASSERT_NE(final_flag, nullptr);
-    if (final_flag->bool_value()) saw_final = true;
-    const JsonValue* active = doc->FindPath("progress.active");
+    ASSERT_NE(doc.FindPath("journal.seq"), nullptr);
+    ASSERT_NE(doc.FindPath("progress.iterations"), nullptr);
+    ASSERT_NE(doc.FindPath("mem.rss_bytes"), nullptr);
+    ASSERT_NE(doc.FindPath("mem.alloc_peak_bytes"), nullptr);
+    ASSERT_NE(doc.Find("final"), nullptr);
+    // v2 lines carry no copy of the metrics registry.
+    EXPECT_EQ(doc.Find("counters"), nullptr);
+    EXPECT_EQ(doc.Find("gauges"), nullptr);
+    const JsonValue* stop_reason = doc.FindPath("progress.stop_reason");
+    ASSERT_NE(stop_reason, nullptr);
+    const JsonValue* active = doc.FindPath("progress.active");
     if (active != nullptr && active->bool_value()) {
       saw_active_progress = true;
-      EXPECT_DOUBLE_EQ(doc->FindPath("progress.theta")->number_value(), 0.5);
+      EXPECT_DOUBLE_EQ(doc.FindPath("progress.theta")->number_value(), 0.5);
+      EXPECT_EQ(stop_reason->string_value(), "");  // empty while running
     }
-    ++parsed;
   }
-  EXPECT_GE(parsed, 2u);
-  EXPECT_TRUE(saw_final);
+  ASSERT_GE(lines.size(), 2u);
   EXPECT_TRUE(saw_active_progress);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// OpenMetrics
-// ---------------------------------------------------------------------------
-
-TEST(OpenMetricsTest, NameSanitization) {
-  EXPECT_EQ(OpenMetricsName("pool.tasks"), "srp_pool_tasks");
-  EXPECT_EQ(OpenMetricsName("progress.iterations_per_second"),
-            "srp_progress_iterations_per_second");
-  EXPECT_EQ(OpenMetricsName("weird-name!x"), "srp_weird_name_x");
-}
-
-TEST(OpenMetricsTest, RenderParseRoundTrip) {
-  MetricsRegistry registry;
-  registry.GetCounter("events.total")->Add(42);
-  registry.GetGauge("progress.fraction_done")->Set(0.625);
-  Histogram* h = registry.GetHistogram("latency.ms", {1.0, 10.0, 100.0});
-  h->Observe(0.5);
-  h->Observe(5.0);
-  h->Observe(50.0);
-  h->Observe(5000.0);  // overflow bucket
-
-  const std::string text = RenderOpenMetrics(registry.Snapshot());
-  EXPECT_NE(text.find("# EOF"), std::string::npos);
-
-  auto points = ParseOpenMetricsText(text);
-  ASSERT_TRUE(points.ok()) << points.status().ToString();
-
-  auto find = [&](const std::string& name,
-                  const std::string& labels) -> const OpenMetricsPoint* {
-    for (const OpenMetricsPoint& p : *points) {
-      if (p.name == name && p.labels == labels) return &p;
-    }
-    return nullptr;
-  };
-
-  const OpenMetricsPoint* counter = find("srp_events_total_total", "");
-  ASSERT_NE(counter, nullptr);
-  EXPECT_DOUBLE_EQ(counter->value, 42.0);
-
-  const OpenMetricsPoint* gauge = find("srp_progress_fraction_done", "");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_DOUBLE_EQ(gauge->value, 0.625);
-
-  // Histogram buckets are cumulative; +Inf equals the total count.
-  const OpenMetricsPoint* b1 = find("srp_latency_ms_bucket", "le=\"1\"");
-  const OpenMetricsPoint* b10 = find("srp_latency_ms_bucket", "le=\"10\"");
-  const OpenMetricsPoint* b100 = find("srp_latency_ms_bucket", "le=\"100\"");
-  const OpenMetricsPoint* binf = find("srp_latency_ms_bucket", "le=\"+Inf\"");
-  ASSERT_NE(b1, nullptr);
-  ASSERT_NE(b10, nullptr);
-  ASSERT_NE(b100, nullptr);
-  ASSERT_NE(binf, nullptr);
-  EXPECT_DOUBLE_EQ(b1->value, 1.0);
-  EXPECT_DOUBLE_EQ(b10->value, 2.0);
-  EXPECT_DOUBLE_EQ(b100->value, 3.0);
-  EXPECT_DOUBLE_EQ(binf->value, 4.0);
-
-  const OpenMetricsPoint* count = find("srp_latency_ms_count", "");
-  ASSERT_NE(count, nullptr);
-  EXPECT_DOUBLE_EQ(count->value, 4.0);
-}
-
-TEST(OpenMetricsTest, ParserRejectsMalformedText) {
-  EXPECT_FALSE(ParseOpenMetricsText("srp_x 1\n").ok());  // missing # EOF
-  EXPECT_FALSE(ParseOpenMetricsText("srp_x\n# EOF\n").ok());  // no value
-  EXPECT_FALSE(ParseOpenMetricsText("srp_x notanumber\n# EOF\n").ok());
-  EXPECT_TRUE(ParseOpenMetricsText("# EOF\n").ok());  // empty but terminated
-}
-
-TEST(OpenMetricsTest, WriteFileIsAtomicReplace) {
-  const std::string path = testing::TempDir() + "/openmetrics_test.txt";
-  MetricsRegistry registry;
-  registry.GetCounter("a")->Add(1);
-  ASSERT_TRUE(WriteOpenMetricsFile(path, registry.Snapshot()).ok());
-  registry.GetCounter("a")->Add(1);
-  ASSERT_TRUE(WriteOpenMetricsFile(path, registry.Snapshot()).ok());
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  std::fclose(f);
-  auto points = ParseOpenMetricsText(contents);
-  ASSERT_TRUE(points.ok());
-  ASSERT_EQ(points->size(), 1u);
-  EXPECT_EQ((*points)[0].name, "srp_a_total");
-  EXPECT_DOUBLE_EQ((*points)[0].value, 2.0);
-  // No tmp file left behind.
-  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp != nullptr) std::fclose(tmp);
+  // The final sample is last and says why the run stopped.
+  EXPECT_TRUE(lines.back().Find("final")->bool_value());
+  EXPECT_EQ(lines.back().FindPath("progress.stop_reason")->string_value(),
+            "theta_exceeded");
   std::remove(path.c_str());
 }
 
@@ -411,12 +295,10 @@ class StallWatchdogTest : public testing::Test {
 };
 
 TEST_F(StallWatchdogTest, FrozenRunTriggersValidatedStallPostmortem) {
-  MetricsRegistry registry;
   TelemetrySamplerOptions options;
   options.interval_ms = 5.0;
   options.stall_timeout_ms = 40.0;
   options.max_stall_dumps = 1;
-  options.registry = &registry;
   TelemetrySampler sampler(options);
 
   // An active run that then freezes completely.
@@ -458,11 +340,9 @@ TEST_F(StallWatchdogTest, FrozenRunTriggersValidatedStallPostmortem) {
 }
 
 TEST_F(StallWatchdogTest, ForwardProgressSuppressesTheWatchdog) {
-  MetricsRegistry registry;
   TelemetrySamplerOptions options;
   options.interval_ms = 5.0;
   options.stall_timeout_ms = 30.0;
-  options.registry = &registry;
   TelemetrySampler sampler(options);
 
   const uint64_t token = ProgressTracker::Get().BeginRun("repartition", 0.1);
@@ -536,10 +416,8 @@ TEST(TelemetryDeterminismTest, SamplerOnIsBitIdenticalToSamplerOff) {
                                "/telemetry_determinism_" +
                                std::to_string(threads) + ".jsonl";
     std::remove(stream.c_str());
-    MetricsRegistry registry;
     TelemetrySamplerOptions topt;
     topt.interval_ms = 1.0;
-    topt.registry = &registry;
     topt.stream_path = stream;
     ProgressTracker::Get().ResetForTesting();
     {

@@ -93,8 +93,6 @@ struct CliOptions {
   /// Live telemetry (DESIGN.md §14). JSON-lines stream sink; empty falls
   /// back to $SRP_TELEMETRY_OUT, and "" after that means no stream.
   std::string telemetry_out;
-  /// OpenMetrics text exposition, atomically rewritten every sample.
-  std::string metrics_expo;
   /// Sampling period for the background telemetry sampler.
   double telemetry_interval_ms = 250.0;
   /// Stall-watchdog window; 0 (default) = watchdog off.
@@ -119,9 +117,8 @@ void Usage() {
                "                       [--log-level LEVEL] "
                "[--log-out FILE]\n"
                "                       [--telemetry-out stream.jsonl] "
-               "[--metrics-expo exp.txt]\n"
-               "                       [--telemetry-interval-ms MS] "
-               "[--stall-timeout-ms MS]\n"
+               "[--telemetry-interval-ms MS]\n"
+               "                       [--stall-timeout-ms MS]\n"
                "  KIND: taxi_uni taxi_multi home_sales vehicles earnings "
                "earnings_uni\n"
                "  S:    comma list of name:agg[:int], agg in "
@@ -158,16 +155,14 @@ void Usage() {
                "→ JSON lines, '-' → stderr\n"
                "  (env SRP_LOG_OUT). Crash/interrupt postmortems land in "
                "$SRP_POSTMORTEM_DIR (srp_inspect).\n"
-               "  --telemetry-out streams live progress/metrics samples as "
-               "JSON lines (env\n"
-               "  SRP_TELEMETRY_OUT; watch with srp_top --follow); "
-               "--metrics-expo keeps an\n"
-               "  OpenMetrics text exposition current every sample; "
-               "--telemetry-interval-ms sets\n"
-               "  the sampling period (default 250); --stall-timeout-ms "
-               "arms a watchdog that dumps\n"
-               "  a kind-'stall' postmortem after that long without forward "
-               "progress (default off).\n"
+               "  --telemetry-out streams live progress samples as JSON "
+               "lines (env SRP_TELEMETRY_OUT;\n"
+               "  watch with srp_top --follow); --telemetry-interval-ms "
+               "sets the sampling period\n"
+               "  (default 250); --stall-timeout-ms arms a watchdog that "
+               "dumps a kind-'stall'\n"
+               "  postmortem after that long without forward progress "
+               "(default off).\n"
                "  Flags accept both --flag value and --flag=value; '_' and "
                "'-' are interchangeable.\n");
 }
@@ -203,6 +198,15 @@ bool ParseReal(const char* flag, const char* v, double min, double max,
   }
   *out = *parsed;
   return true;
+}
+
+/// Millisecond flags are positive and at most ~31.7 years, which keeps a
+/// deadline or a sampling wait far inside the int64 nanosecond clock.
+bool ParseMs(const char* flag, const char* v, double* out) {
+  if (!ParseReal(flag, v, 0.0, 1e12, out)) return false;
+  if (*out > 0.0) return true;
+  std::fprintf(stderr, "%s needs a positive number, got '%s'\n", flag, v);
+  return false;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* out) {
@@ -317,12 +321,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--deadline-ms") {
       const char* v = next();
       if (v == nullptr) return false;
-      const auto parsed = ParseDouble(v);
-      if (!parsed.ok() || !(*parsed > 0.0)) {
-        std::fprintf(stderr, "--deadline-ms needs a positive number\n");
-        return false;
-      }
-      out->deadline_ms = *parsed;
+      if (!ParseMs("--deadline-ms", v, &out->deadline_ms)) return false;
     } else if (arg == "--best-effort") {
       // Boolean flag: takes no value (an inline --best-effort=... is
       // rejected as unknown usage).
@@ -351,29 +350,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = next();
       if (v == nullptr) return false;
       out->telemetry_out = v;
-    } else if (arg == "--metrics-expo") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->metrics_expo = v;
     } else if (arg == "--telemetry-interval-ms") {
       const char* v = next();
       if (v == nullptr) return false;
-      const auto parsed = ParseDouble(v);
-      if (!parsed.ok() || !(*parsed > 0.0)) {
-        std::fprintf(stderr,
-                     "--telemetry-interval-ms needs a positive number\n");
+      if (!ParseMs("--telemetry-interval-ms", v,
+                   &out->telemetry_interval_ms)) {
         return false;
       }
-      out->telemetry_interval_ms = *parsed;
     } else if (arg == "--stall-timeout-ms") {
       const char* v = next();
       if (v == nullptr) return false;
-      const auto parsed = ParseDouble(v);
-      if (!parsed.ok() || !(*parsed > 0.0)) {
-        std::fprintf(stderr, "--stall-timeout-ms needs a positive number\n");
+      if (!ParseMs("--stall-timeout-ms", v, &out->stall_timeout_ms)) {
         return false;
       }
-      out->stall_timeout_ms = *parsed;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -773,12 +762,10 @@ int Run(int argc, char** argv) {
     if (env != nullptr && env[0] != '\0') options.telemetry_out = env;
   }
   std::optional<obs::TelemetrySampler> sampler;
-  if (!options.telemetry_out.empty() || !options.metrics_expo.empty() ||
-      options.stall_timeout_ms > 0.0) {
+  if (!options.telemetry_out.empty() || options.stall_timeout_ms > 0.0) {
     obs::TelemetrySamplerOptions topt;
     topt.interval_ms = options.telemetry_interval_ms;
     topt.stream_path = options.telemetry_out;
-    topt.openmetrics_path = options.metrics_expo;
     topt.stall_timeout_ms = options.stall_timeout_ms;
     if (const Status s = sampler.emplace(std::move(topt)).Start(); !s.ok()) {
       std::fprintf(stderr, "telemetry start failed: %s\n",
@@ -929,16 +916,14 @@ int Run(int argc, char** argv) {
   }
   PrintRunStats(*result, options);
 
-  // Stop the sampler before any export so the final (tagged) sample and the
-  // last exposition rewrite are already on disk when the report captures
-  // the telemetry summary.
+  // Stop the sampler before any export so the final (tagged) sample is
+  // already on disk when the report captures the telemetry summary.
   obs::RunReportTelemetry telemetry_summary;
   bool have_telemetry = false;
   if (sampler.has_value()) {
     sampler->Stop();
     telemetry_summary.samples = sampler->samples_taken();
     telemetry_summary.interval_ms = sampler->options().interval_ms;
-    telemetry_summary.dropped_samples = sampler->dropped_samples();
     telemetry_summary.stall_dumps = sampler->stall_dumps_triggered();
     telemetry_summary.stream_path = options.telemetry_out;
     const obs::ProgressSnapshot last = obs::ProgressTracker::Get().Snapshot();
@@ -952,10 +937,6 @@ int Run(int argc, char** argv) {
       std::printf("wrote %llu telemetry sample(s) to %s (srp_top --replay)\n",
                   static_cast<unsigned long long>(sampler->samples_taken()),
                   options.telemetry_out.c_str());
-    }
-    if (!options.metrics_expo.empty()) {
-      std::printf("wrote OpenMetrics exposition to %s\n",
-                  options.metrics_expo.c_str());
     }
     if (sampler->stall_dumps_triggered() > 0) {
       std::printf("NOTE: stall watchdog fired %llu time(s); see "

@@ -3,7 +3,8 @@
 // Reads the JSON-lines stream written by `srp_repartition --telemetry-out`
 // (or any TelemetrySampler stream sink) and renders a compact panel: journal
 // phase, progress bar with ETA, iteration/accept rates, an IFL sparkline
-// against the acceptance threshold θ, thread-pool utilization, and memory.
+// against the acceptance threshold θ, the stop reason of a finished run,
+// thread-pool utilization, and memory.
 //
 // Usage:
 //   srp_top [--follow] [--once] [--replay] [--interval-ms N] <stream.jsonl>
@@ -63,6 +64,7 @@ struct TopSample {
   double accept_rate = 0.0;
   double fraction_done = 0.0;
   double eta_seconds = -1.0;
+  std::string stop_reason;  ///< "" while the run is going (stream v2)
 
   bool pool_valid = false;
   uint64_t pool_size = 0;
@@ -112,6 +114,7 @@ bool ParseSampleLine(const std::string& line, TopSample* out) {
   s.accept_rate = NumAt(*doc, "progress.accept_rate");
   s.fraction_done = NumAt(*doc, "progress.fraction_done");
   s.eta_seconds = NumAt(*doc, "progress.eta_seconds", -1.0);
+  s.stop_reason = StrAt(*doc, "progress.stop_reason");
 
   const JsonValue* pool = doc->Find("pool");
   if (pool != nullptr && pool->is_object()) {
@@ -240,6 +243,9 @@ void Render(const TopSample& s, RenderState* state, bool clear_screen,
                  Sparkline(state->ifl_history, s.theta).c_str());
   } else {
     std::fprintf(out, "run: idle (no active progress scope)\n");
+  }
+  if (s.final_sample && !s.stop_reason.empty()) {
+    std::fprintf(out, "stopped: %s\n", s.stop_reason.c_str());
   }
   if (s.pool_valid) {
     std::fprintf(out, "pool: %llu worker(s)  util ",
