@@ -125,17 +125,29 @@ ProgressSnapshot ProgressTracker::Snapshot() const {
     snap.accept_rate = static_cast<double>(snap.iterations) /
                        static_cast<double>(snap.candidates);
   }
-  if (snap.work_total > 0) {
-    snap.fraction_done =
-        std::min(1.0, static_cast<double>(snap.work_done) /
-                          static_cast<double>(snap.work_total));
+  // A θ-bounded run stops long before the heap drains, so pops/heap alone
+  // reads ~0 for a whole run; the loss spent against its budget θ is the
+  // other bound on how far the run has come.
+  const bool finished = !snap.active && snap.run_id > 0 && ended > 0;
+  if (finished) {
+    snap.fraction_done = 1.0;
+  } else {
+    double fraction = 0.0;
+    if (snap.work_total > 0) {
+      fraction = static_cast<double>(snap.work_done) /
+                 static_cast<double>(snap.work_total);
+    }
+    if (snap.theta > 0.0) {
+      fraction = std::max(fraction, snap.current_ifl / snap.theta);
+    }
+    snap.fraction_done = std::clamp(fraction, 0.0, 1.0);
   }
 
   // ETA from the depletion rate of the variation heap. The raw estimate
   // jitters while the rate settles, so the published value is clamped to be
   // non-increasing within a run (the clamp resets at BeginRun).
-  if (!snap.active && snap.run_id > 0 && ended > 0) {
-    snap.eta_seconds = 0.0;  // run finished
+  if (finished) {
+    snap.eta_seconds = 0.0;
   } else if (snap.active && snap.fraction_done > 0.0 &&
              snap.elapsed_seconds > 0.0) {
     double eta = snap.elapsed_seconds * (1.0 - snap.fraction_done) /

@@ -62,7 +62,9 @@ struct ProgressSnapshot {
   double elapsed_seconds = 0.0;
   double iterations_per_second = 0.0;
   double accept_rate = 0.0;    ///< iterations / candidates; 0 when no data
-  double fraction_done = 0.0;  ///< work_done / work_total; monotone
+  /// 1 once the run has ended; while it runs, the larger of
+  /// work_done / work_total and current_ifl / theta, clamped to [0, 1].
+  double fraction_done = 0.0;
   double eta_seconds = -1.0;   ///< -1 = unknown (no depletion data yet)
 };
 

@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -8,33 +9,46 @@
 namespace srp {
 namespace {
 
-bool NeedsQuoting(const std::string& field) {
-  return field.find_first_of(",\"\n") != std::string::npos;
-}
+/// WriteCsv hands its buffer to fwrite each time it passes this size: one
+/// system call per MiB, and a bounded buffer whatever the table's size.
+constexpr size_t kFlushBytes = size_t{1} << 20;
 
-std::string QuoteField(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
+void AppendField(const std::string& field, std::string* out) {
+  bool needs_quoting = false;
+  for (const char c : field) {
+    if (c == ',' || c == '"' || c == '\n') {
+      needs_quoting = true;
+      break;
+    }
   }
-  out += '"';
-  return out;
+  if (!needs_quoting) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (const char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
-void WriteRow(std::ostream& os, const std::vector<std::string>& row) {
+void AppendRow(const std::vector<std::string>& row, std::string* out) {
   // A single empty field would serialize as a blank line, which readers
   // (including ReadCsv) skip; quote it so the row survives a round trip.
   if (row.size() == 1 && row[0].empty()) {
-    os << "\"\"\n";
+    out->append("\"\"\n");
     return;
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) os << ',';
-    os << QuoteField(row[i]);
+    if (i > 0) out->push_back(',');
+    AppendField(row[i], out);
   }
-  os << '\n';
+  out->push_back('\n');
+}
+
+bool WriteAll(const std::string& bytes, std::FILE* file) {
+  return std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
 }
 
 }  // namespace
@@ -47,12 +61,25 @@ int CsvTable::ColumnIndex(const std::string& name) const {
 }
 
 Status WriteCsv(const CsvTable& table, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return Status::IOError("cannot open for writing: " + path);
-  WriteRow(os, table.header);
-  for (const auto& row : table.rows) WriteRow(os, row);
-  os.flush();
-  if (!os) return Status::IOError("write failed: " + path);
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open for writing: " + path);
+  }
+  std::string buffer;
+  AppendRow(table.header, &buffer);
+  bool ok = true;
+  for (const auto& row : table.rows) {
+    AppendRow(row, &buffer);
+    if (buffer.size() >= kFlushBytes) {
+      ok = WriteAll(buffer, file);
+      if (!ok) break;
+      buffer.clear();
+    }
+  }
+  if (ok) ok = WriteAll(buffer, file);
+  // fclose flushes what stdio still holds; a full disk can surface only here.
+  if (std::fclose(file) != 0) ok = false;
+  if (!ok) return Status::IOError("write failed: " + path);
   return Status::OK();
 }
 

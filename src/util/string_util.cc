@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace srp {
@@ -39,9 +40,24 @@ std::string Trim(std::string_view s) {
 }
 
 std::string FormatDouble(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
+  // printf treats a negative precision as omitted, i.e. 6.
+  if (precision < 0) precision = 6;
+  // "%.Nf" of -DBL_MAX: the sign, 309 integer digits, the point and N
+  // decimals. Every double fits, so no value is ever cut short.
+  constexpr size_t kMaxFixedPrefix = 1 + (DBL_MAX_10_EXP + 1) + 1;
+  const size_t size = kMaxFixedPrefix + static_cast<size_t>(precision);
+  char stack_buf[kMaxFixedPrefix + 32];
+  std::vector<char> heap_buf;
+  char* buf = stack_buf;
+  if (size > sizeof(stack_buf)) {
+    heap_buf.resize(size);
+    buf = heap_buf.data();
+  }
+  // The standard defines to_chars' output as printf's for the same
+  // conversion, at a fraction of the cost.
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + size, value, std::chars_format::fixed, precision);
+  return std::string(buf, r.ptr);
 }
 
 Result<double> ParseDouble(std::string_view s) {

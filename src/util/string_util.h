@@ -20,7 +20,8 @@ std::string Join(const std::vector<std::string>& parts,
 /// Strips ASCII whitespace from both ends.
 std::string Trim(std::string_view s);
 
-/// Fixed-precision decimal formatting (printf "%.*f").
+/// Fixed-precision decimal formatting: byte for byte printf "%.*f", for any
+/// value (up to DBL_MAX) and any precision.
 std::string FormatDouble(double value, int precision);
 
 /// Strict decimal parsing for untrusted input (CSV cells, CLI values):

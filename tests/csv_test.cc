@@ -1,10 +1,16 @@
 #include "util/csv.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/random.h"
 
 namespace srp {
 namespace {
@@ -78,6 +84,117 @@ TEST(CsvTest, WriteToBadPathFails) {
   CsvTable table;
   table.header = {"a"};
   EXPECT_FALSE(WriteCsv(table, "/nonexistent/dir/out.csv").ok());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return bytes.str();
+}
+
+/// A field of `length` characters drawn so that about one in twelve is a
+/// comma, a quote or a newline.
+std::string RandomField(size_t length, Rng* rng) {
+  static constexpr char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789";
+  static constexpr char kSpecial[] = {',', '"', '\n'};
+  std::string field;
+  for (size_t i = 0; i < length; ++i) {
+    field += rng->NextBounded(12) == 0
+                 ? kSpecial[rng->NextBounded(3)]
+                 : kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)];
+  }
+  return field;
+}
+
+/// RFC 4180 serialization written independently of WriteCsv, recording the
+/// [begin, end) byte span of every quoted field.
+std::string ExpectedCsv(const CsvTable& table,
+                        std::vector<std::pair<size_t, size_t>>* quoted) {
+  std::string out;
+  const auto append_row = [&](const std::vector<std::string>& row) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) out += ',';
+      const std::string& f = row[i];
+      if (f.find_first_of(",\"\n") == std::string::npos) {
+        out += f;
+        continue;
+      }
+      const size_t begin = out.size();
+      out += '"';
+      for (const char c : f) {
+        out += c;
+        if (c == '"') out += '"';  // a quote doubles
+      }
+      out += '"';
+      quoted->emplace_back(begin, out.size());
+    }
+    out += '\n';
+  };
+  append_row(table.header);
+  for (const auto& row : table.rows) append_row(row);
+  return out;
+}
+
+TEST(CsvTest, LargeTableIsByteExactAcrossFlushBoundaries) {
+  Rng rng(1018);
+  CsvTable table;
+  table.header = {"id", "text", "value", "note"};
+  size_t bytes = 0;
+  for (size_t i = 0; bytes < (size_t{5} << 19); ++i) {  // ~2.5 MiB
+    std::vector<std::string> row = {
+        std::to_string(i), RandomField(50 + rng.NextBounded(400), &rng),
+        std::to_string(rng.Uniform(-1e3, 1e3)),
+        RandomField(rng.NextBounded(8), &rng)};
+    for (const auto& f : row) bytes += f.size() + 1;
+    table.rows.push_back(std::move(row));
+  }
+  std::vector<std::pair<size_t, size_t>> quoted;
+  const std::string expected = ExpectedCsv(table, &quoted);
+  ASSERT_GT(expected.size(), size_t{2} << 20);
+  // Quoted fields straddle the 1 and 2 MiB marks, where the writer flushes.
+  for (const size_t mark : {size_t{1} << 20, size_t{2} << 20}) {
+    bool straddled = false;
+    for (const auto& [begin, end] : quoted) {
+      straddled = straddled || (begin < mark && mark < end);
+    }
+    EXPECT_TRUE(straddled) << "no quoted field spans byte " << mark;
+  }
+
+  const std::string path = TempPath("large.csv");
+  ASSERT_TRUE(WriteCsv(table, path).ok());
+  const std::string written = ReadBytes(path);
+  ASSERT_EQ(written.size(), expected.size());
+  size_t mismatch = 0;
+  while (mismatch < written.size() && written[mismatch] == expected[mismatch]) {
+    ++mismatch;
+  }
+  EXPECT_EQ(mismatch, written.size()) << "first differing byte";
+
+  const Result<CsvTable> read = ReadCsv(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->header, table.header);
+  EXPECT_TRUE(read->rows == table.rows);
+}
+
+TEST(CsvTest, WriteToAFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  CsvTable small;
+  small.header = {"a", "b"};
+  small.rows = {{"1", "2"}};
+  // A few bytes stay in stdio's buffer: the failure surfaces at close.
+  const Status closed = WriteCsv(small, "/dev/full");
+  EXPECT_EQ(closed.code(), StatusCode::kIOError) << closed.ToString();
+  EXPECT_NE(closed.message().find("write failed"), std::string::npos);
+
+  // More than one flush: the failure surfaces at the first write.
+  CsvTable large;
+  large.header = {"text"};
+  large.rows.assign(3000, {std::string(1000, 'x')});
+  const Status written = WriteCsv(large, "/dev/full");
+  EXPECT_EQ(written.code(), StatusCode::kIOError) << written.ToString();
 }
 
 TEST(CsvTest, RoundTripEmbeddedNewlines) {

@@ -7,10 +7,12 @@
 
 #include "obs/flight_recorder.h"
 
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +52,9 @@ class FlightRecorderTest : public testing::Test {
     options.postmortem_dir = dir_;
     options.install_signal_handlers = false;  // signal path: forensics test
     ASSERT_TRUE(FlightRecorder::Install(options).ok());
+    // The written-postmortem list is process-cumulative; assert relative to
+    // it so the suite also passes when run in one process.
+    baseline_ = FlightRecorder::written_postmortems().size();
   }
   void TearDown() override {
     FlightRecorder::Uninstall();
@@ -57,6 +62,7 @@ class FlightRecorderTest : public testing::Test {
   }
 
   std::string dir_;
+  size_t baseline_ = 0;
 };
 
 TEST_F(FlightRecorderTest, InstallIsIdempotentAndFirstCallWins) {
@@ -162,9 +168,9 @@ TEST_F(FlightRecorderTest, DeadlineInterruptDuringRunDumpsAPostmortem) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 
   const std::vector<std::string> written = FlightRecorder::written_postmortems();
-  ASSERT_EQ(written.size(), 1u);
-  std::ifstream in(written[0]);
-  ASSERT_TRUE(in.good()) << written[0];
+  ASSERT_EQ(written.size() - baseline_, 1u);
+  std::ifstream in(written.back());
+  ASSERT_TRUE(in.good()) << written.back();
   std::ostringstream text;
   text << in.rdbuf();
   const Result<JsonValue> doc = JsonValue::Parse(text.str());
@@ -190,7 +196,7 @@ TEST_F(FlightRecorderTest, EachRunContextDumpsAtMostOnce) {
   }
   // Three runs, three sticky first-interrupt transitions, three dumps —
   // repeated polls of the same context never re-dump.
-  EXPECT_EQ(FlightRecorder::written_postmortems().size(), 3u);
+  EXPECT_EQ(FlightRecorder::written_postmortems().size() - baseline_, 3u);
 }
 
 TEST_F(FlightRecorderTest, InterruptDumpBudgetIsCapped) {
@@ -206,7 +212,7 @@ TEST_F(FlightRecorderTest, InterruptDumpBudgetIsCapped) {
     ctx.set_deadline_after_seconds(-1.0);
     ASSERT_FALSE(Repartitioner().Run(grid, &ctx).ok());
   }
-  EXPECT_EQ(FlightRecorder::written_postmortems().size(), 2u);
+  EXPECT_EQ(FlightRecorder::written_postmortems().size() - baseline_, 2u);
 }
 
 TEST(FlightRecorderNoDirTest, WriteFailsWithoutAConfiguredDirectory) {

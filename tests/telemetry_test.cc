@@ -52,7 +52,8 @@ TEST_F(ProgressTrackerTest, BeginRunResetsStateAndSnapshotDerives) {
   EXPECT_EQ(snap.groups, 40u);
   EXPECT_DOUBLE_EQ(snap.current_ifl, 0.2);
   EXPECT_DOUBLE_EQ(snap.accept_rate, 0.5);
-  EXPECT_DOUBLE_EQ(snap.fraction_done, 0.25);
+  // The larger of pops/heap (25/100) and the loss budget spent (0.2/0.25).
+  EXPECT_DOUBLE_EQ(snap.fraction_done, 0.8);
   EXPECT_GE(snap.eta_seconds, 0.0);  // depletion data exists -> known
   EXPECT_EQ(snap.stop_reason, "");
 
@@ -84,6 +85,43 @@ TEST_F(ProgressTrackerTest, EtaIsMonotoneNonIncreasingWithinARun) {
   tracker.SetWorkDone(1);
   EXPECT_GE(tracker.Snapshot().eta_seconds, 0.0);
   tracker.EndRun(token2);
+}
+
+TEST_F(ProgressTrackerTest, FractionDoneBoundsByLossBudgetAndReadsOneWhenDone) {
+  ProgressTracker& tracker = ProgressTracker::Get();
+  const uint64_t token = tracker.BeginRun("repartition", 0.1);
+  EXPECT_DOUBLE_EQ(tracker.Snapshot().fraction_done, 0.0);
+  // A θ-bounded run: 4 of 16,000 pops, but 60% of the loss budget spent.
+  tracker.SetWorkTotal(16000);
+  tracker.SetWorkDone(4);
+  tracker.OnCandidate(/*variation=*/0.01, /*ifl=*/0.06, /*groups=*/900,
+                      /*accepted=*/true);
+  EXPECT_DOUBLE_EQ(tracker.Snapshot().fraction_done, 0.6);
+  // Pops ahead of the loss: the larger bound wins.
+  tracker.SetWorkDone(12000);
+  EXPECT_DOUBLE_EQ(tracker.Snapshot().fraction_done, 0.75);
+  // The rejected candidate overshoots θ; the fraction stays within [0, 1].
+  tracker.OnCandidate(/*variation=*/0.02, /*ifl=*/0.3, /*groups=*/900,
+                      /*accepted=*/false);
+  EXPECT_DOUBLE_EQ(tracker.Snapshot().fraction_done, 1.0);
+  tracker.EndRun(token);
+
+  // A finished run reads 1 however little of the heap it popped.
+  const uint64_t short_run = tracker.BeginRun("repartition", 0.05);
+  tracker.SetWorkTotal(15819);
+  tracker.SetWorkDone(4);
+  tracker.OnCandidate(0.01, 0.001, 100, true);
+  EXPECT_LT(tracker.Snapshot().fraction_done, 0.1);
+  tracker.EndRun(short_run);
+  EXPECT_DOUBLE_EQ(tracker.Snapshot().fraction_done, 1.0);
+
+  // θ = 0 (no loss budget) falls back to pops/heap.
+  const uint64_t zero_theta = tracker.BeginRun("homogeneous", 0.0);
+  tracker.SetWorkTotal(10);
+  tracker.SetWorkDone(5);
+  tracker.OnCandidate(0.01, 0.5, 5, true);
+  EXPECT_DOUBLE_EQ(tracker.Snapshot().fraction_done, 0.5);
+  tracker.EndRun(zero_theta);
 }
 
 TEST_F(ProgressTrackerTest, StaleEndRunTokenDoesNotClobberNewerRun) {
