@@ -248,14 +248,17 @@ GridDataset MakeBenchDataset(DatasetKind kind, const GridTier& tier,
 RepartitionResult MustRepartition(const GridDataset& grid, double threshold) {
   // SRP_DEADLINE_MS caps each repartitioning run's wall time. Best-effort
   // mode keeps the bench harness meaningful: the run returns the best
-  // partition found so far (stats.interrupted = true) instead of aborting
-  // the whole bench via SRP_CHECK.
+  // partition found so far (stop_reason kInterrupted) instead of aborting
+  // the whole bench via SRP_CHECK. The range is the CLI's --deadline-ms
+  // one, (0, 1e12] ms.
   RunContext ctx;
   const RunContext* ctx_ptr = nullptr;
   if (const char* env = std::getenv("SRP_DEADLINE_MS")) {
     const auto parsed = ParseDouble(env);
-    SRP_CHECK(parsed.ok() && *parsed > 0.0)
-        << "SRP_DEADLINE_MS must be a positive number, got '" << env << "'";
+    SRP_CHECK(parsed.ok() && *parsed > 0.0 &&
+              *parsed <= RunContext::kMaxDeadlineSeconds * 1e3)
+        << "SRP_DEADLINE_MS must be a number in (0, 1e12], got '" << env
+        << "'";
     ctx.set_deadline_after_seconds(*parsed / 1e3);
     ctx.set_best_effort(true);
     ctx_ptr = &ctx;
@@ -263,7 +266,7 @@ RepartitionResult MustRepartition(const GridDataset& grid, double threshold) {
   auto result =
       Repartitioner(BenchRepartitionOptions(threshold)).Run(grid, ctx_ptr);
   SRP_CHECK(result.ok()) << result.status().ToString();
-  if (result->stats.interrupted) {
+  if (result->stop_reason == StopReason::kInterrupted) {
     SRP_LOG(Warning) << "repartition hit the SRP_DEADLINE_MS deadline; "
                         "using best partition found so far";
   }

@@ -1,7 +1,8 @@
 #include "core/repartitioner.h"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
+#include <string>
 #include <utility>
 
 #include "core/coarsening_loop.h"
@@ -14,10 +15,7 @@
 #include "obs/journal.h"
 #include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
-#include "obs/tracer.h"
 #include "parallel/thread_pool.h"
-#include "util/memory_tracker.h"
-#include "util/timer.h"
 
 namespace srp {
 namespace {
@@ -47,83 +45,6 @@ CoreMetrics& Metrics() {
   return *metrics;
 }
 
-/// A run never benefits from more workers than this; anything larger is
-/// almost certainly a corrupted or hostile options struct.
-constexpr size_t kMaxThreads = 4096;
-
-/// Times the phases of one run into RunStats, the one record of phase time.
-/// Take adds the time since the last Take or Restart to a phase, folds the
-/// phase's allocation high-water (srp_memtrack scoped delta; 0 without the
-/// hooks) into a running max and adds its hardware-counter delta when
-/// collection is on. The memory scope is re-opened per phase so phases
-/// never share a baseline; the nesting-safe ScopedMemoryPeak keeps any
-/// enclosing measurement (e.g. bench MeasureRun) intact.
-class PhaseClock {
- public:
-  /// Opens the hardware counters over the driver thread on request; an
-  /// unavailable group (denied syscall, no PMU) degrades to a recorded
-  /// reason, never a failed run (DESIGN.md §10).
-  Status Start(bool hw_counters, RunStats* stats) {
-    stats_ = stats;
-    if (hw_counters) {
-      hw_group_.emplace();
-      if (hw_group_->available()) {
-        SRP_RETURN_IF_ERROR(hw_group_->Start());
-        stats->hw_counters_collected = true;
-      } else {
-        stats->hw_unavailable_reason = hw_group_->unavailable_reason();
-      }
-    }
-    memory_.emplace();
-    return Status::OK();
-  }
-
-  void Restart() { timer_.Restart(); }
-
-  /// Runs `f` as the phase `name` and takes its time: marks the journal
-  /// phase and, when `traced`, opens a span of that name around `f`.
-  template <typename F>
-  auto Measure(const char* name, bool traced, double* seconds,
-               int64_t* peak_bytes, obs::HwCounterValues* hw, F&& f) {
-    auto out = [&] {
-      std::optional<obs::ScopedSpan> span;
-      if (traced) span.emplace(name);
-      obs::Journal::SetPhase(name);
-      return f();
-    }();
-    Take(seconds, peak_bytes, hw);
-    return out;
-  }
-
-  void Take(double* seconds, int64_t* peak_bytes, obs::HwCounterValues* hw) {
-    *seconds += timer_.ElapsedSeconds();
-    if (MemoryTracker::Hooked()) {
-      *peak_bytes = std::max(*peak_bytes, memory_->PeakDeltaBytes());
-    }
-    if (stats_->hw_counters_collected) {
-      const obs::HwCounterValues now = hw_group_->Read();
-      *hw += now - hw_last_;
-      hw_last_ = now;
-    }
-    memory_.reset();  // restore the enclosing peak before re-opening
-    memory_.emplace();
-    timer_.Restart();
-  }
-
-  /// Restores any enclosing ScopedMemoryPeak's view and stops the counters.
-  void Stop() {
-    memory_.reset();
-    if (hw_group_.has_value()) hw_group_->Stop();
-  }
-
- private:
-  RunStats* stats_ = nullptr;
-  WallTimer timer_;
-  std::optional<ScopedMemoryPeak> memory_;
-  std::optional<obs::HwCounterGroup> hw_group_;
-  obs::HwCounterValues hw_last_;
-};
-
 /// Hands the committed state to the durable checkpoint sink. The pop
 /// threshold follows from it (the last accepted variation, or the -1.0
 /// sentinel before the first), which is why the heap needs no snapshot
@@ -142,46 +63,17 @@ Status Snapshot(CheckpointSink* sink, const CoarseningState& committed,
   return sink->OnCheckpoint(state, reason);
 }
 
-/// Repartitioner::Run's evaluator: one IflEngine over the input grid. Its
-/// hooks measure each loop phase through PhaseClock::Measure and feed
-/// progress, the introspection sink and periodic checkpoints.
-class CoreEvaluator : public CoarseningHooks {
+/// Repartitioner::Run's evaluator: one IflEngine over the input grid. It
+/// hosts the core.information_loss fault point and writes periodic
+/// checkpoints; MeasuredHooks measures its phases.
+class CoreEvaluator : public MeasuredHooks {
  public:
   CoreEvaluator(const GridDataset& grid, const RepartitionOptions& options,
-                ThreadPool* pool, PhaseClock* clock, RunStats* stats)
-      : engine_(grid),
+                ThreadPool* pool, PhaseClock* clock)
+      : MeasuredHooks(clock, options.introspection),
+        engine_(grid),
         options_(options),
-        pool_(pool),
-        clock_(clock),
-        stats_(stats) {}
-
-  template <LoopPhase kPhase, typename F>
-  auto Phase(F&& f) {
-    RunStats& s = *stats_;
-    if constexpr (kPhase == LoopPhase::kPop) {
-      // Pops are too frequent to trace; the phase and its time suffice.
-      clock_->Restart();
-      const bool popped = clock_->Measure(
-          "repartition.variation_pop", false, &s.variation_pop_seconds,
-          &s.variation_pop_peak_bytes, &s.variation_pop_hw, f);
-      if (popped) obs::ProgressTracker::Get().SetWorkDone(++s.heap_pops);
-      return popped;
-    } else if constexpr (kPhase == LoopPhase::kExtract) {
-      ++s.extractions;
-      return clock_->Measure("repartition.extract", true, &s.extract_seconds,
-                             &s.extract_peak_bytes, &s.extract_hw, f);
-    } else if constexpr (kPhase == LoopPhase::kAllocate) {
-      return clock_->Measure("repartition.allocate_features", true,
-                             &s.allocate_seconds, &s.allocate_peak_bytes,
-                             &s.allocate_hw, f);
-    } else {
-      SRP_INJECT_FAULT("core.information_loss");
-      return clock_->Measure("repartition.information_loss", true,
-                             &s.information_loss_seconds,
-                             &s.information_loss_peak_bytes,
-                             &s.information_loss_hw, f);
-    }
-  }
+        pool_(pool) {}
 
   Status Allocate(Partition* p, const ExtractionWindow& window,
                   const RunContext* ctx) {
@@ -190,21 +82,12 @@ class CoreEvaluator : public CoarseningHooks {
 
   Status Loss(Partition* p, const ExtractionWindow& window,
               const RunContext* ctx, double* loss) {
+    SRP_INJECT_FAULT("core.information_loss");
     *loss = engine_.ComputeInformationLoss(*p, window, pool_, ctx);
     return Status::OK();
   }
 
   void Undo(Partition* p) { engine_.Undo(p); }
-
-  void OnCandidate(const CoarseningState& committed, double variation,
-                   double loss, const Partition& candidate, bool accepted) {
-    const size_t groups = candidate.num_groups();
-    obs::ProgressTracker::Get().OnCandidate(variation, loss, groups, accepted);
-    if (options_.introspection != nullptr) {
-      options_.introspection->OnIteration(committed.iterations, variation,
-                                          loss, groups, accepted);
-    }
-  }
 
   /// Periodic durable snapshot of the just-committed state. A failed write
   /// fails the run: the caller asked for durability, and continuing would
@@ -225,11 +108,29 @@ class CoreEvaluator : public CoarseningHooks {
   IflEngine engine_;
   const RepartitionOptions& options_;
   ThreadPool* pool_;
-  PhaseClock* clock_;
-  RunStats* stats_;
 };
 
 }  // namespace
+
+double RunStats::PhaseTotalSeconds() const {
+  double total = 0.0;
+  for (const RunPhaseInfo& phase : kRunPhases) total += this->*phase.seconds;
+  return total;
+}
+
+int64_t RunStats::MaxPhasePeakBytes() const {
+  int64_t peak = 0;
+  for (const RunPhaseInfo& phase : kRunPhases) {
+    peak = std::max(peak, this->*phase.peak_bytes);
+  }
+  return peak;
+}
+
+obs::HwCounterValues RunStats::TotalHwCounters() const {
+  obs::HwCounterValues total;
+  for (const RunPhaseInfo& phase : kRunPhases) total += this->*phase.hw;
+  return total;
+}
 
 const char* StopReasonName(StopReason reason) {
   switch (reason) {
@@ -259,7 +160,8 @@ Status RepartitionOptions::Validate() const {
         "min_variation_step must be finite and >= 0");
   }
   if (num_threads > kMaxThreads) {
-    return Status::InvalidArgument("num_threads must be <= 4096");
+    return Status::InvalidArgument("num_threads must be <= " +
+                                   std::to_string(kMaxThreads));
   }
   if (checkpoint_every > 0 && checkpoint == nullptr) {
     return Status::InvalidArgument(
@@ -273,23 +175,13 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   SRP_RETURN_IF_ERROR(grid.Validate());
   SRP_RETURN_IF_ERROR(options_.Validate());
 
-  SRP_TRACE_SPAN("repartition.run");
-  // Last-known phase for crash forensics: each sub-phase below updates the
-  // process-wide marker (an atomic pointer swap plus one journal event on
-  // change — cold next to the O(cells) work it brackets); the scope restores
-  // the caller's phase on every exit path.
-  obs::JournalPhaseScope journal_phase("repartition.run");
-  // Live-telemetry progress (DESIGN.md §14): relaxed-atomic stores only, so
-  // the hooks below cannot perturb results or thread scheduling.
-  obs::ScopedProgressRun progress_run("repartition", options_.ifl_threshold);
-  WallTimer timer;
+  PhaseClock clock("repartition.run", "repartition", options_.ifl_threshold);
   RepartitionResult result;
   RunStats& stats = result.stats;
 
   // One pool for the whole run (null when the resolved count is <= 1, which
   // routes every phase through its sequential path).
   const std::unique_ptr<ThreadPool> pool = MaybeMakePool(options_.num_threads);
-  PhaseClock clock;
   SRP_RETURN_IF_ERROR(clock.Start(options_.hw_counters, &stats));
 
   // Iteration 0: the original grid itself (IFL = 0) is always feasible.
@@ -330,30 +222,26 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     // variations, and the min-adjacent-variation heap.
     clock.Restart();
     const GridDataset normalized = clock.Measure(
-        "repartition.normalize", true, &stats.normalize_seconds,
-        &stats.normalize_peak_bytes, &stats.normalize_hw,
-        [&] { return AttributeNormalized(grid); });
+        RunPhase::kNormalize, [&] { return AttributeNormalized(grid); });
     SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
     if (degrade) return Status::OK();
 
     SRP_INJECT_FAULT("core.pair_variations");
-    const PairVariations variations = clock.Measure(
-        "repartition.pair_variations", true, &stats.pair_variation_seconds,
-        &stats.pair_variation_peak_bytes, &stats.pair_variation_hw,
-        [&] { return ComputePairVariations(normalized, pool.get(), ctx); });
+    const PairVariations variations =
+        clock.Measure(RunPhase::kPairVariations, [&] {
+          return ComputePairVariations(normalized, pool.get(), ctx);
+        });
     // An interrupted variation pass leaves +inf placeholders; the heap must
     // not be built over them.
     SRP_RETURN_IF_ERROR(CheckInterrupt(ctx, &degrade));
     if (degrade) return Status::OK();
 
-    MinAdjacentVariationHeap heap = clock.Measure(
-        "repartition.heap_build", true, &stats.heap_build_seconds,
-        &stats.heap_build_peak_bytes, &stats.heap_build_hw, [&] {
-          MinAdjacentVariationHeap built;
-          built.set_introspection_sink(options_.introspection);
-          built.Build(variations, &normalized);
-          return built;
-        });
+    MinAdjacentVariationHeap heap = clock.Measure(RunPhase::kHeapBuild, [&] {
+      MinAdjacentVariationHeap built;
+      built.set_introspection_sink(options_.introspection);
+      built.Build(variations, &normalized);
+      return built;
+    });
     // The heap size bounds the remaining pops — the depletion denominator
     // the telemetry ETA is derived from.
     obs::ProgressTracker::Get().SetWorkTotal(heap.Size());
@@ -363,7 +251,7 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     // reallocates that window and recomputes only its row shards
     // (DESIGN.md §12).
     CellGroupExtractor extractor(variations);
-    CoreEvaluator evaluator(grid, options_, pool.get(), &clock, &stats);
+    CoreEvaluator evaluator(grid, options_, pool.get(), &clock);
     return RunCoarseningLoop(options_, &heap, &extractor, &evaluator, ctx,
                              &result.partition, &state);
   }();
@@ -390,9 +278,7 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
   result.iterations = state.iterations;
   result.final_min_adjacent_variation = state.final_min_adjacent_variation;
   result.stop_reason = degrade ? StopReason::kInterrupted : state.stop_reason;
-  stats.interrupted = result.stop_reason == StopReason::kInterrupted;
-  obs::ProgressTracker::Get().SetStopReason(StopReasonName(result.stop_reason));
-  clock.Stop();
+  result.elapsed_seconds = clock.Finish(result.stop_reason);
 
   if (pool != nullptr) {
     const ThreadPoolStats pool_stats = pool->Stats();
@@ -401,8 +287,6 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     stats.pool_queue_depth_high_water = pool_stats.queue_depth_high_water;
     stats.pool_worker_busy_ns = pool_stats.worker_busy_ns;
   }
-
-  result.elapsed_seconds = timer.ElapsedSeconds();
 
   CoreMetrics& metrics = Metrics();
   metrics.runs->Increment();

@@ -1,7 +1,6 @@
 #ifndef SRP_CORE_REPARTITIONER_H_
 #define SRP_CORE_REPARTITIONER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -86,30 +85,44 @@ struct RepartitionOptions {
 
   /// Checks every field before a run touches the data: θ in [0, 1]
   /// (NaN-rejecting), max_iterations >= 1, min_variation_step finite and
-  /// >= 0, num_threads within the sane 4096 bound, checkpoint_every only
-  /// used with a sink. All entry points (Repartitioner,
-  /// HomogeneousRepartition, StRepartitioner, streaming) funnel through
-  /// this.
+  /// >= 0, num_threads <= kMaxThreads (parallel/thread_pool.h),
+  /// checkpoint_every only used with a sink. All entry points
+  /// (Repartitioner, HomogeneousRepartition, StRepartitioner, streaming)
+  /// funnel through this.
   Status Validate() const;
 };
 
-/// Per-phase wall-time breakdown of one Repartitioner::Run, accumulated
-/// with the same steady clock as RepartitionResult::elapsed_seconds. The
-/// phases partition nearly all of the run (the untimed glue is a handful of
-/// comparisons and moves per iteration), so summing them recovers the
-/// paper's "cell reduction time" decomposed by component — the substrate
-/// for every hot-path optimization PR.
+/// The seven phases of a run (paper Fig. 2 plus its pre-computation), in
+/// run order. kRunPhases holds how each is reported and where RunStats keeps
+/// it; every reader of phase time loops over that table.
+enum class RunPhase {
+  kNormalize,       ///< attribute normalization
+  kPairVariations,  ///< adjacent-pair variations
+  kHeapBuild,       ///< min-adjacent-variation heap
+  kPop,             ///< heap pops (Calculator)
+  kExtract,         ///< Algorithm 1 extraction
+  kAllocate,        ///< Algorithm 2 feature allocation
+  kLoss,            ///< Eq. 3 IFL evaluation
+};
+
+/// Per-phase wall-time breakdown of one coarsening run (Repartitioner or
+/// StRepartitioner), accumulated with the same steady clock as the result's
+/// elapsed_seconds. The phases partition nearly all of the run (the untimed
+/// glue is a handful of comparisons and moves per iteration), so summing
+/// them recovers the paper's "cell reduction time" decomposed by component.
+/// The per-phase fields are named for the readers that pick one phase;
+/// kRunPhases maps each RunPhase to them.
 struct RunStats {
   /// Pre-computation, done exactly once per run.
-  double normalize_seconds = 0.0;       ///< attribute normalization
-  double pair_variation_seconds = 0.0;  ///< adjacent-pair variations
-  double heap_build_seconds = 0.0;      ///< min-adjacent-variation heap
+  double normalize_seconds = 0.0;
+  double pair_variation_seconds = 0.0;
+  double heap_build_seconds = 0.0;
 
   /// Per-iteration phases, accumulated across all iterations.
-  double variation_pop_seconds = 0.0;     ///< heap pops (Calculator)
-  double extract_seconds = 0.0;           ///< Algorithm 1 extraction
-  double allocate_seconds = 0.0;          ///< Algorithm 2 feature allocation
-  double information_loss_seconds = 0.0;  ///< Eq. 3 IFL evaluation
+  double variation_pop_seconds = 0.0;
+  double extract_seconds = 0.0;
+  double allocate_seconds = 0.0;
+  double information_loss_seconds = 0.0;
 
   /// Counters: successful heap pops and candidate extractions (the last
   /// extraction may be rejected for exceeding θ, so extractions can be
@@ -146,37 +159,12 @@ struct RunStats {
   obs::HwCounterValues allocate_hw;
   obs::HwCounterValues information_loss_hw;
 
-  obs::HwCounterValues TotalHwCounters() const {
-    obs::HwCounterValues total;
-    total += normalize_hw;
-    total += pair_variation_hw;
-    total += heap_build_hw;
-    total += variation_pop_hw;
-    total += extract_hw;
-    total += allocate_hw;
-    total += information_loss_hw;
-    return total;
-  }
-
   /// Thread-pool utilization of this run (all zero / empty when the run was
   /// sequential — resolved num_threads <= 1 builds no pool).
   size_t pool_size = 0;
   int64_t pool_tasks_executed = 0;
   size_t pool_queue_depth_high_water = 0;
   std::vector<int64_t> pool_worker_busy_ns;
-
-  int64_t MaxPhasePeakBytes() const {
-    return std::max({normalize_peak_bytes, pair_variation_peak_bytes,
-                     heap_build_peak_bytes, variation_pop_peak_bytes,
-                     extract_peak_bytes, allocate_peak_bytes,
-                     information_loss_peak_bytes});
-  }
-
-  /// True when a best-effort RunContext was cancelled or hit its deadline
-  /// mid-run: the returned partition is the best feasible one found so far
-  /// (never a partial state — candidates in flight at the interrupt are
-  /// discarded), but coarsening stopped before convergence.
-  bool interrupted = false;
 
   /// Set when the run was seeded from RepartitionOptions::resume_from:
   /// `resumed_iterations` accepted iterations were restored from the
@@ -185,11 +173,45 @@ struct RunStats {
   bool resumed = false;
   size_t resumed_iterations = 0;
 
-  double PhaseTotalSeconds() const {
-    return normalize_seconds + pair_variation_seconds + heap_build_seconds +
-           variation_pop_seconds + extract_seconds + allocate_seconds +
-           information_loss_seconds;
-  }
+  /// Sums and maxima over the seven phases of kRunPhases.
+  double PhaseTotalSeconds() const;
+  int64_t MaxPhasePeakBytes() const;
+  obs::HwCounterValues TotalHwCounters() const;
+};
+
+/// How one RunPhase is reported and where RunStats keeps it.
+struct RunPhaseInfo {
+  /// Span and journal phase name, "repartition.<name>" (static storage, as
+  /// Journal::SetPhase requires).
+  const char* span;
+  /// Whether the phase opens a span; heap pops are too frequent to trace.
+  bool traced;
+  double RunStats::*seconds;
+  int64_t RunStats::*peak_bytes;
+  obs::HwCounterValues RunStats::*hw;
+
+  /// The name without its "repartition." prefix: the run report's phase
+  /// name and the CLI's breakdown label.
+  const char* name() const { return span + sizeof("repartition.") - 1; }
+};
+
+/// One row per RunPhase, indexed by its value.
+inline constexpr RunPhaseInfo kRunPhases[] = {
+    {"repartition.normalize", true, &RunStats::normalize_seconds,
+     &RunStats::normalize_peak_bytes, &RunStats::normalize_hw},
+    {"repartition.pair_variations", true, &RunStats::pair_variation_seconds,
+     &RunStats::pair_variation_peak_bytes, &RunStats::pair_variation_hw},
+    {"repartition.heap_build", true, &RunStats::heap_build_seconds,
+     &RunStats::heap_build_peak_bytes, &RunStats::heap_build_hw},
+    {"repartition.variation_pop", false, &RunStats::variation_pop_seconds,
+     &RunStats::variation_pop_peak_bytes, &RunStats::variation_pop_hw},
+    {"repartition.extract", true, &RunStats::extract_seconds,
+     &RunStats::extract_peak_bytes, &RunStats::extract_hw},
+    {"repartition.allocate_features", true, &RunStats::allocate_seconds,
+     &RunStats::allocate_peak_bytes, &RunStats::allocate_hw},
+    {"repartition.information_loss", true,
+     &RunStats::information_loss_seconds,
+     &RunStats::information_loss_peak_bytes, &RunStats::information_loss_hw},
 };
 
 /// Why Repartitioner::Run stopped coarsening.
@@ -258,7 +280,7 @@ class Repartitioner {
   /// the parallel phases poll it and react per the degradation contract
   /// (DESIGN.md §8). Without best-effort mode, an interrupt fails the run
   /// with kCancelled / kDeadlineExceeded; with it, the run returns the last
-  /// accepted partition with stats.interrupted = true — the trivial
+  /// accepted partition with stop_reason kInterrupted — the trivial
   /// partition is seeded before any interruptible work, so a feasible
   /// best-so-far always exists. Injected faults are never degraded.
   Result<RepartitionResult> Run(const GridDataset& grid,

@@ -1,6 +1,7 @@
 #ifndef SRP_FAIL_CANCELLATION_H_
 #define SRP_FAIL_CANCELLATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -46,13 +47,17 @@ enum class InterruptKind {
 ///
 /// Degradation contract (DESIGN.md §8): with best_effort() set, algorithms
 /// that maintain a feasible best-so-far result (core Repartitioner,
-/// homogeneous variant, ST extension) return it with their `interrupted`
-/// flag set instead of an error when cancelled or past deadline. Injected
-/// faults are errors, never degraded. Algorithms without a feasible partial
-/// result (baselines, grid builder, CSV reader) always return the interrupt
-/// Status.
+/// homogeneous variant, ST extension) return it, marked as interrupted
+/// (StopReason::kInterrupted; HomogeneousResult::interrupted), instead of an
+/// error when cancelled or past deadline. Injected faults are errors, never
+/// degraded. Algorithms without a feasible partial result (baselines, grid
+/// builder, CSV reader) always return the interrupt Status.
 class RunContext {
  public:
+  /// ~31.7 years, the CLI's 1e12 ms bound: far inside the int64
+  /// nanosecond range of steady_clock, and farther than any run.
+  static constexpr double kMaxDeadlineSeconds = 1e9;
+
   RunContext() = default;
 
   // Not copyable: pass by pointer; the context outlives the run it bounds.
@@ -68,10 +73,17 @@ class RunContext {
     has_deadline_ = true;
     return *this;
   }
+  /// Saturates instead of overflowing the int64 nanosecond clock: NaN and
+  /// anything past kMaxDeadlineSeconds mean the clock's last tick, and
+  /// anything below -kMaxDeadlineSeconds is clamped to it (already passed).
   RunContext& set_deadline_after_seconds(double seconds) {
-    return set_deadline(std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
+    using Clock = std::chrono::steady_clock;
+    if (!(seconds < kMaxDeadlineSeconds)) {
+      return set_deadline(Clock::time_point::max());
+    }
+    seconds = std::max(seconds, -kMaxDeadlineSeconds);
+    return set_deadline(Clock::now() +
+                        std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(seconds)));
   }
   RunContext& set_best_effort(bool best_effort) {

@@ -145,22 +145,12 @@ void RunReport::SetResult(std::string_view key, JsonValue value) {
 }
 
 void RunReport::AddPhase(std::string name, double seconds,
-                         int64_t alloc_peak_bytes) {
+                         int64_t alloc_peak_bytes, const HwCounterValues* hw) {
   RunReportPhase phase;
   phase.name = std::move(name);
   phase.seconds = seconds;
   phase.alloc_peak_bytes = alloc_peak_bytes;
-  phases_.push_back(std::move(phase));
-}
-
-void RunReport::AddPhase(std::string name, double seconds,
-                         int64_t alloc_peak_bytes, const HwCounterValues& hw) {
-  RunReportPhase phase;
-  phase.name = std::move(name);
-  phase.seconds = seconds;
-  phase.alloc_peak_bytes = alloc_peak_bytes;
-  phase.has_hw = true;
-  phase.hw = hw;
+  if (hw != nullptr) phase.hw = *hw;
   phases_.push_back(std::move(phase));
 }
 
@@ -232,7 +222,7 @@ JsonValue RunReport::ToJson() const {
     entry.Set("name", phase.name);
     entry.Set("seconds", phase.seconds);
     entry.Set("alloc_peak_bytes", phase.alloc_peak_bytes);
-    if (phase.has_hw) entry.Set("hw", HwCountersToJson(phase.hw));
+    if (phase.hw.has_value()) entry.Set("hw", HwCountersToJson(*phase.hw));
     phases.Append(std::move(entry));
   }
   out.Set("phases", std::move(phases));

@@ -2,6 +2,7 @@
 #define SRP_OBS_RUN_REPORT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,13 +19,12 @@ namespace obs {
 /// One phase row of a run report: wall time plus the allocation high-water
 /// the phase reached above its entry level (srp_memtrack; 0 without hooks),
 /// and — since schema v2 — the phase's hardware-counter deltas when the run
-/// collected them (`has_hw`).
+/// collected them.
 struct RunReportPhase {
   std::string name;
   double seconds = 0.0;
   int64_t alloc_peak_bytes = 0;
-  bool has_hw = false;
-  HwCounterValues hw;
+  std::optional<HwCounterValues> hw;
 };
 
 /// Thread-pool utilization section (mirrors srp::ThreadPoolStats; duplicated
@@ -95,11 +95,10 @@ class RunReport {
   /// Headline results (iterations, information loss, group count...).
   void SetResult(std::string_view key, JsonValue value);
 
-  void AddPhase(std::string name, double seconds, int64_t alloc_peak_bytes);
-
-  /// Phase row with hardware-counter deltas (schema v2).
+  /// One phase row; a non-null `hw` adds its hardware-counter deltas as the
+  /// row's "hw" object (schema v2).
   void AddPhase(std::string name, double seconds, int64_t alloc_peak_bytes,
-                const HwCounterValues& hw);
+                const HwCounterValues* hw = nullptr);
 
   /// Records whether hardware counters were collected for this run; emits
   /// the top-level "hw_counters" section. `unavailable_reason` explains a

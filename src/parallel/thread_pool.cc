@@ -85,7 +85,9 @@ size_t ResolveThreadCount(size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("SRP_THREADS")) {
     const Result<uint64_t> parsed = ParseUint64(env);
-    if (parsed.ok() && *parsed > 0) return static_cast<size_t>(*parsed);
+    if (parsed.ok() && *parsed > 0 && *parsed <= kMaxThreads) {
+      return static_cast<size_t>(*parsed);
+    }
     SRP_LOG(Warning) << "ignoring invalid SRP_THREADS '" << env << "'";
   }
   const unsigned hw = std::thread::hardware_concurrency();

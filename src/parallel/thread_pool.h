@@ -33,10 +33,16 @@ struct ThreadPoolStats {
   }
 };
 
+/// A run never benefits from more workers than this; anything larger is
+/// almost certainly a corrupted options struct or environment. Explicit
+/// requests above it are rejected (RepartitionOptions::Validate, --threads).
+inline constexpr size_t kMaxThreads = 4096;
+
 /// Resolves a requested worker count to the effective one:
 ///   requested > 0  -> requested;
-///   requested == 0 -> the SRP_THREADS environment variable when set to a
-///                     positive integer, else std::thread::hardware_concurrency()
+///   requested == 0 -> the SRP_THREADS environment variable when set to an
+///                     integer in [1, kMaxThreads] (anything else is logged
+///                     and ignored), else std::thread::hardware_concurrency()
 ///                     (floored at 1 when the runtime reports 0).
 ///
 /// Every `num_threads` knob in the library (RepartitionOptions, the model

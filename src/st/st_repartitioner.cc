@@ -15,8 +15,7 @@
 #include "fail/fault_injection.h"
 #include "grid/normalize.h"
 #include "obs/metrics_registry.h"
-#include "obs/tracer.h"
-#include "util/timer.h"
+#include "obs/telemetry.h"
 
 namespace srp {
 namespace {
@@ -57,10 +56,11 @@ PairVariations CombineVariations(const std::vector<PairVariations>& slices,
 /// here and are swapped in (O(1) vector swaps) around each call to their
 /// engine, so every slice's rows follow the extractor's splice. The loss is
 /// the mean of the per-slice losses. Every engine call polls the context.
-class SliceEvaluator : public CoarseningHooks {
+class SliceEvaluator : public MeasuredHooks {
  public:
-  explicit SliceEvaluator(const TemporalGridSeries& series)
-      : series_(series),
+  SliceEvaluator(const TemporalGridSeries& series, PhaseClock* clock)
+      : MeasuredHooks(clock, /*introspection=*/nullptr),
+        series_(series),
         rows_(series.num_slices()),
         committed_loss_(series.num_slices()),
         candidate_loss_(series.num_slices()) {
@@ -71,26 +71,33 @@ class SliceEvaluator : public CoarseningHooks {
 
   /// Allocates and evaluates the trivial seed `*p` slice by slice with
   /// AllocateFeatures and InformationLoss, without a context, so a feasible
-  /// result exists before any interruptible work.
+  /// result exists before any interruptible work. Like a candidate, the
+  /// seed is one allocate and one information-loss phase.
   Status Seed(Partition* p, double* mean_loss) {
-    double total = 0.0;
-    for (size_t t = 0; t < engines_.size(); ++t) {
-      SwapRows(t, p);
-      const Status allocated = AllocateFeatures(series_.slice(t), p);
-      if (allocated.ok()) {
-        committed_loss_[t] = InformationLoss(series_.slice(t), *p);
+    SRP_RETURN_IF_ERROR(clock_->Measure(RunPhase::kAllocate, [&]() -> Status {
+      for (size_t t = 0; t < engines_.size(); ++t) {
+        SwapRows(t, p);
+        const Status allocated = AllocateFeatures(series_.slice(t), p);
+        SwapRows(t, p);
+        SRP_RETURN_IF_ERROR(allocated);
       }
-      SwapRows(t, p);
-      SRP_RETURN_IF_ERROR(allocated);
-      total += committed_loss_[t];
-    }
-    *mean_loss = total / static_cast<double>(engines_.size());
+      return Status::OK();
+    }));
+    *mean_loss = clock_->Measure(RunPhase::kLoss, [&] {
+      double total = 0.0;
+      for (size_t t = 0; t < engines_.size(); ++t) {
+        SwapRows(t, p);
+        committed_loss_[t] = InformationLoss(series_.slice(t), *p);
+        SwapRows(t, p);
+        total += committed_loss_[t];
+      }
+      return total / static_cast<double>(engines_.size());
+    });
     return Status::OK();
   }
 
   Status Allocate(Partition* p, const ExtractionWindow& window,
                   const RunContext* ctx) {
-    SRP_TRACE_SPAN("st.evaluate");
     for (reached_ = 0; reached_ < engines_.size();) {
       // Counted before the call: a failed engine may hold a partial window.
       const size_t t = reached_++;
@@ -105,7 +112,6 @@ class SliceEvaluator : public CoarseningHooks {
 
   Status Loss(Partition* p, const ExtractionWindow& window,
               const RunContext* ctx, double* loss) {
-    SRP_TRACE_SPAN("st.evaluate");
     double total = 0.0;
     for (size_t t = 0; t < engines_.size(); ++t) {
       if (ctx != nullptr && ctx->Interrupted()) return Status::OK();
@@ -186,31 +192,34 @@ Result<StRepartitionResult> StRepartitioner::Run(
   loop_options.min_variation_step = options_.min_variation_step;
   SRP_RETURN_IF_ERROR(loop_options.Validate());
   SRP_INJECT_FAULT("st.run");
-  SRP_TRACE_SPAN("st.run");
   static obs::Counter* runs =
       obs::MetricsRegistry::Get().GetCounter("st.runs");
   static obs::Counter* iterations_counter =
       obs::MetricsRegistry::Get().GetCounter("st.iterations");
   runs->Increment();
-  WallTimer timer;
+  PhaseClock clock("st.run", "st", options_.ifl_threshold);
+  StRepartitionResult result;
+  SRP_RETURN_IF_ERROR(clock.Start(/*hw_counters=*/false, &result.stats));
 
   // Per-slice normalized variations, combined across time.
   const PairVariations combined = [&] {
     std::vector<PairVariations> slice_variations;
-    {
-      SRP_TRACE_SPAN("st.precompute");
-      for (size_t t = 0; t < series.num_slices(); ++t) {
-        slice_variations.push_back(
-            ComputePairVariations(AttributeNormalized(series.slice(t))));
-      }
+    for (size_t t = 0; t < series.num_slices(); ++t) {
+      const GridDataset normalized = clock.Measure(
+          RunPhase::kNormalize,
+          [&] { return AttributeNormalized(series.slice(t)); });
+      slice_variations.push_back(clock.Measure(
+          RunPhase::kPairVariations,
+          [&] { return ComputePairVariations(normalized); }));
     }
-    return CombineVariations(slice_variations, options_.aggregation);
+    return clock.Measure(RunPhase::kPairVariations, [&] {
+      return CombineVariations(slice_variations, options_.aggregation);
+    });
   }();
 
   // Heap over pairs that are valid (non-always-null, matching profiles) —
   // finite combined variations where neither endpoint is always-null.
-  MinAdjacentVariationHeap heap;
-  {
+  MinAdjacentVariationHeap heap = clock.Measure(RunPhase::kHeapBuild, [&] {
     PairVariations heap_input = combined;
     const double inf = std::numeric_limits<double>::infinity();
     for (size_t r = 0; r < series.rows(); ++r) {
@@ -224,14 +233,17 @@ Result<StRepartitionResult> StRepartitioner::Run(
         }
       }
     }
-    heap.Build(heap_input);
-  }
+    MinAdjacentVariationHeap built;
+    built.Build(heap_input);
+    return built;
+  });
+  obs::ProgressTracker::Get().SetWorkTotal(heap.Size());
   CellGroupExtractor extractor(combined);
 
-  StRepartitionResult result;
   result.partition = TrivialPartition(series.slice(0));
-  SliceEvaluator evaluator(series);
+  SliceEvaluator evaluator(series, &clock);
   CoarseningState state;
+  clock.Restart();
   SRP_RETURN_IF_ERROR(
       evaluator.Seed(&result.partition, &state.information_loss));
   SRP_RETURN_IF_ERROR(RunCoarseningLoop(loop_options, &heap, &extractor,
@@ -241,8 +253,7 @@ Result<StRepartitionResult> StRepartitioner::Run(
   result.information_loss = state.information_loss;
   result.iterations = state.iterations;
   result.stop_reason = state.stop_reason;
-  result.interrupted = state.stop_reason == StopReason::kInterrupted;
-  result.elapsed_seconds = timer.ElapsedSeconds();
+  result.elapsed_seconds = clock.Finish(state.stop_reason);
   iterations_counter->Add(static_cast<int64_t>(state.iterations));
   return result;
 }

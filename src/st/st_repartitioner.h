@@ -54,13 +54,16 @@ struct StRepartitionResult {
   double elapsed_seconds = 0.0;
 
   /// Why the coarsening loop ended; `partition` is the last accepted one
-  /// whatever the reason.
-  StopReason stop_reason = StopReason::kHeapDrained;
-
-  /// True when a best-effort RunContext interrupted the loop: the result is
+  /// whatever the reason. After a best-effort interrupt (kInterrupted) it is
   /// the last fully evaluated feasible partition (the trivial one at
   /// minimum), not the converged one.
-  bool interrupted = false;
+  StopReason stop_reason = StopReason::kHeapDrained;
+
+  /// Where `elapsed_seconds` went, by phase: per-slice normalization and
+  /// pair variations (and their combination, under pair variations), the
+  /// heap, the seed's and every candidate's per-slice allocation and loss.
+  /// No pool and no hardware counters, so those fields stay empty.
+  RunStats stats;
 };
 
 /// Spatio-temporal extension of the re-partitioning framework (the paper's
@@ -78,8 +81,9 @@ class StRepartitioner {
 
   /// `ctx` follows the core degradation contract (DESIGN.md §8): strict
   /// interrupts fail with kCancelled / kDeadlineExceeded; best-effort ones
-  /// return the best-so-far with `interrupted = true` (the trivial partition
-  /// is evaluated without ctx first so a feasible result always exists).
+  /// return the best-so-far with stop_reason kInterrupted (the trivial
+  /// partition is evaluated without ctx first so a feasible result always
+  /// exists).
   /// Hosts the `st.run` fault point; injected faults are never degraded.
   Result<StRepartitionResult> Run(const TemporalGridSeries& series,
                                   const RunContext* ctx = nullptr) const;

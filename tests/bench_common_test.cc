@@ -40,6 +40,28 @@ TEST(BenchEnvTest, TelemetryIntervalParsesStrictly) {
   ASSERT_EQ(unsetenv("SRP_TELEMETRY_INTERVAL_MS"), 0);
 }
 
+TEST(BenchEnvDeathTest, DeadlineOutsideTheCliRangeAborts) {
+  GridDataset grid(4, 4, {{"v", AggType::kAverage, false}});
+  for (size_t r = 0; r < 4; ++r) {
+    for (size_t c = 0; c < 4; ++c) {
+      grid.Set(r, c, 0, static_cast<double>(r + c));
+    }
+  }
+  // The CLI's --deadline-ms range is (0, 1e12] ms; past it the deadline
+  // would overflow the nanosecond clock.
+  for (const char* bad : {"1e300", "inf", "1e13", "nan", "0", "-5"}) {
+    ASSERT_EQ(setenv("SRP_DEADLINE_MS", bad, 1), 0);
+    EXPECT_DEATH(MustRepartition(grid, 0.1), "SRP_DEADLINE_MS") << bad;
+  }
+  for (const char* good : {"60000", "1e12"}) {
+    ASSERT_EQ(setenv("SRP_DEADLINE_MS", good, 1), 0);
+    EXPECT_NE(MustRepartition(grid, 0.1).stop_reason,
+              StopReason::kInterrupted)
+        << good;
+  }
+  ASSERT_EQ(unsetenv("SRP_DEADLINE_MS"), 0);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace srp

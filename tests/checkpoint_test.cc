@@ -580,7 +580,7 @@ TEST(CheckpointTest, InterruptSnapshotResumesToTheIdenticalResult) {
   options.checkpoint = &sink;  // checkpoint_every = 0: interrupt-time only
   auto degraded = Repartitioner(options).Run(grid, &ctx);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  ASSERT_TRUE(degraded->stats.interrupted);
+  ASSERT_EQ(degraded->stop_reason, StopReason::kInterrupted);
   ASSERT_LT(degraded->iterations, reference.iterations);
 
   ASSERT_EQ(sink.snapshots.size(), 1u);

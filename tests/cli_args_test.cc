@@ -79,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(
                     "--max-iterations 0", "--max-iterations abc",
                     "--deadline-ms inf", "--deadline-ms 1e300",
                     "--telemetry-interval-ms inf",
-                    "--stall-timeout-ms inf"));
+                    "--stall-timeout-ms inf", "--threads 5000"));
 
 TEST(CliNumbersTest, WellFormedValuesRun) {
   const std::string dir = FreshOutDir();
@@ -233,7 +233,8 @@ TEST(ToolNumbersTest, InspectTailIsStrict) {
 TEST(ToolNumbersTest, TopIntervalIsStrict) {
   const std::string dir = FreshOutDir();
   const std::string missing = dir + "/missing.tlm";
-  for (const char* bad : {"5x", "-1", "0", "nan", "inf", "abc"}) {
+  for (const char* bad :
+       {"5x", "-1", "0", "nan", "inf", "abc", "1e300", "1e13"}) {
     EXPECT_EQ(RunTool(SRP_TOP_BIN, std::string("--once --interval-ms ") +
                                        bad + " " + missing),
               2)

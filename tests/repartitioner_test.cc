@@ -180,6 +180,43 @@ TEST(RepartitionerTest, PhaseTimesSumToApproximatelyElapsed) {
   EXPECT_GE(phase_sum, 0.5 * result->elapsed_seconds);
 }
 
+TEST(RunStatsTest, PhaseTableListsEveryPhaseOnceInRunOrder) {
+  const std::vector<std::string> want = {
+      "normalize",     "pair_variations", "heap_build",
+      "variation_pop", "extract",         "allocate_features",
+      "information_loss"};
+  ASSERT_EQ(std::size(kRunPhases), want.size());
+  // Distinct powers of two, so a row that points at another row's field, or
+  // a sum that skips or repeats one, shows.
+  RunStats stats;
+  stats.normalize_seconds = 1;
+  stats.pair_variation_seconds = 2;
+  stats.heap_build_seconds = 4;
+  stats.variation_pop_seconds = 8;
+  stats.extract_seconds = 16;
+  stats.allocate_seconds = 32;
+  stats.information_loss_seconds = 64;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const RunPhaseInfo& phase = kRunPhases[i];
+    EXPECT_EQ(phase.name(), want[i]);
+    EXPECT_EQ(phase.span, "repartition." + want[i]);
+    EXPECT_EQ(phase.traced, want[i] != "variation_pop");
+    EXPECT_EQ(stats.*phase.seconds, static_cast<double>(1 << i)) << want[i];
+    stats.*phase.peak_bytes = int64_t{1} << i;
+    (stats.*phase.hw).cycles = int64_t{1} << i;
+  }
+  EXPECT_EQ(stats.PhaseTotalSeconds(),
+            stats.normalize_seconds + stats.pair_variation_seconds +
+                stats.heap_build_seconds + stats.variation_pop_seconds +
+                stats.extract_seconds + stats.allocate_seconds +
+                stats.information_loss_seconds);
+  EXPECT_EQ(stats.PhaseTotalSeconds(), 127.0);
+  EXPECT_EQ(stats.information_loss_peak_bytes, 64);
+  EXPECT_EQ(stats.MaxPhasePeakBytes(), 64);
+  EXPECT_EQ(stats.normalize_hw.cycles, 1);
+  EXPECT_EQ(stats.TotalHwCounters().cycles, 127);
+}
+
 TEST(RepartitionerTest, TracingDoesNotPerturbTheResult) {
   DatasetOptions data_options;
   data_options.rows = 24;
@@ -406,7 +443,6 @@ TEST(RepartitionerExitTest, StopReasonNamesEveryExit) {
     auto result = Repartitioner().Run(SmoothGrid(10, 10), &ctx);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
-    EXPECT_TRUE(result->stats.interrupted);
   }
   EXPECT_STREQ(StopReasonName(StopReason::kThetaExceeded), "theta_exceeded");
   EXPECT_STREQ(StopReasonName(StopReason::kHeapDrained), "heap_drained");
@@ -445,7 +481,6 @@ TEST(RepartitionerExitTest, MidLoopInterruptReturnsLastCommittedPartition) {
       options.introspection = &sink;
       auto result = Repartitioner(options).Run(grid, &ctx);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_TRUE(result->stats.interrupted);
       EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
       ExpectSameCommittedState(*result, CappedRun(grid, threads, pop - 1));
     }

@@ -186,7 +186,8 @@ RunReport ReportForRun(size_t num_threads) {
     pool.worker_busy_ns = stats.pool_worker_busy_ns;
     report.SetPool(pool);
   }
-  report.SetOutcome(true, stats.interrupted, "");
+  report.SetOutcome(true, result->stop_reason == StopReason::kInterrupted,
+                    "");
   report.SetResult("groups",
                    static_cast<uint64_t>(result->partition.num_groups()));
   report.SetResult("iterations", static_cast<uint64_t>(result->iterations));
@@ -253,7 +254,7 @@ TEST(RunReportTest, HwSectionsAreEmittedWhenSet) {
   hw.cache_references = 40;
   hw.cache_misses = 4;
   hw.branch_misses = 2;
-  report.AddPhase("allocate", 0.1, 512, hw);
+  report.AddPhase("allocate", 0.1, 512, &hw);
   report.SetHwCounterStatus(/*collected=*/true, "");
   report.SetHwTotals(hw);
   report.SetIntrospection(JsonValue::Object());

@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +27,8 @@
 #include "fail/cancellation.h"
 #include "fail/fault_injection.h"
 #include "grid/normalize.h"
+#include "obs/telemetry.h"
+#include "obs/tracer.h"
 #include "st/temporal_grid.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -250,7 +254,6 @@ TEST(StRepartitionerExitTest, StopReasonNamesEveryExit) {
         RepeatedSlices(Slice(10, 10, 100, 1), 2), &ctx);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
-    EXPECT_TRUE(result->interrupted);
     EXPECT_EQ(result->iterations, 0u);
   }
 }
@@ -543,7 +546,6 @@ TEST(StRepartitionerUndoTest, CancelMidCandidateKeepsCommittedSlices) {
       canceller.join();
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(FaultInjector::Get().fired_count(), 1u);
-      EXPECT_TRUE(result->interrupted);
       EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
 
       // Exactly k candidates were committed, and each slice's loss
@@ -591,6 +593,59 @@ TEST(StRepartitionerUndoTest, AllocateFaultFailsEvenInBestEffortMode) {
       EXPECT_EQ(FaultInjector::Get().fired_count(), 1u);
     }
   }
+}
+
+TEST(StRepartitionerStatsTest, PhaseTableExplainsTheRun) {
+  // Four days of one 48x48 city, as perfbench's st_series builds them.
+  TemporalGridSeries series;
+  for (const double volume : {1.0, 1.1, 1.05, 1.15}) {
+    DatasetOptions data_options;
+    data_options.rows = 48;
+    data_options.cols = 48;
+    data_options.seed = 7;
+    data_options.records_per_cell = 10.0 * volume;
+    auto slice = GenerateDataset(DatasetKind::kTaxiTripMulti, data_options);
+    ASSERT_TRUE(slice.ok());
+    ASSERT_TRUE(series.AddSlice(std::move(*slice)).ok());
+  }
+  StRepartitionOptions options;
+  options.ifl_threshold = 0.1;
+  options.min_variation_step = 2.5e-3;
+  obs::Tracer::Get().Clear();
+  obs::Tracer::Get().Enable();
+  auto result = StRepartitioner(options).Run(series);
+  obs::Tracer::Get().Disable();
+  ASSERT_TRUE(result.ok());
+  ASSERT_GT(result->iterations, 0u);
+
+  const RunStats& stats = result->stats;
+  EXPECT_EQ(stats.heap_pops, stats.extractions);
+  const bool rejected_last = result->stop_reason == StopReason::kThetaExceeded;
+  EXPECT_EQ(stats.extractions, result->iterations + (rejected_last ? 1 : 0));
+  EXPECT_GT(stats.normalize_seconds, 0.0);
+  EXPECT_GT(stats.pair_variation_seconds, 0.0);
+  EXPECT_GT(stats.heap_build_seconds, 0.0);
+  EXPECT_LE(stats.PhaseTotalSeconds(), result->elapsed_seconds);
+
+  // One span per candidate phase; the seed adds one allocation and one
+  // loss evaluation, and the hand-placed st.evaluate spans are gone.
+  std::map<std::string, size_t> spans;
+  for (const auto& span : obs::Tracer::Get().Snapshot()) ++spans[span.name];
+  obs::Tracer::Get().Clear();
+  EXPECT_EQ(spans["repartition.extract"], stats.extractions);
+  EXPECT_EQ(spans["repartition.allocate_features"], stats.extractions + 1);
+  EXPECT_EQ(spans["repartition.information_loss"], stats.extractions + 1);
+  EXPECT_EQ(spans["repartition.normalize"], series.num_slices());
+  EXPECT_EQ(spans["repartition.heap_build"], 1u);
+  EXPECT_EQ(spans["st.run"], 1u);
+  EXPECT_EQ(spans.count("st.evaluate"), 0u);
+  EXPECT_EQ(spans.count("st.precompute"), 0u);
+
+  const obs::ProgressSnapshot progress = obs::ProgressTracker::Get().Snapshot();
+  EXPECT_EQ(progress.driver, "st");
+  EXPECT_EQ(progress.stop_reason, StopReasonName(result->stop_reason));
+  EXPECT_EQ(progress.fraction_done, 1.0);
+  EXPECT_EQ(progress.iterations, result->iterations);
 }
 
 }  // namespace

@@ -69,7 +69,10 @@ TEST(ThreadPoolTest, ResolveThreadCountIgnoresMalformedEnv) {
   CaptureLogSink sink;
   LogSink* previous = SetLogSink(&sink);
   // atol would have read "7x" as 7 and "1e2" as 1.
-  for (const char* bad : {"7x", "1e2", "-2", "0", "2.5", "", "abc"}) {
+  // "1000000" is well formed but above kMaxThreads: a pool that size would
+  // start a million threads.
+  for (const char* bad :
+       {"7x", "1e2", "-2", "0", "2.5", "", "abc", "1000000"}) {
     ASSERT_EQ(setenv("SRP_THREADS", bad, /*overwrite=*/1), 0);
     EXPECT_EQ(ResolveThreadCount(0), fallback) << "'" << bad << "'";
   }

@@ -267,6 +267,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = next();
       if (v == nullptr) return false;
       if (!ParseCount("--threads", v, 0, &out->num_threads)) return false;
+      if (out->num_threads > kMaxThreads) {
+        std::fprintf(stderr, "--threads must be <= %zu\n", kMaxThreads);
+        return false;
+      }
     } else if (arg == "--max-iterations") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -552,20 +556,10 @@ void PrintRunStats(const RepartitionResult& result,
     }
     std::printf("\n");
   };
-  row("normalize", stats.normalize_seconds, stats.normalize_peak_bytes,
-      stats.normalize_hw);
-  row("pair variations", stats.pair_variation_seconds,
-      stats.pair_variation_peak_bytes, stats.pair_variation_hw);
-  row("heap build", stats.heap_build_seconds, stats.heap_build_peak_bytes,
-      stats.heap_build_hw);
-  row("variation pop", stats.variation_pop_seconds,
-      stats.variation_pop_peak_bytes, stats.variation_pop_hw);
-  row("extract", stats.extract_seconds, stats.extract_peak_bytes,
-      stats.extract_hw);
-  row("allocate features", stats.allocate_seconds, stats.allocate_peak_bytes,
-      stats.allocate_hw);
-  row("information loss", stats.information_loss_seconds,
-      stats.information_loss_peak_bytes, stats.information_loss_hw);
+  for (const RunPhaseInfo& phase : kRunPhases) {
+    row(phase.name(), stats.*phase.seconds, stats.*phase.peak_bytes,
+        stats.*phase.hw);
+  }
   row("accounted", stats.PhaseTotalSeconds(), stats.MaxPhasePeakBytes(),
       stats.TotalHwCounters());
   std::printf("  heap pops %zu, extractions %zu\n", stats.heap_pops,
@@ -577,8 +571,9 @@ void PrintRunStats(const RepartitionResult& result,
   if (options.deadline_ms > 0.0) {
     std::printf("  deadline %.1fms (%s): %s\n", options.deadline_ms,
                 options.best_effort ? "best-effort" : "strict",
-                stats.interrupted ? "HIT - returned best partition so far"
-                                  : "met");
+                result.stop_reason == StopReason::kInterrupted
+                    ? "HIT - returned best partition so far"
+                    : "met");
   }
 }
 
@@ -619,37 +614,11 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
   report.SetConfig("hw_counters", options.hw_counters);
 
   const RunStats& stats = result.stats;
-  if (stats.hw_counters_collected) {
-    report.AddPhase("normalize", stats.normalize_seconds,
-                    stats.normalize_peak_bytes, stats.normalize_hw);
-    report.AddPhase("pair_variations", stats.pair_variation_seconds,
-                    stats.pair_variation_peak_bytes, stats.pair_variation_hw);
-    report.AddPhase("heap_build", stats.heap_build_seconds,
-                    stats.heap_build_peak_bytes, stats.heap_build_hw);
-    report.AddPhase("variation_pop", stats.variation_pop_seconds,
-                    stats.variation_pop_peak_bytes, stats.variation_pop_hw);
-    report.AddPhase("extract", stats.extract_seconds, stats.extract_peak_bytes,
-                    stats.extract_hw);
-    report.AddPhase("allocate_features", stats.allocate_seconds,
-                    stats.allocate_peak_bytes, stats.allocate_hw);
-    report.AddPhase("information_loss", stats.information_loss_seconds,
-                    stats.information_loss_peak_bytes,
-                    stats.information_loss_hw);
-  } else {
-    report.AddPhase("normalize", stats.normalize_seconds,
-                    stats.normalize_peak_bytes);
-    report.AddPhase("pair_variations", stats.pair_variation_seconds,
-                    stats.pair_variation_peak_bytes);
-    report.AddPhase("heap_build", stats.heap_build_seconds,
-                    stats.heap_build_peak_bytes);
-    report.AddPhase("variation_pop", stats.variation_pop_seconds,
-                    stats.variation_pop_peak_bytes);
-    report.AddPhase("extract", stats.extract_seconds,
-                    stats.extract_peak_bytes);
-    report.AddPhase("allocate_features", stats.allocate_seconds,
-                    stats.allocate_peak_bytes);
-    report.AddPhase("information_loss", stats.information_loss_seconds,
-                    stats.information_loss_peak_bytes);
+  for (const RunPhaseInfo& phase : kRunPhases) {
+    report.AddPhase(phase.name(), stats.*phase.seconds,
+                    stats.*phase.peak_bytes,
+                    stats.hw_counters_collected ? &(stats.*phase.hw)
+                                                : nullptr);
   }
   if (options.hw_counters) {
     report.SetHwCounterStatus(stats.hw_counters_collected,
@@ -666,9 +635,10 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
     pool.worker_busy_ns = stats.pool_worker_busy_ns;
     report.SetPool(pool);
   }
+  const bool interrupted = result.stop_reason == StopReason::kInterrupted;
   report.SetOutcome(
-      true, stats.interrupted,
-      stats.interrupted ? "deadline hit - best partition so far" : "");
+      true, interrupted,
+      interrupted ? "deadline hit - best partition so far" : "");
 
   report.SetResult("grid_rows", static_cast<uint64_t>(grid.rows()));
   report.SetResult("grid_cols", static_cast<uint64_t>(grid.cols()));
@@ -901,11 +871,6 @@ int Run(int argc, char** argv) {
                  "NOTE: stopped at the --max-iterations cap (%zu); the "
                  "partition did not reach theta %g\n",
                  options.max_iterations, options.theta);
-  }
-  if (result->stats.interrupted) {
-    std::printf("NOTE: run interrupted by the %.1fms deadline; partition is "
-                "the best found so far\n",
-                options.deadline_ms);
   }
   if (checkpoint_writer.has_value() &&
       checkpoint_writer->latest_generation() >= 0) {

@@ -449,9 +449,11 @@ int main(int argc, char** argv) {
       }
       const srp::Result<double> parsed =
           srp::ParseDouble(value == nullptr ? "" : value);
-      if (!parsed.ok() || !std::isfinite(*parsed) || *parsed <= 0.0) {
-        std::fprintf(stderr, "srp_top: --interval-ms needs a positive "
-                             "number\n");
+      // The same (0, 1e12] ms range as srp_repartition's millisecond flags,
+      // so the follow-mode sleep stays inside time_t.
+      if (!parsed.ok() || !(*parsed > 0.0 && *parsed <= 1e12)) {
+        std::fprintf(stderr, "srp_top: --interval-ms needs a number in "
+                             "(0, 1e12]\n");
         return 2;
       }
       poll_ms = *parsed;
