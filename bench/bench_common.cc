@@ -208,7 +208,6 @@ Status WriteBenchJson(const std::string& path, const std::string& bench_name) {
   if (const char* deadline = std::getenv("SRP_DEADLINE_MS")) {
     report.SetConfig("deadline_ms", deadline);
   }
-  report.SetOutcome(/*ok=*/true, /*interrupted=*/false, "");
   const HwSessionState& hw = HwSession();
   if (hw.requested) {
     report.SetHwCounterStatus(hw.collected, hw.unavailable_reason);

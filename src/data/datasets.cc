@@ -4,7 +4,9 @@
 #include <cmath>
 
 #include "data/gaussian_field.h"
+#include "fail/fault_injection.h"
 #include "grid/grid_builder.h"
+#include "obs/tracer.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -50,12 +52,14 @@ CityFields MakeCityFields(const DatasetOptions& opts, uint64_t seed_offset) {
 
   // Empty cells: the lowest-density fringe of the city. Thresholding the
   // smooth surface yields contiguous empty regions, like the water/parkland
-  // gaps of the real grids.
-  std::vector<double> sorted = f.density;
-  std::sort(sorted.begin(), sorted.end());
+  // gaps of the real grids. The threshold is one order statistic, so it is
+  // selected, not sorted for.
+  std::vector<double> order = f.density;
   const size_t cut = static_cast<size_t>(
-      opts.empty_fraction * static_cast<double>(sorted.size()));
-  const double threshold = sorted[std::min(cut, sorted.size() - 1)];
+      opts.empty_fraction * static_cast<double>(order.size()));
+  const auto nth = order.begin() + std::min(cut, order.size() - 1);
+  std::nth_element(order.begin(), nth, order.end());
+  const double threshold = *nth;
   f.empty.resize(f.density.size());
   for (size_t i = 0; i < f.density.size(); ++i) {
     f.empty[i] = f.density[i] <= threshold ? 1 : 0;
@@ -82,21 +86,25 @@ int RecordCount(const CityFields& f, size_t cell, const DatasetOptions& opts,
   return std::max(1, rng->Poisson(lambda));
 }
 
+// Each simulator draws its records cell by cell and adds each one to the
+// accumulator as soon as its fields are drawn, so no record is stored. The
+// accumulator recomputes the record's cell from its coordinates, as for any
+// other record.
+
 // ---------------------------------------------------------------------------
 // NYC taxi trips: fields = {passengers, distance, fare}.
 // ---------------------------------------------------------------------------
 
-std::vector<PointRecord> SimulateTaxiRecords(const CityFields& f,
-                                             const DatasetOptions& opts,
-                                             Rng* rng) {
-  std::vector<PointRecord> records;
+void SimulateTaxiRecords(const CityFields& f, const DatasetOptions& opts,
+                         Rng* rng, GridAccumulator* acc) {
   for (size_t r = 0; r < f.rows; ++r) {
     for (size_t c = 0; c < f.cols; ++c) {
       const size_t cell = r * f.cols + c;
       const int n = RecordCount(f, cell, opts, rng);
       for (int i = 0; i < n; ++i) {
-        PointRecord rec;
-        RandomPositionInCell(f, r, c, rng, &rec.lat, &rec.lon);
+        double lat = 0.0;
+        double lon = 0.0;
+        RandomPositionInCell(f, r, c, rng, &lat, &lon);
         const double passengers =
             1.0 + static_cast<double>(std::min(5, rng->Poisson(0.6)));
         // Trips from low-quality (peripheral) areas are longer on average.
@@ -108,27 +116,11 @@ std::vector<PointRecord> SimulateTaxiRecords(const CityFields& f,
         const double fare = 2.5 + 1.6 * distance +
                             14.0 * f.secondary[cell] +
                             rng->Normal(0.0, 2.5);
-        rec.fields = {passengers, distance, std::max(2.5, fare)};
-        records.push_back(std::move(rec));
+        const double fields[] = {passengers, distance, std::max(2.5, fare)};
+        acc->Add(acc->CellOf(lat, lon), fields);
       }
     }
   }
-  return records;
-}
-
-std::vector<GridAttributeDef> TaxiMultiDefs() {
-  using Source = GridAttributeDef::Source;
-  return {
-      {"pickups", Source::kCount, -1, AggType::kSum, true},
-      {"passengers", Source::kSum, 0, AggType::kSum, true},
-      {"total_distance", Source::kSum, 1, AggType::kSum, false},
-      {"total_fare", Source::kSum, 2, AggType::kSum, false},
-  };
-}
-
-std::vector<GridAttributeDef> TaxiUniDefs() {
-  using Source = GridAttributeDef::Source;
-  return {{"pickups", Source::kCount, -1, AggType::kSum, true}};
 }
 
 // ---------------------------------------------------------------------------
@@ -136,22 +128,22 @@ std::vector<GridAttributeDef> TaxiUniDefs() {
 // {price, bedrooms, bathrooms, living, lot, built, renovated}.
 // ---------------------------------------------------------------------------
 
-std::vector<PointRecord> SimulateHomeSaleRecords(const CityFields& f,
-                                                 const DatasetOptions& options,
-                                                 Rng* rng) {
+void SimulateHomeSaleRecords(const CityFields& f,
+                             const DatasetOptions& options, Rng* rng,
+                             GridAccumulator* acc) {
   // Home sales are sparse events: only a handful per cell per year, so the
   // cell-level averages stay noisy (as in the King County data) rather than
   // being smoothed by dozens of records.
   DatasetOptions opts = options;
   opts.records_per_cell = std::max(2.0, options.records_per_cell * 0.2);
-  std::vector<PointRecord> records;
   for (size_t r = 0; r < f.rows; ++r) {
     for (size_t c = 0; c < f.cols; ++c) {
       const size_t cell = r * f.cols + c;
       const int n = RecordCount(f, cell, opts, rng);
       for (int i = 0; i < n; ++i) {
-        PointRecord rec;
-        RandomPositionInCell(f, r, c, rng, &rec.lat, &rec.lon);
+        double lat = 0.0;
+        double lon = 0.0;
+        RandomPositionInCell(f, r, c, rng, &lat, &lon);
         // Individual homes vary a lot even within one neighborhood; the
         // wide multiplicative terms keep cell averages of a few sales noisy.
         const double living =
@@ -177,36 +169,20 @@ std::vector<PointRecord> SimulateHomeSaleRecords(const CityFields& f,
                              12000.0 * bedrooms + 400.0 * (built - 1900.0) +
                              350000.0 * f.quality[cell] +
                              rng->Normal(0.0, 45000.0);
-        rec.fields = {std::max(30000.0, price), bedrooms, bathrooms,
-                      living,  lot,             built,    renovated};
-        records.push_back(std::move(rec));
+        const double fields[] = {std::max(30000.0, price), bedrooms,
+                                 bathrooms, living, lot, built, renovated};
+        acc->Add(acc->CellOf(lat, lon), fields);
       }
     }
   }
-  return records;
-}
-
-std::vector<GridAttributeDef> HomeSalesDefs() {
-  using Source = GridAttributeDef::Source;
-  return {
-      {"price", Source::kAverage, 0, AggType::kAverage, false},
-      {"bedrooms", Source::kAverage, 1, AggType::kAverage, false},
-      {"bathrooms", Source::kAverage, 2, AggType::kAverage, false},
-      {"living_area", Source::kAverage, 3, AggType::kAverage, false},
-      {"lot_area", Source::kAverage, 4, AggType::kAverage, false},
-      {"build_year", Source::kAverage, 5, AggType::kAverage, true},
-      {"renovation_year", Source::kAverage, 6, AggType::kAverage, true},
-  };
 }
 
 // ---------------------------------------------------------------------------
 // Chicago abandoned vehicles: a univariate count of service requests.
 // ---------------------------------------------------------------------------
 
-std::vector<PointRecord> SimulateVehicleRecords(const CityFields& f,
-                                                const DatasetOptions& opts,
-                                                Rng* rng) {
-  std::vector<PointRecord> records;
+void SimulateVehicleRecords(const CityFields& f, const DatasetOptions& opts,
+                            Rng* rng, GridAccumulator* acc) {
   for (size_t r = 0; r < f.rows; ++r) {
     for (size_t c = 0; c < f.cols; ++c) {
       const size_t cell = r * f.cols + c;
@@ -218,29 +194,24 @@ std::vector<PointRecord> SimulateVehicleRecords(const CityFields& f,
                             (0.1 + 2.0 * q * q) * (0.3 + f.density[cell]);
       const int n = std::max(1, rng->Poisson(lambda));
       for (int i = 0; i < n; ++i) {
-        PointRecord rec;
-        RandomPositionInCell(f, r, c, rng, &rec.lat, &rec.lon);
-        records.push_back(std::move(rec));
+        double lat = 0.0;
+        double lon = 0.0;
+        RandomPositionInCell(f, r, c, rng, &lat, &lon);
+        acc->Add(acc->CellOf(lat, lon), nullptr);  // count only
       }
     }
   }
-  return records;
-}
-
-std::vector<GridAttributeDef> VehiclesDefs() {
-  using Source = GridAttributeDef::Source;
-  return {{"service_requests", Source::kCount, -1, AggType::kSum, true}};
 }
 
 // ---------------------------------------------------------------------------
-// NYC block-level earnings: census-block records with land/water area and
-// jobs in three monthly-earning bands.
+// NYC block-level earnings: census-block records with land/water area, jobs
+// in three monthly-earning bands and the bands' total (the univariate
+// variant's one attribute): fields =
+// {land, water, jobs_low, jobs_mid, jobs_high, total_jobs}.
 // ---------------------------------------------------------------------------
 
-std::vector<PointRecord> SimulateEarningsRecords(const CityFields& f,
-                                                 const DatasetOptions& opts,
-                                                 Rng* rng) {
-  std::vector<PointRecord> records;
+void SimulateEarningsRecords(const CityFields& f, const DatasetOptions& opts,
+                             Rng* rng, GridAccumulator* acc) {
   for (size_t r = 0; r < f.rows; ++r) {
     for (size_t c = 0; c < f.cols; ++c) {
       const size_t cell = r * f.cols + c;
@@ -255,8 +226,9 @@ std::vector<PointRecord> SimulateEarningsRecords(const CityFields& f,
       const double cell_land = (80000.0 + 160000.0 * f.secondary[cell]) *
                                (0.95 + 0.1 * rng->Uniform01());
       for (int b = 0; b < blocks; ++b) {
-        PointRecord rec;
-        RandomPositionInCell(f, r, c, rng, &rec.lat, &rec.lon);
+        double lat = 0.0;
+        double lon = 0.0;
+        RandomPositionInCell(f, r, c, rng, &lat, &lon);
         const double land = cell_land / static_cast<double>(blocks) *
                             (0.9 + 0.2 * rng->Uniform01());
         const double water = rng->Bernoulli(0.15)
@@ -269,37 +241,52 @@ std::vector<PointRecord> SimulateEarningsRecords(const CityFields& f,
         const double jobs_mid = rng->Poisson(jobs_base);
         const double jobs_high =
             rng->Poisson(jobs_base * (0.4 + 1.6 * f.quality[cell]));
-        rec.fields = {land, water, jobs_low, jobs_mid, jobs_high};
-        records.push_back(std::move(rec));
+        const double total_jobs = jobs_low + jobs_mid + jobs_high;
+        const double fields[] = {land,     water,     jobs_low,
+                                 jobs_mid, jobs_high, total_jobs};
+        acc->Add(acc->CellOf(lat, lon), fields);
       }
     }
   }
-  return records;
 }
 
-std::vector<GridAttributeDef> EarningsMultiDefs() {
+std::vector<GridAttributeDef> DefsFor(DatasetKind kind) {
   using Source = GridAttributeDef::Source;
-  return {
-      {"land_area", Source::kSum, 0, AggType::kSum, false},
-      {"water_area", Source::kSum, 1, AggType::kSum, false},
-      {"jobs_low", Source::kSum, 2, AggType::kSum, true},
-      {"jobs_mid", Source::kSum, 3, AggType::kSum, true},
-      {"jobs_high", Source::kSum, 4, AggType::kSum, true},
-  };
-}
-
-/// Univariate earnings: total #jobs per cell = sum over the three bands.
-std::vector<PointRecord> ProjectTotalJobs(std::vector<PointRecord> records) {
-  for (auto& rec : records) {
-    const double total = rec.fields[2] + rec.fields[3] + rec.fields[4];
-    rec.fields = {total};
+  switch (kind) {
+    case DatasetKind::kTaxiTripMulti:
+      return {
+          {"pickups", Source::kCount, -1, AggType::kSum, true},
+          {"passengers", Source::kSum, 0, AggType::kSum, true},
+          {"total_distance", Source::kSum, 1, AggType::kSum, false},
+          {"total_fare", Source::kSum, 2, AggType::kSum, false},
+      };
+    case DatasetKind::kTaxiTripUni:
+      return {{"pickups", Source::kCount, -1, AggType::kSum, true}};
+    case DatasetKind::kHomeSalesMulti:
+      return {
+          {"price", Source::kAverage, 0, AggType::kAverage, false},
+          {"bedrooms", Source::kAverage, 1, AggType::kAverage, false},
+          {"bathrooms", Source::kAverage, 2, AggType::kAverage, false},
+          {"living_area", Source::kAverage, 3, AggType::kAverage, false},
+          {"lot_area", Source::kAverage, 4, AggType::kAverage, false},
+          {"build_year", Source::kAverage, 5, AggType::kAverage, true},
+          {"renovation_year", Source::kAverage, 6, AggType::kAverage, true},
+      };
+    case DatasetKind::kVehiclesUni:
+      return {{"service_requests", Source::kCount, -1, AggType::kSum, true}};
+    case DatasetKind::kEarningsMulti:
+      return {
+          {"land_area", Source::kSum, 0, AggType::kSum, false},
+          {"water_area", Source::kSum, 1, AggType::kSum, false},
+          {"jobs_low", Source::kSum, 2, AggType::kSum, true},
+          {"jobs_mid", Source::kSum, 3, AggType::kSum, true},
+          {"jobs_high", Source::kSum, 4, AggType::kSum, true},
+      };
+    case DatasetKind::kEarningsUni:
+      return {{"total_jobs", Source::kSum, 5, AggType::kSum, true}};
   }
-  return records;
-}
-
-std::vector<GridAttributeDef> EarningsUniDefs() {
-  using Source = GridAttributeDef::Source;
-  return {{"total_jobs", Source::kSum, 0, AggType::kSum, true}};
+  SRP_CHECK(false) << "unknown DatasetKind";
+  return {};  // unreachable
 }
 
 }  // namespace
@@ -330,43 +317,35 @@ const DatasetSpec& SpecFor(DatasetKind kind) {
 
 Result<GridDataset> GenerateDataset(DatasetKind kind,
                                     const DatasetOptions& options) {
-  if (options.rows == 0 || options.cols == 0) {
-    return Status::InvalidArgument("dataset grid must be non-empty");
-  }
+  SRP_TRACE_SPAN("data.generate");
+  // Checked before anything is sized by rows * cols, the city fields first.
+  SRP_RETURN_IF_ERROR(CheckGridDimensions(options.rows, options.cols));
+  SRP_INJECT_FAULT("grid.build");
   Rng rng(options.seed * 2654435761ULL + static_cast<uint64_t>(kind));
   const CityFields fields =
       MakeCityFields(options, static_cast<uint64_t>(kind) * 7919ULL);
 
-  std::vector<PointRecord> records;
-  std::vector<GridAttributeDef> defs;
+  // Simulated positions lie inside the default extent by construction, so
+  // every record is aggregated and none is dropped.
+  GridAccumulator acc(options.rows, options.cols, DefaultExtent(),
+                      DefsFor(kind));
   switch (kind) {
     case DatasetKind::kTaxiTripMulti:
-      records = SimulateTaxiRecords(fields, options, &rng);
-      defs = TaxiMultiDefs();
-      break;
     case DatasetKind::kTaxiTripUni:
-      records = SimulateTaxiRecords(fields, options, &rng);
-      defs = TaxiUniDefs();
+      SimulateTaxiRecords(fields, options, &rng, &acc);
       break;
     case DatasetKind::kHomeSalesMulti:
-      records = SimulateHomeSaleRecords(fields, options, &rng);
-      defs = HomeSalesDefs();
+      SimulateHomeSaleRecords(fields, options, &rng, &acc);
       break;
     case DatasetKind::kVehiclesUni:
-      records = SimulateVehicleRecords(fields, options, &rng);
-      defs = VehiclesDefs();
+      SimulateVehicleRecords(fields, options, &rng, &acc);
       break;
     case DatasetKind::kEarningsMulti:
-      records = SimulateEarningsRecords(fields, options, &rng);
-      defs = EarningsMultiDefs();
-      break;
     case DatasetKind::kEarningsUni:
-      records = ProjectTotalJobs(SimulateEarningsRecords(fields, options, &rng));
-      defs = EarningsUniDefs();
+      SimulateEarningsRecords(fields, options, &rng, &acc);
       break;
   }
-  return BuildGridFromPoints(records, options.rows, options.cols,
-                             DefaultExtent(), defs);
+  return acc.Finish();
 }
 
 }  // namespace srp

@@ -18,22 +18,47 @@ class NoiseOctave {
     for (double& v : values_) v = rng->Uniform01();
   }
 
-  double Sample(double r, double c) const {
-    const size_t r0 = std::min(static_cast<size_t>(r), rows_ - 1);
-    const size_t c0 = std::min(static_cast<size_t>(c), cols_ - 1);
-    const size_t r1 = std::min(r0 + 1, rows_ - 1);
-    const size_t c1 = std::min(c0 + 1, cols_ - 1);
-    const double fr = Ease(r - static_cast<double>(r0));
-    const double fc = Ease(c - static_cast<double>(c0));
-    const double top = Lerp(At(r0, c0), At(r0, c1), fc);
-    const double bottom = Lerp(At(r1, c0), At(r1, c1), fc);
-    return Lerp(top, bottom, fr);
+  /// Adds amplitude * (this octave sampled at (r / scale, c / scale)) to
+  /// every cell of the rows x cols `field`. The ease curve depends only on
+  /// the row or only on the column, so it is evaluated once per row and once
+  /// per column; each cell is then four lattice loads and three lerps.
+  void AddTo(size_t rows, size_t cols, double scale, double amplitude,
+             double* field) const {
+    std::vector<Knot> col_knots(cols);
+    for (size_t c = 0; c < cols; ++c) {
+      col_knots[c] = MakeKnot(static_cast<double>(c) / scale, cols_);
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      const Knot row = MakeKnot(static_cast<double>(r) / scale, rows_);
+      const double* top_row = &values_[row.lo * cols_];
+      const double* bottom_row = &values_[row.hi * cols_];
+      double* out = field + r * cols;
+      for (size_t c = 0; c < cols; ++c) {
+        const Knot& col = col_knots[c];
+        const double top = Lerp(top_row[col.lo], top_row[col.hi], col.ease);
+        const double bottom =
+            Lerp(bottom_row[col.lo], bottom_row[col.hi], col.ease);
+        out[c] += amplitude * Lerp(top, bottom, row.ease);
+      }
+    }
   }
 
  private:
+  /// The two lattice lines around position x and the eased offset between
+  /// them.
+  struct Knot {
+    size_t lo;
+    size_t hi;
+    double ease;
+  };
+
+  static Knot MakeKnot(double x, size_t lattice) {
+    const size_t lo = std::min(static_cast<size_t>(x), lattice - 1);
+    const size_t hi = std::min(lo + 1, lattice - 1);
+    return Knot{lo, hi, Ease(x - static_cast<double>(lo))};
+  }
   static double Lerp(double a, double b, double t) { return a + (b - a) * t; }
   static double Ease(double t) { return 0.5 * (1.0 - std::cos(M_PI * t)); }
-  double At(size_t r, size_t c) const { return values_[r * cols_ + c]; }
 
   size_t rows_;
   size_t cols_;
@@ -63,14 +88,8 @@ std::vector<double> GenerateAutocorrelatedField(const FieldOptions& options) {
                                 std::ceil(static_cast<double>(options.cols) /
                                           scale)) +
                                 1);
-    NoiseOctave octave(lattice_rows, lattice_cols, &rng);
-    for (size_t r = 0; r < options.rows; ++r) {
-      for (size_t c = 0; c < options.cols; ++c) {
-        field[r * options.cols + c] +=
-            amplitude * octave.Sample(static_cast<double>(r) / scale,
-                                      static_cast<double>(c) / scale);
-      }
-    }
+    NoiseOctave(lattice_rows, lattice_cols, &rng)
+        .AddTo(options.rows, options.cols, scale, amplitude, field.data());
     amplitude *= options.persistence;
     scale = std::max(1.0, scale * 0.5);
   }

@@ -1,6 +1,5 @@
 #include "grid/grid_builder.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "fail/fault_injection.h"
@@ -14,11 +13,91 @@ namespace {
 /// keep the poll cost invisible, small enough to react within microseconds.
 constexpr size_t kIngestPollStride = 4096;
 
-/// Upper bound on rows * cols. A grid this size already needs ~GBs per
-/// attribute; anything above it is a corrupted dimension, not a dataset.
-constexpr size_t kMaxCells = 100'000'000;
-
 }  // namespace
+
+Status CheckGridDimensions(size_t rows, size_t cols) {
+  if (rows == 0 || cols == 0) {
+    return Status::InvalidArgument("grid dimensions must be positive");
+  }
+  if (rows > kMaxGridCells / cols) {
+    return Status::InvalidArgument("grid dimensions exceed 1e8 cells");
+  }
+  return Status::OK();
+}
+
+GridAccumulator::GridAccumulator(size_t rows, size_t cols,
+                                 const GeoExtent& extent,
+                                 std::vector<GridAttributeDef> defs)
+    : rows_(rows),
+      cols_(cols),
+      extent_(extent),
+      lat_span_(extent.lat_max - extent.lat_min),
+      lon_span_(extent.lon_max - extent.lon_min),
+      defs_(std::move(defs)),
+      counts_(rows * cols, 0),
+      sums_(defs_.size()) {
+  attrs_.reserve(defs_.size());
+  for (size_t k = 0; k < defs_.size(); ++k) {
+    const GridAttributeDef& def = defs_[k];
+    attrs_.push_back(AttributeSpec{def.name, def.agg_type, def.is_integer});
+    if (def.source == GridAttributeDef::Source::kCount) continue;
+    const auto field = static_cast<size_t>(def.field_index);
+    summed_.push_back(SummedField{k, field});
+    num_fields_ = std::max(num_fields_, field + 1);
+    sums_[k].assign(rows * cols, 0.0);
+  }
+}
+
+void GridAccumulator::FinishCell(size_t cell, GridDataset* grid) const {
+  const size_t r = cell / cols_;
+  const size_t c = cell % cols_;
+  const auto count = static_cast<double>(counts_[cell]);
+  for (size_t k = 0; k < defs_.size(); ++k) {
+    const GridAttributeDef& def = defs_[k];
+    double v = 0.0;
+    switch (def.source) {
+      case GridAttributeDef::Source::kCount:
+        v = count;
+        break;
+      case GridAttributeDef::Source::kSum:
+        v = sums_[k][cell];
+        break;
+      case GridAttributeDef::Source::kAverage:
+        v = sums_[k][cell] / count;
+        break;
+    }
+    if (def.is_integer) v = std::round(v);
+    grid->Set(r, c, k, v);
+  }
+}
+
+GridDataset GridAccumulator::Finish(size_t dropped) const {
+  GridDataset grid(rows_, cols_, attrs_, extent_);
+  size_t ingested = 0;
+  for (size_t cell = 0; cell < counts_.size(); ++cell) {
+    if (counts_[cell] == 0) continue;  // stays null
+    ingested += counts_[cell];
+    FinishCell(cell, &grid);
+    // Poisoned here, not in FinishCell: the stream rebuilds its cells with
+    // FinishCell and must never fire this build's fault point.
+    const size_t r = cell / cols_;
+    const size_t c = cell % cols_;
+    for (size_t k = 0; k < defs_.size(); ++k) {
+      grid.Set(r, c, k, SRP_FAULT_POISON("grid.build", grid.At(r, c, k)));
+    }
+  }
+
+  static obs::Counter* builds =
+      obs::MetricsRegistry::Get().GetCounter("grid.builds");
+  static obs::Counter* ingested_points =
+      obs::MetricsRegistry::Get().GetCounter("grid.points_ingested");
+  static obs::Counter* dropped_points =
+      obs::MetricsRegistry::Get().GetCounter("grid.points_dropped");
+  builds->Increment();
+  ingested_points->Add(static_cast<int64_t>(ingested));
+  dropped_points->Add(static_cast<int64_t>(dropped));
+  return grid;
+}
 
 Result<GridDataset> BuildGridFromPoints(
     const std::vector<PointRecord>& records, size_t rows, size_t cols,
@@ -26,12 +105,7 @@ Result<GridDataset> BuildGridFromPoints(
     size_t* dropped, const RunContext* ctx) {
   SRP_TRACE_SPAN("grid.build_from_points");
   SRP_INJECT_FAULT("grid.build");
-  if (rows == 0 || cols == 0) {
-    return Status::InvalidArgument("grid dimensions must be positive");
-  }
-  if (rows > kMaxCells / cols) {
-    return Status::InvalidArgument("grid dimensions exceed 1e8 cells");
-  }
+  SRP_RETURN_IF_ERROR(CheckGridDimensions(rows, cols));
   if (!(std::isfinite(extent.lat_min) && std::isfinite(extent.lat_max) &&
         std::isfinite(extent.lon_min) && std::isfinite(extent.lon_max))) {
     return Status::InvalidArgument("grid extent must be finite");
@@ -50,91 +124,31 @@ Result<GridDataset> BuildGridFromPoints(
     }
   }
 
-  std::vector<AttributeSpec> attrs;
-  attrs.reserve(defs.size());
-  for (const auto& def : defs) {
-    attrs.push_back(AttributeSpec{def.name, def.agg_type, def.is_integer});
-  }
-  GridDataset grid(rows, cols, std::move(attrs), extent);
-
-  const size_t cells = rows * cols;
-  std::vector<size_t> counts(cells, 0);
-  std::vector<std::vector<double>> sums(defs.size(),
-                                        std::vector<double>(cells, 0.0));
-  const double lat_span = extent.lat_max - extent.lat_min;
-  const double lon_span = extent.lon_max - extent.lon_min;
+  GridAccumulator acc(rows, cols, extent, defs);
   size_t dropped_count = 0;
-
   size_t since_poll = 0;
   for (const auto& rec : records) {
     if (++since_poll >= kIngestPollStride) {
       since_poll = 0;
       SRP_RETURN_IF_INTERRUPTED(ctx);
     }
-    // A NaN coordinate passes every < / > comparison below (all false) and
-    // would then static_cast to an out-of-range index — treat any non-finite
-    // coordinate as out-of-extent.
-    if (!std::isfinite(rec.lat) || !std::isfinite(rec.lon) ||
-        rec.lat < extent.lat_min || rec.lat > extent.lat_max ||
-        rec.lon < extent.lon_min || rec.lon > extent.lon_max) {
+    if (!acc.Contains(rec.lat, rec.lon)) {
       ++dropped_count;
       continue;
     }
-    size_t r = static_cast<size_t>((rec.lat - extent.lat_min) / lat_span *
-                                   static_cast<double>(rows));
-    size_t c = static_cast<size_t>((rec.lon - extent.lon_min) / lon_span *
-                                   static_cast<double>(cols));
-    r = std::min(r, rows - 1);  // points on the max boundary land inside
-    c = std::min(c, cols - 1);
-    const size_t cell = r * cols + c;
-    ++counts[cell];
-    for (size_t k = 0; k < defs.size(); ++k) {
-      const auto& def = defs[k];
-      if (def.source == GridAttributeDef::Source::kCount) continue;
-      const size_t fi = static_cast<size_t>(def.field_index);
-      if (fi >= rec.fields.size()) {
-        return Status::InvalidArgument("record has too few fields for '" +
-                                       def.name + "'");
-      }
-      sums[k][cell] += rec.fields[fi];
-    }
-  }
-
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      const size_t cell = r * cols + c;
-      if (counts[cell] == 0) continue;  // stays null
-      for (size_t k = 0; k < defs.size(); ++k) {
-        const auto& def = defs[k];
-        double v = 0.0;
-        switch (def.source) {
-          case GridAttributeDef::Source::kCount:
-            v = static_cast<double>(counts[cell]);
-            break;
-          case GridAttributeDef::Source::kSum:
-            v = sums[k][cell];
-            break;
-          case GridAttributeDef::Source::kAverage:
-            v = sums[k][cell] / static_cast<double>(counts[cell]);
-            break;
+    if (rec.fields.size() < acc.num_fields()) {
+      for (const auto& def : defs) {
+        if (def.source != GridAttributeDef::Source::kCount &&
+            static_cast<size_t>(def.field_index) >= rec.fields.size()) {
+          return Status::InvalidArgument("record has too few fields for '" +
+                                         def.name + "'");
         }
-        if (def.is_integer) v = std::round(v);
-        grid.Set(r, c, k, SRP_FAULT_POISON("grid.build", v));
       }
     }
+    acc.Add(acc.CellOf(rec.lat, rec.lon), rec.fields.data());
   }
   if (dropped != nullptr) *dropped = dropped_count;
-
-  static obs::Counter* builds =
-      obs::MetricsRegistry::Get().GetCounter("grid.builds");
-  static obs::Counter* ingested =
-      obs::MetricsRegistry::Get().GetCounter("grid.points_ingested");
-  static obs::Counter* dropped_points =
-      obs::MetricsRegistry::Get().GetCounter("grid.points_dropped");
-  builds->Increment();
-  ingested->Add(static_cast<int64_t>(records.size() - dropped_count));
-  dropped_points->Add(static_cast<int64_t>(dropped_count));
-  return grid;
+  return acc.Finish(dropped_count);
 }
 
 }  // namespace srp

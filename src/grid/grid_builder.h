@@ -1,6 +1,8 @@
 #ifndef SRP_GRID_GRID_BUILDER_H_
 #define SRP_GRID_GRID_BUILDER_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include <string>
@@ -39,6 +41,97 @@ struct GridAttributeDef {
   bool is_integer = false;
 };
 
+/// Upper bound on rows * cols. A grid this size already needs ~GBs per
+/// attribute; anything above it is a corrupted dimension, not a dataset.
+inline constexpr size_t kMaxGridCells = 100'000'000;
+
+/// Rejects zero dimensions and grids above kMaxGridCells cells. The bound is
+/// tested as rows > kMaxGridCells / cols, which cannot wrap, so callers run
+/// it before sizing anything by rows * cols.
+Status CheckGridDimensions(size_t rows, size_t cols);
+
+/// The per-cell aggregation of Section III-B, fed one record at a time:
+/// record counts plus, for each summed or averaged attribute, the sum of its
+/// field in arrival order. It is the one aggregation behind
+/// BuildGridFromPoints, the dataset simulators (which feed it while
+/// drawing, so no record is ever stored) and the streaming ingest path, so
+/// all three produce the same doubles from the same records.
+///
+/// The caller validates first: dimensions (CheckGridDimensions), a finite,
+/// non-empty extent, a field_index on every non-count def, and, per record,
+/// Contains() and at least num_fields() fields.
+class GridAccumulator {
+ public:
+  GridAccumulator(size_t rows, size_t cols, const GeoExtent& extent,
+                  std::vector<GridAttributeDef> defs);
+
+  /// Whether a record at (lat, lon) can be aggregated: finite and inside the
+  /// extent, edges included. A NaN coordinate passes every < / > comparison
+  /// (all false) and would then cast to an out-of-range cell, so non-finite
+  /// coordinates count as out of extent.
+  bool Contains(double lat, double lon) const {
+    return std::isfinite(lat) && std::isfinite(lon) &&
+           lat >= extent_.lat_min && lat <= extent_.lat_max &&
+           lon >= extent_.lon_min && lon <= extent_.lon_max;
+  }
+
+  /// Row-major cell of a point the accumulator Contains. Points on the max
+  /// boundary land in the last row or column.
+  size_t CellOf(double lat, double lon) const {
+    size_t r = static_cast<size_t>((lat - extent_.lat_min) / lat_span_ *
+                                   static_cast<double>(rows_));
+    size_t c = static_cast<size_t>((lon - extent_.lon_min) / lon_span_ *
+                                   static_cast<double>(cols_));
+    r = std::min(r, rows_ - 1);
+    c = std::min(c, cols_ - 1);
+    return r * cols_ + c;
+  }
+
+  /// Adds one record to `cell`; `fields` is indexed by
+  /// GridAttributeDef::field_index.
+  void Add(size_t cell, const double* fields) {
+    ++counts_[cell];
+    for (const SummedField& s : summed_) sums_[s.attr][cell] += fields[s.field];
+  }
+
+  /// Writes the feature vector of `cell`, which must hold a record, into
+  /// `grid`: the count, sum or mean per def, rounded for integer
+  /// attributes.
+  void FinishCell(size_t cell, GridDataset* grid) const;
+
+  /// The aggregated grid; cells without records stay null. Counts the
+  /// build in `grid.builds`, `grid.points_ingested` and, with `dropped`,
+  /// `grid.points_dropped`. Hosts the `grid.build` poison, which corrupts
+  /// the nth aggregated value (in cell, then attribute order) so the
+  /// downstream GridDataset::Validate() scan must catch it.
+  GridDataset Finish(size_t dropped = 0) const;
+
+  /// One past the highest field index any def reads (0 for count-only
+  /// schemas): the fields every added record must carry.
+  size_t num_fields() const { return num_fields_; }
+  const std::vector<GridAttributeDef>& defs() const { return defs_; }
+  const std::vector<AttributeSpec>& attributes() const { return attrs_; }
+
+ private:
+  struct SummedField {
+    size_t attr;
+    size_t field;
+  };
+
+  size_t rows_;
+  size_t cols_;
+  GeoExtent extent_;
+  double lat_span_;
+  double lon_span_;
+  std::vector<GridAttributeDef> defs_;
+  std::vector<AttributeSpec> attrs_;
+  std::vector<SummedField> summed_;  // the non-count defs
+  size_t num_fields_ = 0;
+  std::vector<size_t> counts_;  // [cell]
+  // [attribute][cell]; empty for count attributes.
+  std::vector<std::vector<double>> sums_;
+};
+
 /// Aggregates point records into an m x n GridDataset over `extent`
 /// (Section III-B: "all data objects that map to a cell are aggregated to
 /// produce the feature vector of the corresponding cell"). Cells that receive
@@ -47,12 +140,12 @@ struct GridAttributeDef {
 /// dropped; the count of dropped records is returned through `dropped` when
 /// non-null.
 ///
-/// Rejects non-finite or empty extents and cell counts above 1e8. A non-null
+/// Rejects non-finite or empty extents and cell counts above kMaxGridCells.
+/// Records go through one GridAccumulator in input order. A non-null
 /// `ctx` is polled periodically during ingestion; an interrupt always fails
 /// (a half-ingested grid is useless — there is no best-so-far to degrade
-/// to). Hosts the `grid.build` fault point, whose NaN/Inf poison mode
-/// corrupts the first aggregated cell value so the downstream
-/// GridDataset::Validate() scan must catch it.
+/// to). Hosts the `grid.build` fault point (its poison mode lives in
+/// GridAccumulator::Finish).
 Result<GridDataset> BuildGridFromPoints(const std::vector<PointRecord>& records,
                                         size_t rows, size_t cols,
                                         const GeoExtent& extent,

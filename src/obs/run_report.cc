@@ -176,13 +176,6 @@ void RunReport::SetPool(const RunReportPool& pool) {
   pool_ = pool;
 }
 
-void RunReport::SetOutcome(bool ok, bool interrupted, std::string detail) {
-  has_outcome_ = true;
-  outcome_ok_ = ok;
-  outcome_interrupted_ = interrupted;
-  outcome_detail_ = std::move(detail);
-}
-
 void RunReport::SetTelemetry(const RunReportTelemetry& telemetry) {
   has_telemetry_ = true;
   telemetry_ = telemetry;
@@ -267,14 +260,6 @@ JsonValue RunReport::ToJson() const {
       telemetry.Set("final_progress", std::move(progress));
     }
     out.Set("telemetry", std::move(telemetry));
-  }
-
-  if (has_outcome_) {
-    JsonValue outcome = JsonValue::Object();
-    outcome.Set("ok", outcome_ok_);
-    outcome.Set("interrupted", outcome_interrupted_);
-    outcome.Set("detail", outcome_detail_);
-    out.Set("outcome", std::move(outcome));
   }
 
   out.Set("result", result_);

@@ -68,8 +68,8 @@ struct RunReportTelemetry {
 /// Aggregates everything one run of the framework leaves behind into a
 /// single versioned JSON document (DESIGN.md §9): build/config provenance,
 /// per-phase wall time and allocation high-water, thread-pool utilization,
-/// the cancellation/fault outcome, the full metrics snapshot, and the span
-/// tree reconstructed from the Tracer ring buffer.
+/// headline results (including why the run stopped), the full metrics
+/// snapshot, and the span tree reconstructed from the Tracer ring buffer.
 ///
 /// Key order in the emitted JSON is stable by construction (JsonValue
 /// objects preserve insertion order and every section is emitted in a fixed
@@ -118,10 +118,6 @@ class RunReport {
   /// Telemetry-sampler summary, embedded under "telemetry" (schema v3).
   void SetTelemetry(const RunReportTelemetry& telemetry);
 
-  /// `detail` carries the interrupt kind / status message; empty means a
-  /// clean uninterrupted run.
-  void SetOutcome(bool ok, bool interrupted, std::string detail);
-
   /// Snapshot of every registered metric, embedded under "metrics".
   void CaptureMetrics(const MetricsRegistry& registry = MetricsRegistry::Get());
 
@@ -145,10 +141,6 @@ class RunReport {
   std::vector<RunReportPhase> phases_;
   bool has_pool_ = false;
   RunReportPool pool_;
-  bool has_outcome_ = false;
-  bool outcome_ok_ = true;
-  bool outcome_interrupted_ = false;
-  std::string outcome_detail_;
   bool has_metrics_ = false;
   JsonValue metrics_ = JsonValue::Object();
   bool has_trace_ = false;

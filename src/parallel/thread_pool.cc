@@ -82,6 +82,11 @@ PoolMetrics& Metrics() {
 }  // namespace
 
 size_t ResolveThreadCount(size_t requested) {
+  if (requested > kMaxThreads) {
+    SRP_LOG(Warning) << "clamping num_threads " << requested << " to "
+                     << kMaxThreads;
+    return kMaxThreads;
+  }
   if (requested > 0) return requested;
   if (const char* env = std::getenv("SRP_THREADS")) {
     const Result<uint64_t> parsed = ParseUint64(env);

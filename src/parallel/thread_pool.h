@@ -35,11 +35,13 @@ struct ThreadPoolStats {
 
 /// A run never benefits from more workers than this; anything larger is
 /// almost certainly a corrupted options struct or environment. Explicit
-/// requests above it are rejected (RepartitionOptions::Validate, --threads).
+/// requests above it are rejected where they are validated
+/// (RepartitionOptions::Validate, --threads) and clamped, with a warning, by
+/// ResolveThreadCount for every other caller (the model zoo's num_threads).
 inline constexpr size_t kMaxThreads = 4096;
 
 /// Resolves a requested worker count to the effective one:
-///   requested > 0  -> requested;
+///   requested > 0  -> requested, clamped to kMaxThreads (logged);
 ///   requested == 0 -> the SRP_THREADS environment variable when set to an
 ///                     integer in [1, kMaxThreads] (anything else is logged
 ///                     and ignored), else std::thread::hardware_concurrency()

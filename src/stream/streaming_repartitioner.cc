@@ -47,16 +47,9 @@ kernels::IflPartial CellIfl(const GridSoAView& view, const Partition& p,
 StreamingRepartitioner::StreamingRepartitioner(
     size_t rows, size_t cols, GeoExtent extent,
     std::vector<GridAttributeDef> defs, Options options)
-    : options_(options), defs_(std::move(defs)) {
-  std::vector<AttributeSpec> attrs;
-  attrs.reserve(defs_.size());
-  for (const auto& def : defs_) {
-    attrs.push_back(AttributeSpec{def.name, def.agg_type, def.is_integer});
-  }
-  grid_ = GridDataset(rows, cols, std::move(attrs), extent);
-  counts_.assign(rows * cols, 0);
-  sums_.assign(defs_.size(), std::vector<double>(rows * cols, 0.0));
-}
+    : options_(options),
+      acc_(rows, cols, extent, std::move(defs)),
+      grid_(rows, cols, acc_.attributes(), extent) {}
 
 Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
                                       const RunContext* ctx) {
@@ -65,29 +58,15 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
   SRP_RETURN_IF_INTERRUPTED(ctx);
   const size_t ingested_before = ingested_;
   const size_t dropped_before = dropped_;
-  const GeoExtent& e = grid_.extent();
-  const double lat_span = e.lat_max - e.lat_min;
-  const double lon_span = e.lon_max - e.lon_min;
-  const size_t rows = grid_.rows();
-  const size_t cols = grid_.cols();
-
-  // Non-finite coordinates fail every in-extent comparison below and would
-  // otherwise cast to a garbage cell index; they are dropped like
-  // out-of-extent records.
-  const auto in_extent = [&e](const PointRecord& rec) {
-    return std::isfinite(rec.lat) && std::isfinite(rec.lon) &&
-           rec.lat >= e.lat_min && rec.lat <= e.lat_max &&
-           rec.lon >= e.lon_min && rec.lon <= e.lon_max;
-  };
+  const std::vector<GridAttributeDef>& defs = acc_.defs();
 
   // Pass 1 — validate only. The accumulators are untouched until the whole
   // batch is known to be well-formed, so a rejected batch never leaves the
   // maintained grid partially updated. A non-finite field would make its
   // cell, and with it every later drift, NaN.
   for (const auto& rec : batch) {
-    if (!in_extent(rec)) continue;
-    for (size_t k = 0; k < defs_.size(); ++k) {
-      const auto& def = defs_[k];
+    if (!acc_.Contains(rec.lat, rec.lon)) continue;
+    for (const auto& def : defs) {
       if (def.source == GridAttributeDef::Source::kCount) continue;
       const auto fi = static_cast<size_t>(def.field_index);
       if (fi >= rec.fields.size()) {
@@ -104,36 +83,24 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
 
   // Pass 2 — apply. Infallible from here on. Collects the distinct cells
   // the batch lands in; only those are rebuilt below.
-  std::vector<bool> seen(counts_.size(), false);
+  std::vector<bool> seen(grid_.num_cells(), false);
   std::vector<size_t> touched;
   for (const auto& rec : batch) {
-    if (!in_extent(rec)) {
+    if (!acc_.Contains(rec.lat, rec.lon)) {
       ++dropped_;
       continue;
     }
-    size_t r = static_cast<size_t>((rec.lat - e.lat_min) / lat_span *
-                                   static_cast<double>(rows));
-    size_t c = static_cast<size_t>((rec.lon - e.lon_min) / lon_span *
-                                   static_cast<double>(cols));
-    r = std::min(r, rows - 1);
-    c = std::min(c, cols - 1);
-    const size_t cell = r * cols + c;
+    const size_t cell = acc_.CellOf(rec.lat, rec.lon);
     if (!seen[cell]) {
       seen[cell] = true;
       touched.push_back(cell);
     }
-    ++counts_[cell];
+    acc_.Add(cell, rec.fields.data());
     ++ingested_;
-    for (size_t k = 0; k < defs_.size(); ++k) {
-      const auto& def = defs_[k];
-      if (def.source == GridAttributeDef::Source::kCount) continue;
-      const auto fi = static_cast<size_t>(def.field_index);
-      sums_[k][cell] += rec.fields[fi];
-    }
   }
 
   if (!has_partition()) {
-    for (const size_t cell : touched) RebuildCell(cell);
+    for (const size_t cell : touched) acc_.FinishCell(cell, &grid_);
   } else {
     // Swap each touched cell's Eq. 3 contribution: retire its old terms,
     // rebuild it, then cache its new subtotal.
@@ -143,7 +110,7 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
         drift_terms_ -= CellIfl(before, partition_, cell).terms;
       }
     }
-    for (const size_t cell : touched) RebuildCell(cell);
+    for (const size_t cell : touched) acc_.FinishCell(cell, &grid_);
     const GridSoAView after(grid_);
     for (const size_t cell : touched) {
       const kernels::IflPartial p = CellIfl(after, partition_, cell);
@@ -156,28 +123,6 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
   Metrics().records_dropped->Add(
       static_cast<int64_t>(dropped_ - dropped_before));
   return Status::OK();
-}
-
-void StreamingRepartitioner::RebuildCell(size_t cell) {
-  const size_t r = cell / grid_.cols();
-  const size_t c = cell % grid_.cols();
-  for (size_t k = 0; k < defs_.size(); ++k) {
-    const auto& def = defs_[k];
-    double v = 0.0;
-    switch (def.source) {
-      case GridAttributeDef::Source::kCount:
-        v = static_cast<double>(counts_[cell]);
-        break;
-      case GridAttributeDef::Source::kSum:
-        v = sums_[k][cell];
-        break;
-      case GridAttributeDef::Source::kAverage:
-        v = sums_[k][cell] / static_cast<double>(counts_[cell]);
-        break;
-    }
-    if (def.is_integer) v = std::round(v);
-    grid_.Set(r, c, k, v);
-  }
 }
 
 void StreamingRepartitioner::RebuildDriftCache() {

@@ -91,20 +91,15 @@ class StreamingRepartitioner {
   size_t refresh_count() const { return refreshes_; }
 
  private:
-  /// Recomputes one cell of grid_ from its accumulators (the per-cell
-  /// formula of BuildGridFromPoints, so the grid stays bit-identical).
-  void RebuildCell(size_t cell);
-
   /// Fills the drift cache for every cell under the installed partition.
   void RebuildDriftCache();
 
   Options options_;
-  std::vector<GridAttributeDef> defs_;
+  // Record counts and field sums per cell: the aggregation of
+  // BuildGridFromPoints, whose FinishCell rebuilds each touched cell of
+  // grid_, so the grid stays bit-identical to a one-shot build.
+  GridAccumulator acc_;
   GridDataset grid_;
-
-  // Per-cell accumulators: record counts and per-attribute field sums.
-  std::vector<size_t> counts_;
-  std::vector<std::vector<double>> sums_;  // [attribute][cell]
 
   Partition partition_;
 

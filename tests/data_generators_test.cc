@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "core/adjacency.h"
 #include "data/gaussian_field.h"
@@ -10,6 +12,56 @@
 
 namespace srp {
 namespace {
+
+/// FNV-1a over raw bytes, folded into `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
+
+/// Every value bit of every attribute (null placeholders included), then
+/// the null mask.
+uint64_t GridDigest(const GridDataset& grid) {
+  uint64_t h = kFnvOffset;
+  for (size_t k = 0; k < grid.num_attributes(); ++k) {
+    const std::vector<double>& values = grid.AttributeValues(k);
+    h = Fnv1a(h, values.data(), values.size() * sizeof(double));
+  }
+  return Fnv1a(h, grid.null_mask().data(), grid.null_mask().size());
+}
+
+std::string Hex(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(GaussianFieldTest, MatchesPinnedDigest) {
+  // Pinned from the per-cell sampler that evaluated the ease curve for every
+  // cell; the per-row/per-column form must reproduce it bit for bit.
+  uint64_t h = kFnvOffset;
+  for (const size_t rows : {1, 5, 17, 64, 190}) {
+    for (const size_t cols : {1, 7, 64, 190}) {
+      for (const double scale : {1.0, 3.7, 16.0, 38.0}) {
+        FieldOptions options;
+        options.rows = rows;
+        options.cols = cols;
+        options.base_scale = scale;
+        options.seed = rows * 1000 + cols;
+        const std::vector<double> field = GenerateAutocorrelatedField(options);
+        h = Fnv1a(h, field.data(), field.size() * sizeof(double));
+      }
+    }
+  }
+  EXPECT_EQ(Hex(h), "0x0aa0b29cc0e34116");
+}
 
 TEST(GaussianFieldTest, DeterministicUnderSeed) {
   FieldOptions options;
@@ -175,6 +227,57 @@ TEST(DatasetGeneratorTest, RejectsEmptyDimensions) {
   DatasetOptions options;
   options.rows = 0;
   EXPECT_FALSE(GenerateDataset(DatasetKind::kTaxiTripUni, options).ok());
+}
+
+TEST(DatasetGeneratorTest, RejectsOversizeDimensions) {
+  // Rejected before the city fields are allocated; SIZE_MAX * 2 would wrap.
+  DatasetOptions options;
+  options.rows = 20'000;
+  options.cols = 20'000;
+  EXPECT_FALSE(GenerateDataset(DatasetKind::kTaxiTripUni, options).ok());
+  options.rows = SIZE_MAX;
+  options.cols = 2;
+  EXPECT_FALSE(GenerateDataset(DatasetKind::kTaxiTripUni, options).ok());
+}
+
+TEST(DatasetGeneratorTest, MatchesPinnedDigests) {
+  // Pinned from the generator that materialised every record and then
+  // aggregated them with BuildGridFromPoints; aggregating while drawing must
+  // reproduce each grid bit for bit. One digest per kind folds its 24 grids.
+  struct Pin {
+    DatasetKind kind;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {DatasetKind::kTaxiTripMulti, "0x28e8a6792a2f13c9"},
+      {DatasetKind::kTaxiTripUni, "0x4faf86615d6f4ab7"},
+      {DatasetKind::kHomeSalesMulti, "0xd2d2b4c3cccaa505"},
+      {DatasetKind::kVehiclesUni, "0x584ba38a801d9e22"},
+      {DatasetKind::kEarningsMulti, "0xbe04acf29cbe5e3c"},
+      {DatasetKind::kEarningsUni, "0x47cbe1f8828cbdd2"},
+  };
+  const std::pair<size_t, size_t> sides[] = {{1, 1}, {17, 5}, {64, 64},
+                                             {190, 190}};
+  for (const Pin& pin : pins) {
+    uint64_t h = kFnvOffset;
+    for (const auto& [rows, cols] : sides) {
+      for (const double records_per_cell : {0.5, 10.0, 40.0}) {
+        for (const double empty_fraction : {0.0, 0.12}) {
+          DatasetOptions options;
+          options.rows = rows;
+          options.cols = cols;
+          options.seed = 42;
+          options.records_per_cell = records_per_cell;
+          options.empty_fraction = empty_fraction;
+          auto grid = GenerateDataset(pin.kind, options);
+          ASSERT_TRUE(grid.ok());
+          const uint64_t d = GridDigest(*grid);
+          h = Fnv1a(h, &d, sizeof(d));
+        }
+      }
+    }
+    EXPECT_EQ(Hex(h), pin.digest) << SpecFor(pin.kind).name;
+  }
 }
 
 }  // namespace

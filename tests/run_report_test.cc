@@ -28,7 +28,6 @@ RunReport FullReport() {
   pool.queue_depth_high_water = 3;
   pool.worker_busy_ns = {100, 200};
   report.SetPool(pool);
-  report.SetOutcome(true, false, "");
   return report;
 }
 
@@ -44,8 +43,8 @@ TEST(RunReportTest, TopLevelKeyOrderIsFixed) {
   const JsonValue doc = report.ToJson();
   ASSERT_TRUE(doc.is_object());
   const std::vector<std::string> expected = {
-      "schema_version", "tool",    "provenance", "config", "phases",
-      "pool",           "outcome", "result",     "metrics", "trace"};
+      "schema_version", "tool",   "provenance", "config",
+      "phases",         "pool",   "result",     "metrics", "trace"};
   ASSERT_EQ(doc.members().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(doc.members()[i].first, expected[i]) << "position " << i;
@@ -70,7 +69,6 @@ TEST(RunReportTest, JsonStringParsesBackToTheSameDocument) {
   EXPECT_EQ(parsed->FindPath("config.rows")->number_value(), 32.0);
   EXPECT_EQ(parsed->FindPath("pool.tasks_executed")->number_value(), 9.0);
   EXPECT_EQ(parsed->FindPath("pool.total_busy_ns")->number_value(), 300.0);
-  EXPECT_EQ(parsed->FindPath("outcome.ok")->bool_value(), true);
   const JsonValue* phases = parsed->Find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_EQ(phases->size(), 2u);
@@ -82,7 +80,6 @@ TEST(RunReportTest, OptionalSectionsAreOmittedUntilSet) {
   const RunReport report("bare");
   const JsonValue doc = report.ToJson();
   EXPECT_EQ(doc.Find("pool"), nullptr);
-  EXPECT_EQ(doc.Find("outcome"), nullptr);
   EXPECT_EQ(doc.Find("metrics"), nullptr);
   EXPECT_EQ(doc.Find("trace"), nullptr);
   // The always-on sections are still present (empty where applicable).
@@ -186,8 +183,6 @@ RunReport ReportForRun(size_t num_threads) {
     pool.worker_busy_ns = stats.pool_worker_busy_ns;
     report.SetPool(pool);
   }
-  report.SetOutcome(true, result->stop_reason == StopReason::kInterrupted,
-                    "");
   report.SetResult("groups",
                    static_cast<uint64_t>(result->partition.num_groups()));
   report.SetResult("iterations", static_cast<uint64_t>(result->iterations));

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <vector>
@@ -54,6 +55,20 @@ TEST(ThreadPoolTest, MaybeMakePoolConvention) {
 TEST(ThreadPoolTest, ResolveThreadCountPrefersExplicitRequest) {
   EXPECT_EQ(ResolveThreadCount(5), 5u);
   EXPECT_GE(ResolveThreadCount(0), 1u);
+}
+
+TEST(ThreadPoolTest, ResolveThreadCountClampsExplicitRequest) {
+  // Resolving starts no thread, so the oversize request is safe to pass.
+  CaptureLogSink sink;
+  LogSink* previous = SetLogSink(&sink);
+  EXPECT_EQ(ResolveThreadCount(kMaxThreads), kMaxThreads);
+  EXPECT_TRUE(sink.records().empty());
+  EXPECT_EQ(ResolveThreadCount(kMaxThreads + 1), kMaxThreads);
+  EXPECT_EQ(ResolveThreadCount(SIZE_MAX), kMaxThreads);
+  SetLogSink(previous);
+  ASSERT_EQ(sink.records().size(), 2u);
+  EXPECT_NE(sink.records().front().text.find("num_threads"),
+            std::string::npos);
 }
 
 TEST(ThreadPoolTest, ResolveThreadCountReadsEnv) {

@@ -579,8 +579,8 @@ void PrintRunStats(const RepartitionResult& result,
 
 /// --report-out: one JSON document holding everything this run produced —
 /// provenance, config echo, per-phase time + allocation high-water (+ hw
-/// counters when collected), pool utilization, outcome, headline results,
-/// introspection series, metrics, span tree.
+/// counters when collected), pool utilization, headline results (the stop
+/// reason among them), introspection series, metrics, span tree.
 Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
                       const RepartitionResult& result,
                       const obs::IntrospectionRecord* introspection,
@@ -635,11 +635,6 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
     pool.worker_busy_ns = stats.pool_worker_busy_ns;
     report.SetPool(pool);
   }
-  const bool interrupted = result.stop_reason == StopReason::kInterrupted;
-  report.SetOutcome(
-      true, interrupted,
-      interrupted ? "deadline hit - best partition so far" : "");
-
   report.SetResult("grid_rows", static_cast<uint64_t>(grid.rows()));
   report.SetResult("grid_cols", static_cast<uint64_t>(grid.cols()));
   report.SetResult("valid_cells",
