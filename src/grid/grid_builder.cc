@@ -5,6 +5,7 @@
 #include "fail/fault_injection.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
+#include "util/logging.h"
 
 namespace srp {
 namespace {
@@ -25,6 +26,29 @@ Status CheckGridDimensions(size_t rows, size_t cols) {
   return Status::OK();
 }
 
+Status CheckGridSpec(size_t rows, size_t cols, const GeoExtent& extent,
+                     const std::vector<GridAttributeDef>& defs) {
+  SRP_RETURN_IF_ERROR(CheckGridDimensions(rows, cols));
+  if (!(std::isfinite(extent.lat_min) && std::isfinite(extent.lat_max) &&
+        std::isfinite(extent.lon_min) && std::isfinite(extent.lon_max))) {
+    return Status::InvalidArgument("grid extent must be finite");
+  }
+  if (!(extent.lat_min < extent.lat_max && extent.lon_min < extent.lon_max)) {
+    return Status::InvalidArgument("grid extent must be non-empty");
+  }
+  if (defs.empty()) {
+    return Status::InvalidArgument("at least one attribute definition needed");
+  }
+  for (const auto& def : defs) {
+    if (def.source != GridAttributeDef::Source::kCount &&
+        def.field_index < 0) {
+      return Status::InvalidArgument("attribute '" + def.name +
+                                     "' needs a field_index");
+    }
+  }
+  return Status::OK();
+}
+
 GridAccumulator::GridAccumulator(size_t rows, size_t cols,
                                  const GeoExtent& extent,
                                  std::vector<GridAttributeDef> defs)
@@ -33,9 +57,11 @@ GridAccumulator::GridAccumulator(size_t rows, size_t cols,
       extent_(extent),
       lat_span_(extent.lat_max - extent.lat_min),
       lon_span_(extent.lon_max - extent.lon_min),
-      defs_(std::move(defs)),
-      counts_(rows * cols, 0),
-      sums_(defs_.size()) {
+      defs_(std::move(defs)) {
+  // Before any buffer is sized by rows * cols.
+  SRP_CHECK_OK(CheckGridSpec(rows, cols, extent, defs_));
+  counts_.assign(rows * cols, 0);
+  sums_.resize(defs_.size());
   attrs_.reserve(defs_.size());
   for (size_t k = 0; k < defs_.size(); ++k) {
     const GridAttributeDef& def = defs_[k];
@@ -105,24 +131,7 @@ Result<GridDataset> BuildGridFromPoints(
     size_t* dropped, const RunContext* ctx) {
   SRP_TRACE_SPAN("grid.build_from_points");
   SRP_INJECT_FAULT("grid.build");
-  SRP_RETURN_IF_ERROR(CheckGridDimensions(rows, cols));
-  if (!(std::isfinite(extent.lat_min) && std::isfinite(extent.lat_max) &&
-        std::isfinite(extent.lon_min) && std::isfinite(extent.lon_max))) {
-    return Status::InvalidArgument("grid extent must be finite");
-  }
-  if (!(extent.lat_min < extent.lat_max && extent.lon_min < extent.lon_max)) {
-    return Status::InvalidArgument("grid extent must be non-empty");
-  }
-  if (defs.empty()) {
-    return Status::InvalidArgument("at least one attribute definition needed");
-  }
-  for (const auto& def : defs) {
-    if (def.source != GridAttributeDef::Source::kCount &&
-        def.field_index < 0) {
-      return Status::InvalidArgument("attribute '" + def.name +
-                                     "' needs a field_index");
-    }
-  }
+  SRP_RETURN_IF_ERROR(CheckGridSpec(rows, cols, extent, defs));
 
   GridAccumulator acc(rows, cols, extent, defs);
   size_t dropped_count = 0;

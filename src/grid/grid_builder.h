@@ -50,6 +50,12 @@ inline constexpr size_t kMaxGridCells = 100'000'000;
 /// it before sizing anything by rows * cols.
 Status CheckGridDimensions(size_t rows, size_t cols);
 
+/// Everything GridAccumulator needs before it sizes a buffer: dimensions
+/// that pass CheckGridDimensions, a finite, non-empty extent, at least one
+/// def and a field_index on every summed or averaged def.
+Status CheckGridSpec(size_t rows, size_t cols, const GeoExtent& extent,
+                     const std::vector<GridAttributeDef>& defs);
+
 /// The per-cell aggregation of Section III-B, fed one record at a time:
 /// record counts plus, for each summed or averaged attribute, the sum of its
 /// field in arrival order. It is the one aggregation behind
@@ -57,11 +63,11 @@ Status CheckGridDimensions(size_t rows, size_t cols);
 /// drawing, so no record is ever stored) and the streaming ingest path, so
 /// all three produce the same doubles from the same records.
 ///
-/// The caller validates first: dimensions (CheckGridDimensions), a finite,
-/// non-empty extent, a field_index on every non-count def, and, per record,
-/// Contains() and at least num_fields() fields.
+/// Per record, the caller checks Contains() and at least num_fields()
+/// fields.
 class GridAccumulator {
  public:
+  /// Aborts, before allocating anything, on a spec CheckGridSpec rejects.
   GridAccumulator(size_t rows, size_t cols, const GeoExtent& extent,
                   std::vector<GridAttributeDef> defs);
 
@@ -140,9 +146,9 @@ class GridAccumulator {
 /// dropped; the count of dropped records is returned through `dropped` when
 /// non-null.
 ///
-/// Rejects non-finite or empty extents and cell counts above kMaxGridCells.
-/// Records go through one GridAccumulator in input order. A non-null
-/// `ctx` is polled periodically during ingestion; an interrupt always fails
+/// Returns CheckGridSpec's error for a spec it rejects. Records go through
+/// one GridAccumulator in input order. A non-null `ctx` is polled
+/// periodically during ingestion; an interrupt always fails
 /// (a half-ingested grid is useless — there is no best-so-far to degrade
 /// to). Hosts the `grid.build` fault point (its poison mode lives in
 /// GridAccumulator::Finish).

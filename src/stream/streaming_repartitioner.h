@@ -41,7 +41,8 @@ class StreamingRepartitioner {
   };
 
   /// The streamed grid's geometry and schema are fixed up front; attribute
-  /// derivations follow the batch records like BuildGridFromPoints.
+  /// derivations follow the batch records like BuildGridFromPoints. Aborts
+  /// on a spec CheckGridSpec rejects, before anything is allocated.
   StreamingRepartitioner(size_t rows, size_t cols, GeoExtent extent,
                          std::vector<GridAttributeDef> defs, Options options);
 
@@ -97,7 +98,8 @@ class StreamingRepartitioner {
   Options options_;
   // Record counts and field sums per cell: the aggregation of
   // BuildGridFromPoints, whose FinishCell rebuilds each touched cell of
-  // grid_, so the grid stays bit-identical to a one-shot build.
+  // grid_, so the grid stays bit-identical to a one-shot build. Declared
+  // before grid_: its constructor checks the spec grid_ is sized by.
   GridAccumulator acc_;
   GridDataset grid_;
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -245,6 +246,121 @@ TEST(ToolNumbersTest, TopIntervalIsStrict) {
         << "'" << bad << "'";
   }
   EXPECT_EQ(RunTool(SRP_TOP_BIN, "--once --interval-ms 5 " + missing), 1);
+  std::filesystem::remove_all(dir);
+}
+
+// --help prints the usage to stdout, with every flag the tool declares, and
+// exits 0 in all three tools.
+TEST(ToolHelpTest, HelpListsEveryFlag) {
+  const std::string dir = FreshOutDir();
+  const struct {
+    const char* binary;
+    std::vector<const char*> flags;
+  } tools[] = {
+      {SRP_REPARTITION_BIN,
+       {"--demo", "--input", "--schema", "--rows", "--cols", "--theta",
+        "--step", "--seed", "--out-dir", "--threads", "--max-iterations",
+        "--trace-out", "--trace-capacity", "--report-out", "--deadline-ms",
+        "--best-effort", "--profile-out", "--hw-counters", "--version",
+        "--checkpoint-dir", "--checkpoint-every", "--resume", "--log-level",
+        "--log-out", "--telemetry-out", "--telemetry-interval-ms",
+        "--stall-timeout-ms", "--help"}},
+      {SRP_INSPECT_BIN,
+       {"--validate", "--merge", "--tail", "--trace-out", "--checkpoint",
+        "--version", "--help"}},
+      {SRP_TOP_BIN, {"--follow", "--once", "--replay", "--interval-ms",
+                     "--help"}},
+  };
+  for (const auto& tool : tools) {
+    const std::string out = dir + "/help.out";
+    const std::string err = dir + "/help.err";
+    const int status = std::system(
+        (std::string(tool.binary) + " --help > " + out + " 2> " + err)
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << tool.binary;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << tool.binary;
+    const std::string text = ReadFile(out);
+    EXPECT_EQ(text.rfind("usage: ", 0), 0u) << text;
+    EXPECT_EQ(ReadFile(err), "") << tool.binary;
+    for (const char* flag : tool.flags) {
+      EXPECT_NE(text.find(std::string("  ") + flag + " "), std::string::npos)
+          << tool.binary << " " << flag << "\n" << text;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CliUsageTest, RepeatedFlagIsAUsageError) {
+  const std::string dir = FreshOutDir();
+  EXPECT_EQ(RunCli(std::string(kBaseArgs) + "--out-dir " + dir +
+                   " --theta 0.1 --theta 0.2"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/groups.csv"));
+  std::filesystem::remove_all(dir);
+}
+
+// A bad --demo or --log-level name is a usage error found while parsing,
+// before the --out-dir check (exit 1) and any setup.
+TEST(CliUsageTest, BadNamesFailBeforeTheOutDirCheck) {
+  const std::string dir = FreshOutDir();
+  const std::string missing = dir + "/missing";
+  EXPECT_EQ(RunCli("--demo bogus --rows 8 --cols 8 --out-dir " + missing), 2);
+  EXPECT_EQ(RunCli(std::string(kBaseArgs) + "--log-level bogus --out-dir " +
+                   missing),
+            2);
+  std::filesystem::remove_all(dir);
+}
+
+// The grid's dimensions are checked before the input is read: a missing CSV
+// with too many cells reports the dimensions, not the missing file.
+TEST(CliUsageTest, OversizeGridFailsBeforeReadingTheInput) {
+  const std::string dir = FreshOutDir();
+  const std::string out = dir + "/out.txt";
+  EXPECT_EQ(RunTool(SRP_REPARTITION_BIN,
+                    "--input " + dir + "/missing.csv --schema v:avg "
+                    "--rows 100000 --cols 100000 --out-dir " + dir,
+                    out),
+            1);
+  EXPECT_NE(ReadFile(out).find("grid dimensions exceed 1e8 cells"),
+            std::string::npos)
+      << ReadFile(out);
+  std::filesystem::remove_all(dir);
+}
+
+// An output file in a missing directory fails before any compute, like a
+// missing --out-dir: no run, so no "stopped:" summary and no CSVs.
+TEST(CliOutDirTest, UnwritableOutputFilesFailBeforeAnyCompute) {
+  for (const char* flag : {"--report-out", "--trace-out", "--profile-out"}) {
+    const std::string dir = FreshOutDir();
+    const std::string out = dir + "/stdout.txt";
+    EXPECT_EQ(RunTool(SRP_REPARTITION_BIN,
+                      std::string(kBaseArgs) + "--theta 0.1 --out-dir " +
+                          dir + " " + flag + " " + dir + "/missing/x",
+                      out),
+              1)
+        << flag;
+    EXPECT_EQ(ReadFile(out).find("stopped:"), std::string::npos)
+        << flag << "\n" << ReadFile(out);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/groups.csv")) << flag;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(ToolNumbersTest, InspectAcceptsInlineValues) {
+  const std::string dir = FreshOutDir();
+  const std::string missing = dir + "/missing.json";
+  const std::string out = dir + "/out.txt";
+  EXPECT_EQ(RunTool(SRP_INSPECT_BIN, "--tail=5 " + missing, out), 2);
+  EXPECT_NE(ReadFile(out).find("cannot open"), std::string::npos)
+      << ReadFile(out);
+  EXPECT_EQ(ReadFile(out).find("usage:"), std::string::npos) << ReadFile(out);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ToolUsageTest, TopModesExcludeEachOther) {
+  const std::string dir = FreshOutDir();
+  EXPECT_EQ(RunTool(SRP_TOP_BIN, "--once --replay " + dir + "/missing.tlm"),
+            2);
   std::filesystem::remove_all(dir);
 }
 

@@ -169,6 +169,31 @@ TEST(StreamingTest, RefreshWithoutDataFails) {
   EXPECT_FALSE(stream.Refresh().ok());
 }
 
+// The constructor checks the grid spec before sizing anything: rows * cols
+// that wraps to 0 would allocate empty buffers for Ingest to index past,
+// and an average without a field_index would reject every record.
+TEST(StreamingDeathTest, ConstructorRejectsWrappingDimensions) {
+  const size_t side = size_t{1} << 32;
+  EXPECT_DEATH(
+      {
+        StreamingRepartitioner stream(side, side, UnitExtent(), CountDef(),
+                                      DefaultOptions());
+      },
+      "grid dimensions exceed 1e8 cells");
+}
+
+TEST(StreamingDeathTest, ConstructorRejectsAverageWithoutFieldIndex) {
+  using Source = GridAttributeDef::Source;
+  const std::vector<GridAttributeDef> defs = {
+      {"level", Source::kAverage, -1, AggType::kAverage, false}};
+  EXPECT_DEATH(
+      {
+        StreamingRepartitioner stream(4, 4, UnitExtent(), defs,
+                                      DefaultOptions());
+      },
+      "'level' needs a field_index");
+}
+
 uint64_t Bits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));

@@ -1,13 +1,7 @@
 // Postmortem + checkpoint inspector (DESIGN.md §11, §13): pretty-prints,
 // merges, validates, and re-exports the flight recorder's postmortem dumps,
-// and summarizes/validates durable checkpoint files.
-//
-//   srp_inspect dump.json...                 # per-file summary + journal tail
-//   srp_inspect --validate dump.json...      # schema check only
-//   srp_inspect --merge dump.json...         # one seq-ordered timeline
-//   srp_inspect --trace-out t.json dump.json # journal events as a Chrome trace
-//   srp_inspect --checkpoint ckpt-*.srpckpt  # checkpoint summary + CRC check
-//   srp_inspect --version                    # build provenance, exit 0
+// and summarizes/validates durable checkpoint files. `srp_inspect --help`
+// lists the flags (InspectFlags below).
 //
 // Exit codes: 0 = everything valid, 2 = usage error or unreadable/invalid
 // input, 1 = an output (e.g. --trace-out) could not be written.
@@ -18,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,9 +20,9 @@
 #include "fail/checkpoint.h"
 #include "obs/flight_recorder.h"
 #include "obs/run_report.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
-#include "util/string_util.h"
 
 namespace srp {
 namespace {
@@ -55,42 +48,23 @@ struct ParsedEvent {
   std::string source;  ///< file the event came from (for --merge)
 };
 
-int UsageError(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--validate] [--merge] [--tail N] "
-               "[--trace-out out.json] postmortem.json...\n"
-               "       %s --checkpoint [--validate] ckpt-*.srpckpt...\n"
-               "       %s --version\n",
-               argv0, argv0, argv0);
-  return 2;
-}
+constexpr const char* kSynopsis = "srp_inspect [flag...] FILE...";
 
-bool ParseArgs(int argc, char** argv, InspectOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--validate") {
-      options->validate_only = true;
-    } else if (arg == "--merge") {
-      options->merge = true;
-    } else if (arg == "--checkpoint") {
-      options->checkpoint_mode = true;
-    } else if (arg == "--version") {
-      options->print_version = true;
-    } else if (arg == "--tail") {
-      if (++i >= argc) return false;
-      const Result<uint64_t> tail = ParseUint64(argv[i]);
-      if (!tail.ok()) return false;
-      options->tail = static_cast<size_t>(*tail);
-    } else if (arg == "--trace-out") {
-      if (++i >= argc) return false;
-      options->trace_out = argv[i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      return false;
-    } else {
-      options->files.push_back(arg);
-    }
-  }
-  return options->print_version || !options->files.empty();
+/// The one declaration of every flag: parsing, bounds and usage.
+std::vector<Flag> InspectFlags(InspectOptions* o) {
+  return {
+      BoolFlag("validate", &o->validate_only,
+               "check each file and print OK or the error, nothing else"),
+      BoolFlag("merge", &o->merge,
+               "print one seq-ordered timeline of all postmortems"),
+      CountFlag("tail", &o->tail, 0, "journal events shown per summary"),
+      StringFlag("trace-out", &o->trace_out, "FILE",
+                 "write the postmortems' journal events as a Chrome trace"),
+      BoolFlag("checkpoint", &o->checkpoint_mode,
+               "the FILEs are .srpckpt checkpoints, not postmortems"),
+      BoolFlag("version", &o->print_version,
+               "print the build provenance and exit"),
+  };
 }
 
 Result<JsonValue> LoadPostmortem(const std::string& path) {
@@ -333,7 +307,14 @@ int RunCheckpointMode(const InspectOptions& options) {
 
 int Run(int argc, char** argv) {
   InspectOptions options;
-  if (!ParseArgs(argc, argv, &options)) return UsageError(argv[0]);
+  const std::vector<Flag> flags = InspectFlags(&options);
+  if (const std::optional<int> exit_code =
+          ParseToolFlags(argc, argv, kSynopsis, flags, &options.files)) {
+    return *exit_code;
+  }
+  if (!options.print_version && options.files.empty()) {
+    return FlagUsageError(kSynopsis, flags, "no input FILE");
+  }
 
   if (options.print_version) {
     const obs::RunReportProvenance provenance = obs::BuildProvenance();

@@ -8,15 +8,8 @@
 //   cells.csv      one row per grid cell: row, col, group id, null flag
 //   adjacency.csv  one row per cell-group: its neighbor ids (Algorithm 3)
 //
-// Usage:
-//   srp_repartition --demo taxi_uni --rows 64 --cols 64 --theta 0.1
-//                   --out-dir /tmp/out
-//   srp_repartition --input points.csv --schema "price:avg,beds:avg:int"
-//                   --rows 96 --cols 96 --theta 0.05 --out-dir /tmp/out
-//
-// The input CSV must have a header and columns lat,lon,<field...> in schema
-// order. Schema entries are name:agg[:int] with agg in {sum, avg, count};
-// "count" ignores fields and counts records.
+// `srp_repartition --help` lists the flags (CliFlags below). "count" schema
+// entries ignore fields and count records.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -24,8 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,6 +39,7 @@
 #include "obs/tracer.h"
 #include "parallel/thread_pool.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -56,6 +49,7 @@ namespace {
 struct CliOptions {
   std::string input;
   std::string demo;
+  DatasetKind demo_kind = DatasetKind::kTaxiTripUni;  ///< resolved --demo
   std::string schema;
   std::string out_dir = ".";
   std::string trace_out;    ///< Chrome trace-event JSON (empty = no tracing)
@@ -64,20 +58,14 @@ struct CliOptions {
   std::string report_out;   ///< unified run report JSON (DESIGN.md §9)
   std::string profile_out;  ///< folded sampling-profiler stacks (§10)
   std::string log_level;  ///< overrides SRP_LOG_LEVEL when non-empty
+  LogLevel resolved_log_level = LogLevel::kInfo;  ///< parsed --log-level
   std::string log_out;    ///< overrides SRP_LOG_OUT when non-empty
-  /// Collect per-phase hardware counters (perf_event; degrades to a printed
-  /// unavailable_reason when the syscall is denied).
-  bool hw_counters = false;
   bool print_version = false;  ///< --version: print provenance and exit 0
-  size_t rows = 64;
-  size_t cols = 64;
-  double theta = 0.1;
-  uint64_t seed = 2022;
-  double min_variation_step = 2.5e-3;
-  /// Iteration cap of the coarsening loop (RepartitionOptions).
-  size_t max_iterations = RepartitionOptions{}.max_iterations;
-  /// 0 = auto (SRP_THREADS env var, else hardware concurrency).
-  size_t num_threads = 0;
+  /// Grid size and demo seed; an --input grid takes the size only.
+  DatasetOptions data{.rows = 64, .cols = 64, .seed = 2022};
+  /// θ, step, iteration cap, threads and hw counters of the run; Run adds
+  /// the sinks and the checkpoint settings.
+  RepartitionOptions repartition{.min_variation_step = 2.5e-3};
   /// Wall-clock budget for the re-partitioning run; 0 = unlimited.
   double deadline_ms = 0.0;
   /// With a deadline: return the best partition found so far instead of
@@ -99,293 +87,71 @@ struct CliOptions {
   double stall_timeout_ms = 0.0;
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: srp_repartition (--demo KIND | --input CSV --schema "
-               "S) [--rows N] [--cols N]\n"
-               "                       [--theta T] [--step S] [--seed S] "
-               "[--out-dir D] [--threads N]\n"
-               "                       [--max-iterations N]\n"
-               "                       [--trace-out trace.json] "
-               "[--trace-capacity N]\n"
-               "                       [--report-out report.json] "
-               "[--deadline-ms MS] [--best-effort]\n"
-               "                       [--profile-out prof.folded] "
-               "[--hw-counters] [--version]\n"
-               "                       [--checkpoint-dir D] "
-               "[--checkpoint-every N] [--resume]\n"
-               "                       [--log-level LEVEL] "
-               "[--log-out FILE]\n"
-               "                       [--telemetry-out stream.jsonl] "
-               "[--telemetry-interval-ms MS]\n"
-               "                       [--stall-timeout-ms MS]\n"
-               "  KIND: taxi_uni taxi_multi home_sales vehicles earnings "
-               "earnings_uni\n"
-               "  S:    comma list of name:agg[:int], agg in "
-               "{sum, avg, count}\n"
-               "  --max-iterations caps the coarsening loop (default "
-               "10000); a run that stops\n"
-               "  at the cap prints a NOTE that its partition did not "
-               "reach theta.\n"
-               "  --threads 0 (default) resolves SRP_THREADS, then hardware "
-               "concurrency; 1 = sequential.\n"
-               "  --deadline-ms bounds the run's wall time (fails with "
-               "DeadlineExceeded when hit);\n"
-               "  --best-effort instead returns the best partition found "
-               "before the deadline.\n"
-               "  --profile-out samples wall-clock stacks into a folded "
-               "file (flamegraph.pl / speedscope);\n"
-               "  --hw-counters adds per-phase cycle/instruction/cache "
-               "counts (perf_event) to the\n"
-               "  breakdown and the run report; --report-out also carries "
-               "metrics, spans and the\n"
-               "  per-iteration IFL and variation series. --version prints "
-               "build provenance and exits.\n"
-               "  --checkpoint-dir makes the run durably resumable: a "
-               "crash-consistent snapshot is\n"
-               "  written every --checkpoint-every accepted iterations "
-               "(default 64) and on interrupt;\n"
-               "  --resume continues from the newest valid checkpoint, "
-               "bit-identically to an\n"
-               "  uninterrupted run (validate/inspect with srp_inspect "
-               "--checkpoint).\n"
-               "  --log-level in {trace, debug, info, warn, error} "
-               "(default info; env SRP_LOG_LEVEL);\n"
-               "  --log-out writes log records to FILE — '.json'/'.jsonl' "
-               "→ JSON lines, '-' → stderr\n"
-               "  (env SRP_LOG_OUT). Crash/interrupt postmortems land in "
-               "$SRP_POSTMORTEM_DIR (srp_inspect).\n"
-               "  --telemetry-out streams live progress samples as JSON "
-               "lines (env SRP_TELEMETRY_OUT;\n"
-               "  watch with srp_top --follow); --telemetry-interval-ms "
-               "sets the sampling period\n"
-               "  (default 250); --stall-timeout-ms arms a watchdog that "
-               "dumps a kind-'stall'\n"
-               "  postmortem after that long without forward progress "
-               "(default off).\n"
-               "  Flags accept both --flag value and --flag=value; '_' and "
-               "'-' are interchangeable.\n");
-}
+constexpr const char* kSynopsis =
+    "srp_repartition (--demo KIND | --input CSV --schema S) [flag...]";
 
-/// Strict numeric flag values (util/string_util): a malformed, signed or
-/// out-of-range number is a usage error, reported before any compute.
-template <typename T>
-bool ParseCount(const char* flag, const char* v, uint64_t min, T* out) {
-  const Result<uint64_t> parsed = ParseUint64(v);
-  if (!parsed.ok() || *parsed < min ||
-      *parsed > std::numeric_limits<T>::max()) {
-    std::fprintf(stderr, "%s needs an integer >= %llu, got '%s'\n", flag,
-                 static_cast<unsigned long long>(min), v);
-    return false;
-  }
-  *out = static_cast<T>(*parsed);
-  return true;
-}
-
-bool ParseReal(const char* flag, const char* v, double min, double max,
-               double* out) {
-  const Result<double> parsed = ParseDouble(v);
-  // The negated form also rejects NaN; a finite `max` rejects infinity.
-  if (!parsed.ok() || !(*parsed >= min && *parsed <= max)) {
-    if (max == std::numeric_limits<double>::max()) {
-      std::fprintf(stderr, "%s needs a finite number >= %g, got '%s'\n", flag,
-                   min, v);
-    } else {
-      std::fprintf(stderr, "%s needs a number in [%g, %g], got '%s'\n", flag,
-                   min, max, v);
-    }
-    return false;
-  }
-  *out = *parsed;
-  return true;
-}
-
-/// Millisecond flags are positive and at most ~31.7 years, which keeps a
-/// deadline or a sampling wait far inside the int64 nanosecond clock.
-bool ParseMs(const char* flag, const char* v, double* out) {
-  if (!ParseReal(flag, v, 0.0, 1e12, out)) return false;
-  if (*out > 0.0) return true;
-  std::fprintf(stderr, "%s needs a positive number, got '%s'\n", flag, v);
-  return false;
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions* out) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept --flag=value in addition to --flag value, and treat '_' as '-'
-    // inside flag names (--trace_out == --trace-out).
-    std::string inline_value;
-    bool has_inline_value = false;
-    if (arg.rfind("--", 0) == 0) {
-      const size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg.resize(eq);
-        has_inline_value = true;
-      }
-      for (char& ch : arg) {
-        if (ch == '_') ch = '-';
-      }
-    }
-    auto next = [&]() -> const char* {
-      if (has_inline_value) return inline_value.c_str();
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--input") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->input = v;
-    } else if (arg == "--demo") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->demo = v;
-    } else if (arg == "--schema") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->schema = v;
-    } else if (arg == "--out-dir") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->out_dir = v;
-    } else if (arg == "--rows") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--rows", v, 1, &out->rows)) return false;
-    } else if (arg == "--cols") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--cols", v, 1, &out->cols)) return false;
-    } else if (arg == "--theta") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseReal("--theta", v, 0.0, 1.0, &out->theta)) return false;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--seed", v, 0, &out->seed)) return false;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--threads", v, 0, &out->num_threads)) return false;
-      if (out->num_threads > kMaxThreads) {
-        std::fprintf(stderr, "--threads must be <= %zu\n", kMaxThreads);
-        return false;
-      }
-    } else if (arg == "--max-iterations") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--max-iterations", v, 1, &out->max_iterations)) {
-        return false;
-      }
-    } else if (arg == "--step") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseReal("--step", v, 0.0, std::numeric_limits<double>::max(),
-                     &out->min_variation_step)) {
-        return false;
-      }
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->trace_out = v;
-    } else if (arg == "--trace-capacity") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--trace-capacity", v, 1, &out->trace_capacity)) {
-        return false;
-      }
-    } else if (arg == "--report-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->report_out = v;
-    } else if (arg == "--profile-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->profile_out = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->log_level = v;
-    } else if (arg == "--log-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->log_out = v;
-    } else if (arg == "--hw-counters") {
-      if (has_inline_value) {
-        std::fprintf(stderr, "--hw-counters takes no value\n");
-        return false;
-      }
-      out->hw_counters = true;
-    } else if (arg == "--version") {
-      if (has_inline_value) {
-        std::fprintf(stderr, "--version takes no value\n");
-        return false;
-      }
-      out->print_version = true;
-    } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseMs("--deadline-ms", v, &out->deadline_ms)) return false;
-    } else if (arg == "--best-effort") {
-      // Boolean flag: takes no value (an inline --best-effort=... is
-      // rejected as unknown usage).
-      if (has_inline_value) {
-        std::fprintf(stderr, "--best-effort takes no value\n");
-        return false;
-      }
-      out->best_effort = true;
-    } else if (arg == "--checkpoint-dir") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->checkpoint_dir = v;
-    } else if (arg == "--checkpoint-every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseCount("--checkpoint-every", v, 1, &out->checkpoint_every)) {
-        return false;
-      }
-    } else if (arg == "--resume") {
-      if (has_inline_value) {
-        std::fprintf(stderr, "--resume takes no value\n");
-        return false;
-      }
-      out->resume = true;
-    } else if (arg == "--telemetry-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->telemetry_out = v;
-    } else if (arg == "--telemetry-interval-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseMs("--telemetry-interval-ms", v,
-                   &out->telemetry_interval_ms)) {
-        return false;
-      }
-    } else if (arg == "--stall-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseMs("--stall-timeout-ms", v, &out->stall_timeout_ms)) {
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (out->print_version) return true;  // no dataset needed to print and exit
-  if (out->resume && out->checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return false;
-  }
-  if (out->demo.empty() == out->input.empty()) {
-    std::fprintf(stderr, "exactly one of --demo / --input is required\n");
-    return false;
-  }
-  if (!out->input.empty() && out->schema.empty()) {
-    std::fprintf(stderr, "--input requires --schema\n");
-    return false;
-  }
-  return true;
+/// The one declaration of every flag: parsing, bounds and usage.
+std::vector<Flag> CliFlags(CliOptions* o) {
+  return {
+      StringFlag("demo", &o->demo, "KIND",
+                 "generate a built-in dataset: taxi_uni, taxi_multi, "
+                 "home_sales, vehicles, earnings or earnings_uni"),
+      StringFlag("input", &o->input, "CSV",
+                 "read points from CSV: a header, then lat,lon and the "
+                 "schema's fields in order"),
+      StringFlag("schema", &o->schema, "S",
+                 "the input's fields, comma-separated name:agg[:int] with "
+                 "agg sum, avg or count"),
+      CountFlag("rows", &o->data.rows, 1, "grid rows"),
+      CountFlag("cols", &o->data.cols, 1, "grid columns"),
+      RealFlag("theta", &o->repartition.ifl_threshold, 0.0,
+               "information-loss threshold", 1.0),
+      RealFlag("step", &o->repartition.min_variation_step, 0.0,
+               "minimum variation step between merges, 0 as in the paper"),
+      CountFlag("seed", &o->data.seed, 0, "seed of the demo dataset"),
+      StringFlag("out-dir", &o->out_dir, "DIR",
+                 "where groups.csv, cells.csv and adjacency.csv go"),
+      CountFlag("threads", &o->repartition.num_threads, 0,
+                "worker threads; 0 resolves SRP_THREADS, then the hardware",
+                kMaxThreads),
+      CountFlag("max-iterations", &o->repartition.max_iterations, 1,
+                "coarsening loop cap; a run stopping there prints a NOTE"),
+      StringFlag("trace-out", &o->trace_out, "FILE",
+                 "write the run's spans as a Chrome trace"),
+      CountFlag("trace-capacity", &o->trace_capacity, 1,
+                "span ring size (unset: SRP_TRACE_CAPACITY, then built in)"),
+      StringFlag("report-out", &o->report_out, "FILE",
+                 "write the run report: config, phases, metrics, spans and "
+                 "IFL series"),
+      MillisFlag("deadline-ms", &o->deadline_ms,
+                 "wall-time budget of the run; past it the run fails"),
+      BoolFlag("best-effort", &o->best_effort,
+               "at the deadline, keep the best partition so far instead"),
+      StringFlag("profile-out", &o->profile_out, "FILE",
+                 "sample the run's wall-clock stacks into a folded file"),
+      BoolFlag("hw-counters", &o->repartition.hw_counters,
+               "add per-phase perf_event counts and an ipc column"),
+      BoolFlag("version", &o->print_version,
+               "print the build provenance and exit"),
+      StringFlag("checkpoint-dir", &o->checkpoint_dir, "DIR",
+                 "write crash-consistent snapshots of the run to DIR"),
+      CountFlag("checkpoint-every", &o->checkpoint_every, 1,
+                "accepted iterations between snapshots"),
+      BoolFlag("resume", &o->resume,
+               "continue from the newest valid checkpoint in the dir"),
+      StringFlag("log-level", &o->log_level, "LEVEL",
+                 "trace, debug, info, warn or error (env SRP_LOG_LEVEL)"),
+      StringFlag("log-out", &o->log_out, "FILE",
+                 "log records to FILE, JSON lines for .json/.jsonl, - for "
+                 "stderr (env SRP_LOG_OUT)"),
+      StringFlag("telemetry-out", &o->telemetry_out, "FILE",
+                 "stream live progress as JSON lines for srp_top (env "
+                 "SRP_TELEMETRY_OUT)"),
+      MillisFlag("telemetry-interval-ms", &o->telemetry_interval_ms,
+                 "telemetry sampling period"),
+      MillisFlag("stall-timeout-ms", &o->stall_timeout_ms,
+                 "dump a stall postmortem after this long without progress"),
+  };
 }
 
 Result<DatasetKind> DemoKind(const std::string& name) {
@@ -396,6 +162,67 @@ Result<DatasetKind> DemoKind(const std::string& name) {
   if (name == "earnings") return DatasetKind::kEarningsMulti;
   if (name == "earnings_uni") return DatasetKind::kEarningsUni;
   return Status::InvalidArgument("unknown demo dataset: " + name);
+}
+
+/// Parses the flags and checks the rules between them. Returns the exit
+/// code to stop with (0 after --help, 2 on a usage error), or nullopt.
+std::optional<int> ParseArgs(int argc, char** argv, CliOptions* out) {
+  const std::vector<Flag> flags = CliFlags(out);
+  const auto usage_error = [&](const std::string& message) {
+    return FlagUsageError(kSynopsis, flags, message);
+  };
+  if (const std::optional<int> exit_code =
+          ParseToolFlags(argc, argv, kSynopsis, flags, nullptr)) {
+    return exit_code;
+  }
+  if (!out->log_level.empty() &&
+      !ParseLogLevel(out->log_level, &out->resolved_log_level)) {
+    return usage_error("invalid --log-level: " + out->log_level);
+  }
+  if (out->print_version) return std::nullopt;  // needs no dataset
+  if (out->resume && out->checkpoint_dir.empty()) {
+    return usage_error("--resume requires --checkpoint-dir");
+  }
+  if (out->demo.empty() == out->input.empty()) {
+    return usage_error("exactly one of --demo / --input is required");
+  }
+  if (!out->input.empty() && out->schema.empty()) {
+    return usage_error("--input requires --schema");
+  }
+  if (!out->demo.empty()) {
+    const Result<DatasetKind> kind = DemoKind(out->demo);
+    if (!kind.ok()) return usage_error(kind.status().message());
+    out->demo_kind = *kind;
+  }
+  return std::nullopt;
+}
+
+/// The checks that need no compute: --out-dir and the directory of every
+/// output file are writable, and the grid fits kMaxGridCells. A run that
+/// fails here (exit 1) reads no input and creates nothing.
+bool CheckBeforeCompute(const CliOptions& options) {
+  std::vector<std::string> dirs = {options.out_dir};
+  for (const std::string* file :
+       {&options.trace_out, &options.report_out, &options.profile_out}) {
+    if (file->empty()) continue;
+    const std::string dir = std::filesystem::path(*file).parent_path();
+    dirs.push_back(dir.empty() ? "." : dir);
+  }
+  for (const std::string& dir : dirs) {
+    struct stat st {};
+    if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
+        ::access(dir.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr, "%s is not a writable directory\n", dir.c_str());
+      return false;
+    }
+  }
+  if (const Status s =
+          CheckGridDimensions(options.data.rows, options.data.cols);
+      !s.ok()) {
+    std::fprintf(stderr, "failed to build grid: %s\n", s.ToString().c_str());
+    return false;
+  }
+  return true;
 }
 
 Result<std::vector<GridAttributeDef>> ParseSchema(const std::string& schema) {
@@ -484,8 +311,8 @@ Result<GridDataset> LoadCsvGrid(const CliOptions& options) {
   // Nudge the extent so max-edge points land inside.
   const GeoExtent extent{lat_min, lat_max + 1e-9, lon_min, lon_max + 1e-9};
   size_t dropped = 0;
-  return BuildGridFromPoints(records, options.rows, options.cols, extent,
-                             defs, &dropped);
+  return BuildGridFromPoints(records, options.data.rows, options.data.cols,
+                             extent, defs, &dropped);
 }
 
 Status WriteOutputs(const CliOptions& options, const GridDataset& grid,
@@ -564,7 +391,7 @@ void PrintRunStats(const RepartitionResult& result,
       stats.TotalHwCounters());
   std::printf("  heap pops %zu, extractions %zu\n", stats.heap_pops,
               stats.extractions);
-  if (options.hw_counters && !hw) {
+  if (options.repartition.hw_counters && !hw) {
     std::printf("  hw counters unavailable: %s\n",
                 stats.hw_unavailable_reason.c_str());
   }
@@ -592,16 +419,17 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
     report.SetConfig("input", options.input);
     report.SetConfig("schema", options.schema);
   }
-  report.SetConfig("rows", static_cast<uint64_t>(options.rows));
-  report.SetConfig("cols", static_cast<uint64_t>(options.cols));
-  report.SetConfig("theta", options.theta);
-  report.SetConfig("seed", options.seed);
-  report.SetConfig("min_variation_step", options.min_variation_step);
+  const RepartitionOptions& ropt = options.repartition;
+  report.SetConfig("rows", static_cast<uint64_t>(options.data.rows));
+  report.SetConfig("cols", static_cast<uint64_t>(options.data.cols));
+  report.SetConfig("theta", ropt.ifl_threshold);
+  report.SetConfig("seed", options.data.seed);
+  report.SetConfig("min_variation_step", ropt.min_variation_step);
   report.SetConfig("max_iterations",
-                   static_cast<uint64_t>(options.max_iterations));
+                   static_cast<uint64_t>(ropt.max_iterations));
   report.SetConfig("num_threads",
                    static_cast<uint64_t>(ResolveThreadCount(
-                       options.num_threads)));
+                       ropt.num_threads)));
   report.SetConfig("deadline_ms", options.deadline_ms);
   report.SetConfig("best_effort", options.best_effort);
   if (!options.checkpoint_dir.empty()) {
@@ -611,7 +439,7 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
     report.SetConfig("resume", options.resume);
   }
 
-  report.SetConfig("hw_counters", options.hw_counters);
+  report.SetConfig("hw_counters", ropt.hw_counters);
 
   const RunStats& stats = result.stats;
   for (const RunPhaseInfo& phase : kRunPhases) {
@@ -620,7 +448,7 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
                     stats.hw_counters_collected ? &(stats.*phase.hw)
                                                 : nullptr);
   }
-  if (options.hw_counters) {
+  if (ropt.hw_counters) {
     report.SetHwCounterStatus(stats.hw_counters_collected,
                               stats.hw_unavailable_reason);
     if (stats.hw_counters_collected) {
@@ -671,34 +499,15 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
 
 int Run(int argc, char** argv) {
   CliOptions options;
-  if (!ParseArgs(argc, argv, &options)) {
-    Usage();
-    return 2;
+  if (const std::optional<int> exit_code = ParseArgs(argc, argv, &options)) {
+    return *exit_code;
   }
-  // A missing or read-only --out-dir fails here, before any compute, not at
-  // the CSV export after the whole run. Nothing is created.
-  if (!options.print_version) {
-    struct stat st {};
-    if (::stat(options.out_dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
-        ::access(options.out_dir.c_str(), W_OK | X_OK) != 0) {
-      std::fprintf(stderr, "--out-dir %s is not a writable directory\n",
-                   options.out_dir.c_str());
-      return 1;
-    }
-  }
+  if (!options.print_version && !CheckBeforeCompute(options)) return 1;
 
   // Env first, flags override; then arm the flight recorder so any crash or
   // interrupt from here on leaves a postmortem in $SRP_POSTMORTEM_DIR.
   ConfigureLoggingFromEnv();
-  if (!options.log_level.empty()) {
-    LogLevel level;
-    if (!ParseLogLevel(options.log_level, &level)) {
-      std::fprintf(stderr, "invalid --log-level: %s\n",
-                   options.log_level.c_str());
-      return 2;
-    }
-    SetLogLevel(level);
-  }
+  if (!options.log_level.empty()) SetLogLevel(options.resolved_log_level);
   if (!options.log_out.empty()) {
     const Status status = InstallLogFile(options.log_out);
     if (!status.ok()) {
@@ -741,16 +550,7 @@ int Run(int argc, char** argv) {
 
   Result<GridDataset> grid = Status::Internal("unset");
   if (!options.demo.empty()) {
-    auto kind = DemoKind(options.demo);
-    if (!kind.ok()) {
-      std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-      return 2;
-    }
-    DatasetOptions data_options;
-    data_options.rows = options.rows;
-    data_options.cols = options.cols;
-    data_options.seed = options.seed;
-    grid = GenerateDataset(*kind, data_options);
+    grid = GenerateDataset(options.demo_kind, options.data);
   } else {
     grid = LoadCsvGrid(options);
   }
@@ -766,12 +566,7 @@ int Run(int argc, char** argv) {
     obs::Tracer::Get().Enable(options.trace_capacity);
   }
 
-  RepartitionOptions ropt;
-  ropt.ifl_threshold = options.theta;
-  ropt.min_variation_step = options.min_variation_step;
-  ropt.max_iterations = options.max_iterations;
-  ropt.num_threads = options.num_threads;
-  ropt.hw_counters = options.hw_counters;
+  RepartitionOptions ropt = options.repartition;
   // Recording costs a few appends per iteration, so it is attached only
   // when the run report will carry the series.
   obs::RecordingIntrospectionSink introspection;
@@ -858,14 +653,14 @@ int Run(int argc, char** argv) {
       grid->rows(), grid->cols(), grid->NumValidCells(),
       result->partition.num_groups(),
       100.0 * (1.0 - result->CellRatio()), result->information_loss,
-      options.theta, result->iterations, result->elapsed_seconds,
-      ResolveThreadCount(options.num_threads),
+      ropt.ifl_threshold, result->iterations, result->elapsed_seconds,
+      ResolveThreadCount(ropt.num_threads),
       StopReasonName(result->stop_reason), options.out_dir.c_str());
   if (result->stop_reason == StopReason::kMaxIterations) {
     std::fprintf(stderr,
                  "NOTE: stopped at the --max-iterations cap (%zu); the "
                  "partition did not reach theta %g\n",
-                 options.max_iterations, options.theta);
+                 ropt.max_iterations, ropt.ifl_threshold);
   }
   if (checkpoint_writer.has_value() &&
       checkpoint_writer->latest_generation() >= 0) {

@@ -4,27 +4,16 @@
 // (or any TelemetrySampler stream sink) and renders a compact panel: journal
 // phase, progress bar with ETA, iteration/accept rates, an IFL sparkline
 // against the acceptance threshold θ, the stop reason of a finished run,
-// thread-pool utilization, and memory.
-//
-// Usage:
-//   srp_top [--follow] [--once] [--replay] [--interval-ms N] <stream.jsonl>
-//
-// Modes:
-//   --follow  (default) tail the stream and re-render on every new sample;
-//             exits when the producer writes its final sample ("final":true).
-//             Waits for the file to appear, so it can be started before the
-//             run. Ctrl-C to stop early.
-//   --once    render the newest sample and exit — works on the stream of a
-//             crashed/killed run, which is the postmortem use case.
-//   --replay  play the recorded stream back sample by sample (inter-sample
-//             gaps are honored but capped at 250 ms) — a flight recording of
-//             how the run felt live.
+// thread-pool utilization, and memory. `srp_top --help` lists the modes
+// (TopFlags below). Following waits for the file to appear, so it can be
+// started before the run; once works on the stream of a crashed or killed
+// run, which is the postmortem use case.
 //
 // Exit codes: 0 ok, 1 stream unreadable / no parsable samples, 2 bad usage.
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <deque>
 #include <string>
@@ -32,9 +21,9 @@
 
 #include <unistd.h>
 
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
-#include "util/string_util.h"
 
 namespace srp {
 namespace {
@@ -266,19 +255,6 @@ void Render(const TopSample& s, RenderState* state, bool clear_screen,
   state->prev = s;
 }
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: srp_top [--follow] [--once] [--replay] "
-               "[--interval-ms N] <stream.jsonl>\n"
-               "  --follow   tail the stream live (default); exits on the "
-               "final sample\n"
-               "  --once     render the newest sample and exit (works on "
-               "killed runs)\n"
-               "  --replay   play the recorded stream back (gaps capped at "
-               "250 ms)\n"
-               "  --interval-ms N  follow-mode poll period (default 100)\n");
-}
-
 void SleepMs(double ms) {
   if (ms <= 0.0) return;
   struct timespec ts;
@@ -420,66 +396,48 @@ int RunFollow(const std::string& path, double poll_ms) {
   }
 }
 
+struct TopOptions {
+  bool follow = false;
+  bool once = false;
+  bool replay = false;
+  double interval_ms = 100.0;
+};
+
+constexpr const char* kSynopsis = "srp_top [flag...] STREAM.jsonl";
+
+/// The one declaration of every flag: parsing, bounds and usage.
+std::vector<Flag> TopFlags(TopOptions* o) {
+  return {
+      BoolFlag("follow", &o->follow,
+               "tail the stream live until its final sample (the default)"),
+      BoolFlag("once", &o->once,
+               "render the newest sample and exit, also for killed runs"),
+      BoolFlag("replay", &o->replay,
+               "play the recorded stream back, gaps capped at 250 ms"),
+      MillisFlag("interval-ms", &o->interval_ms, "follow-mode poll period"),
+  };
+}
+
+int Run(int argc, char** argv) {
+  TopOptions options;
+  std::vector<std::string> paths;
+  const std::vector<Flag> flags = TopFlags(&options);
+  if (const std::optional<int> exit_code =
+          ParseToolFlags(argc, argv, kSynopsis, flags, &paths)) {
+    return *exit_code;
+  }
+  if (options.follow + options.once + options.replay > 1) {
+    return FlagUsageError(kSynopsis, flags, "give at most one mode flag");
+  }
+  if (paths.size() != 1) {
+    return FlagUsageError(kSynopsis, flags, "give exactly one STREAM path");
+  }
+  if (options.once) return RunOnce(paths[0]);
+  if (options.replay) return RunReplay(paths[0]);
+  return RunFollow(paths[0], options.interval_ms);
+}
+
 }  // namespace
 }  // namespace srp
 
-int main(int argc, char** argv) {
-  enum class Mode { kFollow, kOnce, kReplay };
-  Mode mode = Mode::kFollow;
-  double poll_ms = 100.0;
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      srp::PrintUsage(stdout);
-      return 0;
-    }
-    if (std::strcmp(arg, "--follow") == 0) {
-      mode = Mode::kFollow;
-    } else if (std::strcmp(arg, "--once") == 0) {
-      mode = Mode::kOnce;
-    } else if (std::strcmp(arg, "--replay") == 0) {
-      mode = Mode::kReplay;
-    } else if (std::strncmp(arg, "--interval-ms", 13) == 0) {
-      const char* value = nullptr;
-      if (arg[13] == '=') {
-        value = arg + 14;
-      } else if (arg[13] == '\0' && i + 1 < argc) {
-        value = argv[++i];
-      }
-      const srp::Result<double> parsed =
-          srp::ParseDouble(value == nullptr ? "" : value);
-      // The same (0, 1e12] ms range as srp_repartition's millisecond flags,
-      // so the follow-mode sleep stays inside time_t.
-      if (!parsed.ok() || !(*parsed > 0.0 && *parsed <= 1e12)) {
-        std::fprintf(stderr, "srp_top: --interval-ms needs a number in "
-                             "(0, 1e12]\n");
-        return 2;
-      }
-      poll_ms = *parsed;
-    } else if (arg[0] == '-' && arg[1] != '\0') {
-      std::fprintf(stderr, "srp_top: unknown flag: %s\n", arg);
-      srp::PrintUsage(stderr);
-      return 2;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr, "srp_top: more than one stream path\n");
-      srp::PrintUsage(stderr);
-      return 2;
-    }
-  }
-  if (path.empty()) {
-    srp::PrintUsage(stderr);
-    return 2;
-  }
-  switch (mode) {
-    case Mode::kOnce:
-      return srp::RunOnce(path);
-    case Mode::kReplay:
-      return srp::RunReplay(path);
-    case Mode::kFollow:
-      return srp::RunFollow(path, poll_ms);
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return srp::Run(argc, argv); }
