@@ -70,10 +70,6 @@ void Run() {
       table.AddRow({spec.name, FormatDouble(theta, 2),
                     FormatDouble(ifl_adaptive, 4), FormatDouble(ifl_mean, 4),
                     FormatDouble(ifl_mean - ifl_adaptive, 4)});
-      AddBenchRow({kTier.label, theta, spec.name + "/ifl_mean_or_mode",
-                   ifl_adaptive, "ifl", 1, 0.0});
-      AddBenchRow({kTier.label, theta, spec.name + "/ifl_mean_only",
-                   ifl_mean, "ifl", 1, 0.0});
     }
   }
   table.Print();
@@ -84,7 +80,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("ablation_feature_allocator");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

@@ -32,13 +32,6 @@ void Run() {
                     Seconds(result->elapsed_seconds),
                     std::to_string(result->partition.num_groups()),
                     FormatDouble(result->information_loss, 4)});
-      const std::string metric_base =
-          spec.name + "/step=" + FormatDouble(step, 4);
-      AddBenchRow({kTier.label, kTheta, metric_base + "/groups",
-                   static_cast<double>(result->partition.num_groups()),
-                   "groups", 1, 0.0});
-      AddBenchRow({kTier.label, kTheta, metric_base + "/ifl",
-                   result->information_loss, "ifl", 1, 0.0});
     }
   }
   table.Print();
@@ -49,7 +42,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("ablation_variation_step");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

@@ -9,21 +9,9 @@
 #include "baselines/clustering_reduction.h"
 #include "baselines/regionalization.h"
 #include "baselines/sampling.h"
-
-#include "core/extractor.h"
-#include "core/feature_allocator.h"
-#include "core/ifl_engine.h"
-#include "core/information_loss.h"
-#include "core/kernels/kernels.h"
-#include "core/variation.h"
 #include "fail/cancellation.h"
-#include "grid/normalize.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics_registry.h"
-#include "obs/run_report.h"
-#include "parallel/thread_pool.h"
 #include "obs/tracer.h"
-#include "util/json.h"
 #include "util/logging.h"
 #include "util/memory_tracker.h"
 #include "util/string_util.h"
@@ -54,41 +42,6 @@ bool MatchesAnyFilter(const std::string& label,
   return false;
 }
 
-/// Process-wide BenchRow accumulator. Bench binaries are single-threaded at
-/// the row-recording level (rows are added between measurements, never from
-/// pool workers), so no lock is needed.
-std::vector<BenchRow>& GlobalBenchRows() {
-  static std::vector<BenchRow>* rows = new std::vector<BenchRow>();
-  return *rows;
-}
-
-/// Process-wide hardware-counter session driven by SRP_HW_COUNTERS=1. The
-/// group lives here (not in ObsSession) because WriteBenchJson embeds the
-/// totals into the bench JSON's RunReport after the session stops counting.
-struct HwSessionState {
-  bool requested = false;
-  bool collected = false;
-  std::string unavailable_reason;
-  obs::HwCounterValues totals;
-  obs::HwCounterGroup group;
-};
-
-HwSessionState& HwSession() {
-  static HwSessionState* state = new HwSessionState();
-  return *state;
-}
-
-Status WriteWholeFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open file: " + path);
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != contents.size() || !close_ok) {
-    return Status::IOError("short write to file: " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::vector<GridTier> ActiveTiers() {
@@ -110,8 +63,6 @@ std::vector<DatasetSpec> ActiveDatasetSpecs() {
   SRP_CHECK(!out.empty()) << "SRP_BENCH_DATASETS matches no dataset";
   return out;
 }
-
-void AddBenchRow(BenchRow row) { GlobalBenchRows().push_back(std::move(row)); }
 
 int BenchRepeats() {
   if (const char* env = std::getenv("SRP_BENCH_REPEATS")) {
@@ -135,94 +86,25 @@ double TelemetryIntervalMs(double fallback) {
 }
 
 RepeatTiming RepeatSamples(const std::function<double()>& sample) {
-  RepeatTiming out;
-  out.repeats = BenchRepeats();
+  const int repeats = BenchRepeats();
   std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(out.repeats));
-  for (int i = 0; i < out.repeats; ++i) samples.push_back(sample());
+  samples.reserve(static_cast<size_t>(repeats));
+  for (int i = 0; i < repeats; ++i) samples.push_back(sample());
   std::sort(samples.begin(), samples.end());
   const size_t n = samples.size();
-  out.min_seconds = samples.front();
+  RepeatTiming out;
   out.median_seconds = (n % 2 == 1)
                            ? samples[n / 2]
                            : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  out.mean_seconds = sum / static_cast<double>(n);
   if (n > 1) {
+    double sum = 0.0;
+    for (double s : samples) sum += s;
+    const double mean = sum / static_cast<double>(n);
     double sq = 0.0;
-    for (double s : samples) {
-      const double d = s - out.mean_seconds;
-      sq += d * d;
-    }
+    for (double s : samples) sq += (s - mean) * (s - mean);
     out.stddev_seconds = std::sqrt(sq / static_cast<double>(n - 1));
   }
   return out;
-}
-
-RepeatTiming RepeatSeconds(const std::function<void()>& op) {
-  return RepeatSamples([&op] {
-    WallTimer timer;
-    op();
-    return timer.ElapsedSeconds();
-  });
-}
-
-void AddBenchTiming(std::string tier, double threshold, std::string metric,
-                    const RepeatTiming& timing) {
-  BenchRow row;
-  row.tier = std::move(tier);
-  row.threshold = threshold;
-  row.metric = std::move(metric);
-  row.value = timing.median_seconds;
-  row.unit = "s";
-  row.repeats = timing.repeats;
-  row.stddev = timing.stddev_seconds;
-  AddBenchRow(std::move(row));
-}
-
-Status WriteBenchJson(const std::string& path, const std::string& bench_name) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema_version", kBenchSchemaVersion);
-  doc.Set("bench", bench_name);
-
-  JsonValue rows = JsonValue::Array();
-  for (const BenchRow& row : GlobalBenchRows()) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("bench", bench_name);
-    entry.Set("tier", row.tier);
-    entry.Set("threshold", row.threshold);
-    entry.Set("metric", row.metric);
-    entry.Set("value", row.value);
-    entry.Set("unit", row.unit);
-    entry.Set("repeats", row.repeats);
-    entry.Set("stddev", row.stddev);
-    rows.Append(std::move(entry));
-  }
-  doc.Set("rows", std::move(rows));
-
-  obs::RunReport report(bench_name);
-  report.SetConfig("max_threads",
-                   static_cast<int64_t>(ResolveThreadCount(0)));
-  report.SetConfig("repeats", BenchRepeats());
-  if (const char* deadline = std::getenv("SRP_DEADLINE_MS")) {
-    report.SetConfig("deadline_ms", deadline);
-  }
-  const HwSessionState& hw = HwSession();
-  if (hw.requested) {
-    report.SetHwCounterStatus(hw.collected, hw.unavailable_reason);
-    if (hw.collected) {
-      // Totals were frozen by ObsSession's destructor when the session is
-      // driving the write; a direct WriteBenchJson call reads live counts.
-      report.SetHwTotals(hw.totals.cycles != 0 ? hw.totals : hw.group.Read());
-    }
-  }
-  obs::MetricsRegistry::Get().UpdateMemoryGauges();
-  report.CaptureMetrics();
-  report.CaptureTracer();
-  doc.Set("run_report", report.ToJson());
-
-  return WriteWholeFile(path, doc.Dump(2) + "\n");
 }
 
 RepartitionOptions BenchRepartitionOptions(double threshold) {
@@ -410,8 +292,7 @@ void ResultTable::Print() const {
   }
 }
 
-ObsSession::ObsSession(std::string bench_name)
-    : bench_name_(std::move(bench_name)) {
+ObsSession::ObsSession() {
   // Every bench binary honors SRP_LOG_LEVEL / SRP_LOG_OUT and arms the
   // flight recorder (postmortems to $SRP_POSTMORTEM_DIR). Once per process:
   // bench mains build one ObsSession per benchmark, and env config must not
@@ -449,19 +330,6 @@ ObsSession::ObsSession(std::string bench_name)
       sampler_.reset();
     }
   }
-  const char* hw = std::getenv("SRP_HW_COUNTERS");
-  if (hw != nullptr && std::string(hw) == "1") {
-    HwSessionState& session = HwSession();
-    session.requested = true;
-    if (session.group.available()) {
-      (void)session.group.Start();
-      session.collected = true;
-    } else {
-      session.unavailable_reason = session.group.unavailable_reason();
-      SRP_LOG(Warning) << "hw counters unavailable: "
-                       << session.unavailable_reason;
-    }
-  }
 }
 
 ObsSession::~ObsSession() {
@@ -485,11 +353,6 @@ ObsSession::~ObsSession() {
       SRP_LOG(Warning) << "profile export failed: " << status.ToString();
     }
   }
-  // Freeze the hw totals before the bench JSON embeds them.
-  if (HwSession().collected) {
-    HwSession().group.Stop();
-    HwSession().totals = HwSession().group.Read();
-  }
   if (!trace_out_.empty()) {
     obs::Tracer::Get().Disable();
     const Status status = obs::Tracer::Get().WriteChromeTrace(trace_out_);
@@ -500,136 +363,6 @@ ObsSession::~ObsSession() {
     } else {
       SRP_LOG(Warning) << "trace export failed: " << status.ToString();
     }
-  }
-  // Bench JSON last: it embeds the final metrics/trace state. Written by
-  // default so every bench run leaves a diffable artifact; SRP_BENCH_JSON=0
-  // opts out.
-  if (!bench_name_.empty()) {
-    const char* toggle = std::getenv("SRP_BENCH_JSON");
-    if (toggle != nullptr && std::string(toggle) == "0") return;
-    const char* dir = std::getenv("SRP_BENCH_JSON_DIR");
-    std::string path = dir != nullptr && *dir != '\0' ? std::string(dir) : ".";
-    path += "/BENCH_" + bench_name_ + ".json";
-    const Status status = WriteBenchJson(path, bench_name_);
-    if (status.ok()) {
-      SRP_LOG(Info) << "wrote bench JSON to " << path << " ("
-                    << GlobalBenchRows().size() << " rows)";
-    } else {
-      SRP_LOG(Warning) << "bench JSON export failed: " << status.ToString();
-    }
-  }
-}
-
-namespace {
-
-/// Repeats `op` until ~0.25s has elapsed (at least 3 runs) and returns the
-/// measured throughput in cells/sec.
-double CellsPerSecond(size_t cells, const std::function<void()>& op) {
-  constexpr double kMinSeconds = 0.25;
-  constexpr size_t kMinRuns = 3;
-  WallTimer timer;
-  size_t runs = 0;
-  do {
-    op();
-    ++runs;
-  } while (runs < kMinRuns || timer.ElapsedSeconds() < kMinSeconds);
-  const double elapsed = timer.ElapsedSeconds();
-  return static_cast<double>(cells) * static_cast<double>(runs) / elapsed;
-}
-
-/// One measured (operator, thread count) throughput sample.
-struct CorePerfRow {
-  const char* op;
-  size_t threads;
-  double cells_per_sec;
-};
-
-/// Measures the three parallelizable core operators at threads=1 and
-/// threads=max on a rows×cols kHomeSalesMulti grid.
-std::vector<CorePerfRow> MeasureCorePerf(size_t rows, size_t cols) {
-  const GridDataset grid = MakeBenchDataset(
-      DatasetKind::kHomeSalesMulti, GridTier{"core_perf", rows, cols});
-  const GridDataset norm = AttributeNormalized(grid);
-  const PairVariations variations = ComputePairVariations(norm);
-  const CellGroupExtractor extractor(variations);
-  Partition base = extractor.Extract(0.02);
-  SRP_CHECK_OK(AllocateFeatures(grid, &base));
-  const size_t cells = grid.num_cells();
-
-  const size_t max_threads = ResolveThreadCount(0);
-  std::vector<size_t> thread_counts = {1};
-  if (max_threads > 1) thread_counts.push_back(max_threads);
-
-  std::vector<CorePerfRow> results;
-  for (size_t threads : thread_counts) {
-    const std::unique_ptr<ThreadPool> pool = MaybeMakePool(threads);
-    ThreadPool* p = pool.get();
-    results.push_back({"pair_variations", threads,
-                       CellsPerSecond(cells, [&] {
-                         ComputePairVariations(norm, p);
-                       })});
-    results.push_back({"extract", threads, CellsPerSecond(cells, [&] {
-                         extractor.Extract(0.02);
-                       })});
-    results.push_back({"information_loss", threads,
-                       CellsPerSecond(cells, [&] {
-                         InformationLoss(grid, base, p);
-                       })});
-  }
-
-  // Forced-scalar reference rows (threads=1): the same operators with the
-  // SIMD dispatcher pinned to the portable tier — the gap to the rows above
-  // is the vectorization win, tracked so a dispatch regression (silently
-  // falling back to scalar) shows in the rows.
-  {
-    kernels::ScopedSimdLevel forced(kernels::SimdLevel::kScalar);
-    results.push_back({"pair_variations_scalar", 1,
-                       CellsPerSecond(cells, [&] {
-                         ComputePairVariations(norm);
-                       })});
-    results.push_back({"information_loss_scalar", 1,
-                       CellsPerSecond(cells, [&] {
-                         InformationLoss(grid, base);
-                       })});
-  }
-
-  // Incremental update: steady-state cost of one loop iteration between
-  // two slightly different thresholds — window re-extraction, window
-  // allocation and the dirty row shards of Eq. 3, in place on one
-  // partition. Only the window's groups and shards recompute, so effective
-  // cells/sec is far above the full information_loss row — that gap is the
-  // sublinearity the extractor and the engine exist for.
-  {
-    CellGroupExtractor incremental(variations);
-    IflEngine engine(grid);
-    Partition partition;
-    size_t flip = 0;
-    const auto update = [&] {
-      const double t = (flip ^= 1) != 0 ? 0.0201 : 0.02;
-      const ExtractionWindow window = incremental.ExtractInto(t, &partition);
-      SRP_CHECK_OK(engine.AllocateWindow(&partition, window, nullptr,
-                                         nullptr));
-      engine.ComputeInformationLoss(partition, window, nullptr, nullptr);
-    };
-    // Prime both shapes so every measured update has an incremental base.
-    update();
-    update();
-    results.push_back({"incremental_ifl_update", 1,
-                       CellsPerSecond(cells, update)});
-  }
-  return results;
-}
-
-}  // namespace
-
-void AddCorePerfBenchRows(size_t rows, size_t cols) {
-  for (const CorePerfRow& result : MeasureCorePerf(rows, cols)) {
-    BenchRow row;
-    row.tier = "threads=" + std::to_string(result.threads);
-    row.metric = std::string(result.op) + "/cells_per_sec";
-    row.value = result.cells_per_sec;
-    row.unit = "cells/sec";
-    AddBenchRow(std::move(row));
   }
 }
 

@@ -13,7 +13,6 @@
 #include "data/datasets.h"
 #include "ml/dataset.h"
 #include "util/csv.h"
-#include "util/status.h"
 #include "util/string_util.h"
 
 namespace srp {
@@ -47,38 +46,11 @@ std::vector<GridTier> ActiveTiers();
 /// substrings, e.g. "home_sales").
 std::vector<DatasetSpec> ActiveDatasetSpecs();
 
-/// Version of the BENCH_*.json document schema. Independent of the embedded
-/// run report's own schema_version (obs::RunReport::kSchemaVersion). v5
-/// dropped v4's per-row "samples" array (DESIGN.md §9).
-inline constexpr int kBenchSchemaVersion = 5;
-
-/// One row of the common bench JSON schema (DESIGN.md §9). Every bench
-/// binary appends rows via AddBenchRow(); the named ObsSession writes them
-/// to BENCH_<name>.json at exit. A row is keyed for diffing by
-/// (bench, tier, threshold, metric, unit); `value` is the measurement,
-/// `repeats`/`stddev` qualify timing rows (repeats == 1, stddev == 0 for
-/// single-shot and deterministic quantities).
-struct BenchRow {
-  std::string tier;        ///< tier label, or "" when the bench has no tier axis
-  double threshold = 0.0;  ///< IFL threshold θ; 0 when not applicable
-  std::string metric;      ///< path-style: "<dataset>/<model-or-op>/<quantity>"
-  double value = 0.0;
-  std::string unit;  ///< "s", "bytes", "cells/sec", "ifl", "f1", "groups", ...
-  int repeats = 1;
-  double stddev = 0.0;
-};
-
-/// Appends one row to the process-wide bench report.
-void AddBenchRow(BenchRow row);
-
-/// Timing aggregate over BenchRepeats() runs. Rows report the median, which
-/// is robust to one slow outlier run, and the sample stddev.
+/// Timing aggregate over BenchRepeats() runs. Tables show the median, which
+/// is robust to one slow outlier run, beside the sample stddev.
 struct RepeatTiming {
-  double min_seconds = 0.0;
   double median_seconds = 0.0;
-  double mean_seconds = 0.0;
   double stddev_seconds = 0.0;  ///< sample stddev; 0 when repeats == 1
-  int repeats = 0;
 };
 
 /// Number of repetitions for timed measurements: SRP_BENCH_REPEATS when set
@@ -91,28 +63,8 @@ int BenchRepeats();
 double TelemetryIntervalMs(double fallback);
 
 /// Runs `sample` BenchRepeats() times; each call returns one duration in
-/// seconds (e.g. a model's train_seconds).
+/// seconds (e.g. a model's train_seconds or a run's elapsed_seconds).
 RepeatTiming RepeatSamples(const std::function<double()>& sample);
-
-/// Wall-times `op` BenchRepeats() times.
-RepeatTiming RepeatSeconds(const std::function<void()>& op);
-
-/// AddBenchRow() for a timing aggregate: value = median seconds, unit "s".
-void AddBenchTiming(std::string tier, double threshold, std::string metric,
-                    const RepeatTiming& timing);
-
-/// Writes the accumulated rows as one schema-versioned JSON document:
-/// {schema_version, bench, rows: [...], run_report: {...}} with an embedded
-/// obs::RunReport (provenance, metrics snapshot, span tree). Called by
-/// ObsSession at exit; exposed for tests and ad-hoc exports.
-Status WriteBenchJson(const std::string& path, const std::string& bench_name);
-
-/// Measures core-operator throughput (pair variations, extraction,
-/// information loss at threads=1 and threads=max) on a rows×cols
-/// kHomeSalesMulti grid and appends the results to the bench report as
-/// tier "threads=<n>", metric "<op>/cells_per_sec" rows — the hot-path
-/// throughput anchors.
-void AddCorePerfBenchRows(size_t rows = 128, size_t cols = 128);
 
 /// Default options for bench re-partitioning runs: paper-faithful except
 /// for a small variation step that batches near-equal real-valued
@@ -156,15 +108,17 @@ std::vector<MethodDataset> ReducedVariants(const GridDataset& grid,
                                            const std::string& target,
                                            double theta, uint64_t seed = 99);
 
-/// Pretty console table with aligned columns; also persisted as CSV next to
-/// the binary when SRP_BENCH_CSV_DIR is set.
+/// The one record of a bench run: a console table with aligned columns,
+/// also written as CSV when SRP_BENCH_CSV_DIR is set.
 class ResultTable {
  public:
   ResultTable(std::string title, std::vector<std::string> header);
 
   void AddRow(std::vector<std::string> row);
 
-  /// Prints to stdout and (optionally) writes "<csv_dir>/<slug>.csv".
+  /// Prints to stdout and, when SRP_BENCH_CSV_DIR is set, writes
+  /// "$SRP_BENCH_CSV_DIR/<slug>.csv": the title lower-cased, with '_' for
+  /// every character that is not a letter or digit.
   void Print() const;
 
  private:
@@ -173,36 +127,28 @@ class ResultTable {
 };
 
 /// Env-driven observability for bench binaries. Construct one at the top of
-/// main(): when SRP_TRACE_OUT is set, span tracing is enabled for the whole
-/// run and a Chrome trace-event JSON is written there at scope exit; when
-/// SRP_PROFILE_OUT is set, the sampling profiler runs for the whole bench
-/// and folded collapsed stacks (ready for flamegraph.pl / speedscope) are
-/// written there; when SRP_HW_COUNTERS=1, hardware counters cover the whole
-/// bench and the totals (or the explicit unavailable_reason) land in the
-/// bench JSON's embedded RunReport. All are opt-in, so default bench
-/// timings stay unperturbed.
-///
-/// A non-empty `bench_name` additionally writes the accumulated BenchRow
-/// list (plus an embedded RunReport) to
-/// "$SRP_BENCH_JSON_DIR/BENCH_<bench_name>.json" at scope exit. The
-/// directory defaults to the working directory; SRP_BENCH_JSON=0 suppresses
-/// the file.
+/// main(): it applies SRP_LOG_LEVEL / SRP_LOG_OUT and arms the flight
+/// recorder. When SRP_TRACE_OUT is set, span tracing is enabled for the
+/// whole run and a Chrome trace-event JSON is written there at scope exit;
+/// when SRP_PROFILE_OUT is set, the sampling profiler runs for the whole
+/// bench and folded collapsed stacks (ready for flamegraph.pl / speedscope)
+/// are written there. All are opt-in, so default bench timings stay
+/// unperturbed.
 class ObsSession {
  public:
-  explicit ObsSession(std::string bench_name = "");
+  ObsSession();
   ~ObsSession();
 
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
  private:
-  std::string bench_name_;
   std::string trace_out_;
   std::string profile_out_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   /// SRP_TELEMETRY_OUT streams live samples during the bench (the sampler
-  /// stops — and takes its final sample — before the bench JSON is written);
-  /// SRP_TELEMETRY_INTERVAL_MS overrides the 250 ms default.
+  /// stops, taking its final sample, before the other artifacts are
+  /// written); SRP_TELEMETRY_INTERVAL_MS overrides the 250 ms default.
   std::unique_ptr<obs::TelemetrySampler> sampler_;
 };
 

@@ -24,15 +24,10 @@ void ClassificationPanel(ResultTable* table, bool use_gbt) {
     const GridDataset grid = MakeBenchDataset(spec.kind, kTier);
     auto original = PrepareFromGrid(grid, spec.target_attribute);
     SRP_CHECK_OK(original.status());
-    const std::string metric_base = spec.name + "/" + model;
     const ClassificationOutcome base =
         RunClassificationModel(use_gbt, *original, 1);
     table->AddRow({spec.name, model, "original", "-",
                    Mib(base.peak_train_bytes), "-"});
-    AddBenchRow({kTier.label, 0.0,
-                 metric_base + "/original/peak_train_bytes",
-                 static_cast<double>(base.peak_train_bytes), "bytes", 1,
-                 0.0});
     for (double theta : kThresholds) {
       const RepartitionResult repart = MustRepartition(grid, theta);
       auto reduced =
@@ -45,10 +40,6 @@ void ClassificationPanel(ResultTable* table, bool use_gbt) {
            Mib(run.peak_train_bytes),
            Percent(1.0 - static_cast<double>(run.peak_train_bytes) /
                              std::max<int64_t>(base.peak_train_bytes, 1))});
-      AddBenchRow({kTier.label, theta,
-                   metric_base + "/repartitioned/peak_train_bytes",
-                   static_cast<double>(run.peak_train_bytes), "bytes", 1,
-                   0.0});
     }
   }
 }
@@ -58,14 +49,9 @@ void ClusteringPanel(ResultTable* table) {
     const GridDataset grid = MakeBenchDataset(spec.kind, kTier);
     auto original = PrepareFromGrid(grid, spec.target_attribute);
     SRP_CHECK_OK(original.status());
-    const std::string metric_base = spec.name + "/schc_clustering";
     const ClusteringOutcome base = RunClustering(*original, kClusters);
     table->AddRow({spec.name, "schc_clustering", "original", "-",
                    Mib(base.peak_train_bytes), "-"});
-    AddBenchRow({kTier.label, 0.0,
-                 metric_base + "/original/peak_train_bytes",
-                 static_cast<double>(base.peak_train_bytes), "bytes", 1,
-                 0.0});
     for (double theta : kThresholds) {
       const RepartitionResult repart = MustRepartition(grid, theta);
       auto reduced =
@@ -77,10 +63,6 @@ void ClusteringPanel(ResultTable* table) {
            FormatDouble(theta, 2), Mib(run.peak_train_bytes),
            Percent(1.0 - static_cast<double>(run.peak_train_bytes) /
                              std::max<int64_t>(base.peak_train_bytes, 1))});
-      AddBenchRow({kTier.label, theta,
-                   metric_base + "/repartitioned/peak_train_bytes",
-                   static_cast<double>(run.peak_train_bytes), "bytes", 1,
-                   0.0});
     }
   }
 }
@@ -103,7 +85,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("fig10_cluster_class_memory");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

@@ -28,12 +28,6 @@ void Run() {
                       FormatDouble(theta, 2),
                       std::to_string(result.partition.num_groups()),
                       Percent(1.0 - result.CellRatio())});
-        // Deterministic quantities: exact-match anchors across runs.
-        AddBenchRow({tier.label, theta, spec.name + "/groups",
-                     static_cast<double>(result.partition.num_groups()),
-                     "groups", 1, 0.0});
-        AddBenchRow({tier.label, theta, spec.name + "/reduction_pct",
-                     100.0 * (1.0 - result.CellRatio()), "%", 1, 0.0});
       }
     }
   }
@@ -45,7 +39,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("fig5_cell_reduction");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

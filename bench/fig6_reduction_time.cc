@@ -17,15 +17,14 @@ void Run() {
   // accumulate across iterations (span taxonomy in DESIGN.md).
   ResultTable table("Fig6 cell reduction time",
                     {"dataset", "tier", "theta", "iterations",
-                     "reduction_time", "precompute", "pop", "extract",
+                     "reduction_time", "stddev", "precompute", "pop", "extract",
                      "allocate", "ifl"});
   for (const auto& spec : ActiveDatasetSpecs()) {
     for (const GridTier& tier : ActiveTiers()) {
       const GridDataset grid = MakeBenchDataset(spec.kind, tier);
       for (double theta : kThresholds) {
         // Repeated runs (SRP_BENCH_REPEATS, default 3): the table shows the
-        // last run's phase breakdown, the bench row carries the median and
-        // stddev.
+        // median and stddev, then the last run's phase breakdown.
         RepartitionResult result;
         const RepeatTiming timing = RepeatSamples([&] {
           result = MustRepartition(grid, theta);
@@ -35,6 +34,7 @@ void Run() {
         table.AddRow({spec.name, tier.label, FormatDouble(theta, 2),
                       std::to_string(result.iterations),
                       Seconds(timing.median_seconds),
+                      Seconds(timing.stddev_seconds),
                       Seconds(stats.normalize_seconds +
                               stats.pair_variation_seconds +
                               stats.heap_build_seconds),
@@ -42,8 +42,6 @@ void Run() {
                       Seconds(stats.extract_seconds),
                       Seconds(stats.allocate_seconds),
                       Seconds(stats.information_loss_seconds)});
-        AddBenchTiming(tier.label, theta, spec.name + "/reduction_time",
-                       timing);
       }
     }
   }
@@ -55,7 +53,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("fig6_reduction_time");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

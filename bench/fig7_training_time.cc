@@ -31,14 +31,11 @@ void RunPanel(ResultTable* table, const DatasetSpec& spec,
   const GridDataset grid = MakeBenchDataset(spec.kind, kTier);
   auto original = PrepareFromGrid(grid, spec.target_attribute);
   SRP_CHECK_OK(original.status());
-  const std::string metric_base =
-      spec.name + "/" + RegressionModelName(model);
   const RepeatTiming base = TrainTiming(model, *original);
   table->AddRow({spec.name, RegressionModelName(model), "original", "-",
                  std::to_string(original->num_rows()),
-                 Seconds(base.median_seconds), "-"});
-  AddBenchTiming(kTier.label, 0.0, metric_base + "/original/train_time",
-                 base);
+                 Seconds(base.median_seconds), Seconds(base.stddev_seconds),
+                 "-"});
   for (double theta : kThresholds) {
     const RepartitionResult repart = MustRepartition(grid, theta);
     auto reduced =
@@ -49,17 +46,16 @@ void RunPanel(ResultTable* table, const DatasetSpec& spec,
         {spec.name, RegressionModelName(model),
          "repartitioned", FormatDouble(theta, 2),
          std::to_string(reduced->num_rows()), Seconds(run.median_seconds),
+         Seconds(run.stddev_seconds),
          Percent(1.0 - run.median_seconds /
                            std::max(base.median_seconds, 1e-9))});
-    AddBenchTiming(kTier.label, theta,
-                   metric_base + "/repartitioned/train_time", run);
   }
 }
 
 void Run() {
   ResultTable table("Fig7 training time",
                     {"dataset", "model", "variant", "theta", "instances",
-                     "train_time", "time_reduction"});
+                     "train_time", "stddev", "time_reduction"});
   for (const auto& spec : ActiveDatasetSpecs()) {
     if (!spec.multivariate) continue;
     for (RegressionModelKind model : MultivariateRegressionModels()) {
@@ -79,7 +75,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("fig7_training_time");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

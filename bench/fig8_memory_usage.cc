@@ -23,13 +23,9 @@ void RunPanel(ResultTable* table, const DatasetSpec& spec,
   const GridDataset grid = MakeBenchDataset(spec.kind, kTier);
   auto original = PrepareFromGrid(grid, spec.target_attribute);
   SRP_CHECK_OK(original.status());
-  const std::string metric_base =
-      spec.name + "/" + RegressionModelName(model);
   const RegressionOutcome base = RunRegressionModel(model, *original, 1);
   table->AddRow({spec.name, RegressionModelName(model), "original", "-",
                  Mib(base.peak_train_bytes), "-"});
-  AddBenchRow({kTier.label, 0.0, metric_base + "/original/peak_train_bytes",
-               static_cast<double>(base.peak_train_bytes), "bytes", 1, 0.0});
   for (double theta : kThresholds) {
     const RepartitionResult repart = MustRepartition(grid, theta);
     auto reduced =
@@ -41,9 +37,6 @@ void RunPanel(ResultTable* table, const DatasetSpec& spec,
          FormatDouble(theta, 2), Mib(run.peak_train_bytes),
          Percent(1.0 - static_cast<double>(run.peak_train_bytes) /
                            std::max<int64_t>(base.peak_train_bytes, 1))});
-    AddBenchRow({kTier.label, theta,
-                 metric_base + "/repartitioned/peak_train_bytes",
-                 static_cast<double>(run.peak_train_bytes), "bytes", 1, 0.0});
   }
 }
 
@@ -71,7 +64,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("fig8_memory_usage");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

@@ -24,14 +24,12 @@ void ClassificationPanel(ResultTable* table, bool use_gbt) {
     const GridDataset grid = MakeBenchDataset(spec.kind, kTier);
     auto original = PrepareFromGrid(grid, spec.target_attribute);
     SRP_CHECK_OK(original.status());
-    const std::string metric_base = spec.name + "/" + model;
     const RepeatTiming base = RepeatSamples([&] {
       return RunClassificationModel(use_gbt, *original, 1).train_seconds;
     });
     table->AddRow({spec.name, model, "original", "-",
-                   Seconds(base.median_seconds), "-"});
-    AddBenchTiming(kTier.label, 0.0, metric_base + "/original/train_time",
-                   base);
+                   Seconds(base.median_seconds), Seconds(base.stddev_seconds),
+                   "-"});
     for (double theta : kThresholds) {
       const RepartitionResult repart = MustRepartition(grid, theta);
       auto reduced =
@@ -42,10 +40,9 @@ void ClassificationPanel(ResultTable* table, bool use_gbt) {
       });
       table->AddRow({spec.name, model, "repartitioned",
                      FormatDouble(theta, 2), Seconds(run.median_seconds),
+                     Seconds(run.stddev_seconds),
                      Percent(1.0 - run.median_seconds /
                                        std::max(base.median_seconds, 1e-9))});
-      AddBenchTiming(kTier.label, theta,
-                     metric_base + "/repartitioned/train_time", run);
     }
   }
 }
@@ -55,13 +52,11 @@ void ClusteringPanel(ResultTable* table) {
     const GridDataset grid = MakeBenchDataset(spec.kind, kTier);
     auto original = PrepareFromGrid(grid, spec.target_attribute);
     SRP_CHECK_OK(original.status());
-    const std::string metric_base = spec.name + "/schc_clustering";
     const RepeatTiming base = RepeatSamples(
         [&] { return RunClustering(*original, kClusters).train_seconds; });
     table->AddRow({spec.name, "schc_clustering", "original", "-",
-                   Seconds(base.median_seconds), "-"});
-    AddBenchTiming(kTier.label, 0.0, metric_base + "/original/train_time",
-                   base);
+                   Seconds(base.median_seconds), Seconds(base.stddev_seconds),
+                   "-"});
     for (double theta : kThresholds) {
       const RepartitionResult repart = MustRepartition(grid, theta);
       auto reduced =
@@ -71,10 +66,9 @@ void ClusteringPanel(ResultTable* table) {
           [&] { return RunClustering(*reduced, kClusters).train_seconds; });
       table->AddRow({spec.name, "schc_clustering", "repartitioned",
                      FormatDouble(theta, 2), Seconds(run.median_seconds),
+                     Seconds(run.stddev_seconds),
                      Percent(1.0 - run.median_seconds /
                                        std::max(base.median_seconds, 1e-9))});
-      AddBenchTiming(kTier.label, theta,
-                     metric_base + "/repartitioned/train_time", run);
     }
   }
 }
@@ -82,7 +76,7 @@ void ClusteringPanel(ResultTable* table) {
 void Run() {
   ResultTable table(
       "Fig9 clustering and classification training time",
-      {"dataset", "model", "variant", "theta", "train_time",
+      {"dataset", "model", "variant", "theta", "train_time", "stddev",
        "time_reduction"});
   ClassificationPanel(&table, /*use_gbt=*/true);
   ClassificationPanel(&table, /*use_gbt=*/false);
@@ -95,7 +89,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("fig9_cluster_class_time");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

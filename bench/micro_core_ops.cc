@@ -314,17 +314,14 @@ BENCHMARK(BM_JournalPhaseFlip);
 }  // namespace bench
 }  // namespace srp
 
-// Expanded BENCHMARK_MAIN() so the ObsSession (SRP_TRACE_OUT artifact,
-// BENCH_micro_core_ops.json) brackets the benchmark run and the core
-// throughput rows are added after the measured run.
+// Expanded BENCHMARK_MAIN() so the ObsSession (SRP_TRACE_OUT,
+// SRP_PROFILE_OUT and SRP_TELEMETRY_OUT artifacts) brackets the benchmark
+// run.
 int main(int argc, char** argv) {
-  srp::bench::ObsSession obs("micro_core_ops");
+  srp::bench::ObsSession obs;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Core-operator throughput rows for BENCH_micro_core_ops.json, under
-  // row keys that stay stable across commits.
-  srp::bench::AddCorePerfBenchRows();
   return 0;
 }

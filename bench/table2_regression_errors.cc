@@ -30,25 +30,15 @@ bool ReportsSeAndR2(RegressionModelKind kind) {
 
 void AddOutcomeRow(ResultTable* table, const std::string& dataset,
                    RegressionModelKind model, const std::string& variant,
-                   double theta_value, const std::string& theta,
+                   const std::string& theta,
                    const RegressionOutcome& run) {
-  const std::string metric_base =
-      dataset + "/" + RegressionModelName(model) + "/" + variant;
   if (ReportsSeAndR2(model)) {
     table->AddRow({dataset, RegressionModelName(model), variant, theta,
                    FormatDouble(run.standard_error, 2),
                    FormatDouble(run.pseudo_r2, 3), "-", "-"});
-    AddBenchRow({kTier.label, theta_value, metric_base + "/se",
-                 run.standard_error, "se", 1, 0.0});
-    AddBenchRow({kTier.label, theta_value, metric_base + "/pseudo_r2",
-                 run.pseudo_r2, "r2", 1, 0.0});
   } else {
     table->AddRow({dataset, RegressionModelName(model), variant, theta, "-",
                    "-", FormatDouble(run.mae, 2), FormatDouble(run.rmse, 2)});
-    AddBenchRow({kTier.label, theta_value, metric_base + "/mae", run.mae,
-                 "mae", 1, 0.0});
-    AddBenchRow({kTier.label, theta_value, metric_base + "/rmse", run.rmse,
-                 "rmse", 1, 0.0});
   }
 }
 
@@ -66,13 +56,13 @@ void RunDataset(ResultTable* table, const DatasetSpec& spec,
   for (RegressionModelKind model : models) {
     const RegressionOutcome base = RunRegressionAgainstOriginal(
         model, original_train, *original, split.test);
-    AddOutcomeRow(table, spec.name, model, "original", 0.0, "-", base);
+    AddOutcomeRow(table, spec.name, model, "original", "-", base);
     for (double theta : kThresholds) {
       for (const MethodDataset& method :
            ReducedVariants(grid, spec.target_attribute, theta)) {
         const RegressionOutcome run = RunRegressionAgainstOriginal(
             model, method.data, *original, split.test);
-        AddOutcomeRow(table, spec.name, model, method.method, theta,
+        AddOutcomeRow(table, spec.name, model, method.method,
                       FormatDouble(theta, 2), run);
       }
     }
@@ -99,7 +89,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("table2_regression_errors");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

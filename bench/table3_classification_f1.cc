@@ -33,9 +33,6 @@ void RunModel(ResultTable* table, bool use_gbt) {
         use_gbt, original_train, *original, split.train, split.test);
     table->AddRow({spec.name, model, "original", "-",
                    FormatDouble(base.weighted_f1, 3)});
-    AddBenchRow({kTier.label, 0.0,
-                 spec.name + "/" + model + "/original/weighted_f1",
-                 base.weighted_f1, "f1", 1, 0.0});
     for (double theta : kThresholds) {
       for (const MethodDataset& method :
            ReducedVariants(grid, spec.target_attribute, theta)) {
@@ -44,10 +41,6 @@ void RunModel(ResultTable* table, bool use_gbt) {
         table->AddRow({spec.name, model, method.method,
                        FormatDouble(theta, 2),
                        FormatDouble(run.weighted_f1, 3)});
-        AddBenchRow({kTier.label, theta,
-                     spec.name + "/" + model + "/" + method.method +
-                         "/weighted_f1",
-                     run.weighted_f1, "f1", 1, 0.0});
       }
     }
   }
@@ -66,7 +59,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("table3_classification_f1");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

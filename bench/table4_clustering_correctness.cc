@@ -65,9 +65,6 @@ void Run() {
         const double correctness = total / std::size(kClusterCounts);
         table.AddRow({spec.name, method.method, FormatDouble(theta, 2),
                       FormatDouble(correctness, 2)});
-        AddBenchRow({kTier.label, theta,
-                     spec.name + "/" + method.method + "/correctness",
-                     correctness, "pct_correct", 1, 0.0});
       }
     }
   }
@@ -79,7 +76,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("table4_clustering_correctness");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

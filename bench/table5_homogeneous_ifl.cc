@@ -29,12 +29,6 @@ void Run() {
     SRP_CHECK_OK(both.status());
     table.AddRow({spec.name, FormatDouble(*rows2, 3), FormatDouble(*cols2, 3),
                   FormatDouble(*both, 3)});
-    AddBenchRow({kTier.label, 0.0, spec.name + "/merge_2_rows/ifl", *rows2,
-                 "ifl", 1, 0.0});
-    AddBenchRow({kTier.label, 0.0, spec.name + "/merge_2_columns/ifl", *cols2,
-                 "ifl", 1, 0.0});
-    AddBenchRow({kTier.label, 0.0, spec.name + "/merge_2_rows_2_columns/ifl",
-                 *both, "ifl", 1, 0.0});
   }
   table.Print();
 }
@@ -44,7 +38,7 @@ void Run() {
 }  // namespace srp
 
 int main() {
-  srp::bench::ObsSession obs("table5_homogeneous_ifl");
+  srp::bench::ObsSession obs;
   srp::bench::Run();
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "obs/run_report.h"
 
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "util/memory_tracker.h"
@@ -39,69 +38,6 @@ std::string CompilerId() {
 #else
   return "unknown";
 #endif
-}
-
-/// Span-tree node built over a Tracer snapshot; indices into the snapshot
-/// vector, so no events are copied.
-struct SpanNode {
-  size_t event = 0;
-  std::vector<size_t> children;  ///< indices into the node vector
-};
-
-JsonValue SpanNodeToJson(const std::vector<SpanNode>& nodes,
-                         const std::vector<SpanEvent>& events, size_t index) {
-  const SpanNode& node = nodes[index];
-  const SpanEvent& ev = events[node.event];
-  JsonValue out = JsonValue::Object();
-  out.Set("name", ev.name == nullptr ? "?" : ev.name);
-  out.Set("start_us", ev.start_us);
-  out.Set("dur_us", ev.duration_us);
-  out.Set("tid", static_cast<int64_t>(ev.tid));
-  out.Set("depth", static_cast<int64_t>(ev.depth));
-  JsonValue children = JsonValue::Array();
-  for (const size_t child : node.children) {
-    children.Append(SpanNodeToJson(nodes, events, child));
-  }
-  out.Set("children", std::move(children));
-  return out;
-}
-
-/// Rebuilds the nesting forest from the flat span list. Events arrive in
-/// chronological start order; within a thread, a span is a child of the most
-/// recent deeper-nested span whose time interval contains it. Ring-buffer
-/// eviction can orphan children (their parent's record was overwritten) —
-/// those become additional roots rather than being mis-attached.
-JsonValue BuildSpanForest(const std::vector<SpanEvent>& events) {
-  std::vector<SpanNode> nodes;
-  nodes.reserve(events.size());
-  std::vector<size_t> roots;
-  // Per-tid stack of currently "open" ancestors (indices into `nodes`).
-  std::map<uint32_t, std::vector<size_t>> stacks;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const SpanEvent& ev = events[i];
-    std::vector<size_t>& stack = stacks[ev.tid];
-    const auto is_parent_of = [&](size_t node_index) {
-      const SpanEvent& p = events[nodes[node_index].event];
-      return p.depth < ev.depth && ev.start_us >= p.start_us &&
-             ev.start_us <= p.start_us + p.duration_us;
-    };
-    while (!stack.empty() && !is_parent_of(stack.back())) {
-      stack.pop_back();
-    }
-    nodes.push_back(SpanNode{i, {}});
-    const size_t node_index = nodes.size() - 1;
-    if (stack.empty()) {
-      roots.push_back(node_index);
-    } else {
-      nodes[stack.back()].children.push_back(node_index);
-    }
-    stack.push_back(node_index);
-  }
-  JsonValue forest = JsonValue::Array();
-  for (const size_t root : roots) {
-    forest.Append(SpanNodeToJson(nodes, events, root));
-  }
-  return forest;
 }
 
 JsonValue HwCountersToJson(const HwCounterValues& hw) {
@@ -186,13 +122,6 @@ void RunReport::CaptureMetrics(const MetricsRegistry& registry) {
   has_metrics_ = true;
 }
 
-void RunReport::CaptureTracer(const Tracer& tracer) {
-  trace_ = JsonValue::Object();
-  trace_.Set("dropped_spans", static_cast<int64_t>(tracer.dropped()));
-  trace_.Set("spans", BuildSpanForest(tracer.Snapshot()));
-  has_trace_ = true;
-}
-
 JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
   out.Set("schema_version", kSchemaVersion);
@@ -265,7 +194,6 @@ JsonValue RunReport::ToJson() const {
   out.Set("result", result_);
   if (has_introspection_) out.Set("introspection", introspection_);
   if (has_metrics_) out.Set("metrics", metrics_);
-  if (has_trace_) out.Set("trace", trace_);
   return out;
 }
 

@@ -9,7 +9,6 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
-#include "obs/tracer.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -68,8 +67,8 @@ struct RunReportTelemetry {
 /// Aggregates everything one run of the framework leaves behind into a
 /// single versioned JSON document (DESIGN.md §9): build/config provenance,
 /// per-phase wall time and allocation high-water, thread-pool utilization,
-/// headline results (including why the run stopped), the full metrics
-/// snapshot, and the span tree reconstructed from the Tracer ring buffer.
+/// headline results (including why the run stopped) and the full metrics
+/// snapshot. The spans of a traced run go to the Chrome trace, not here.
 ///
 /// Key order in the emitted JSON is stable by construction (JsonValue
 /// objects preserve insertion order and every section is emitted in a fixed
@@ -82,8 +81,8 @@ class RunReport {
   /// v2 added the optional "hw_counters" section, per-phase "hw" objects and
   /// the optional "introspection" section; v3 the optional "telemetry"
   /// summary; v4 removed "metrics.histograms" and
-  /// "telemetry.dropped_samples".
-  static constexpr int kSchemaVersion = 4;
+  /// "telemetry.dropped_samples"; v5 removed the "trace" span tree.
+  static constexpr int kSchemaVersion = 5;
 
   /// `tool` names the producing binary ("srp_repartition", a bench name...).
   explicit RunReport(std::string tool = "unknown");
@@ -121,11 +120,6 @@ class RunReport {
   /// Snapshot of every registered metric, embedded under "metrics".
   void CaptureMetrics(const MetricsRegistry& registry = MetricsRegistry::Get());
 
-  /// Span tree reconstructed from the tracer's retained spans, embedded
-  /// under "trace" together with the dropped-span count. No-op content
-  /// (empty spans array) when tracing never ran.
-  void CaptureTracer(const Tracer& tracer = Tracer::Get());
-
   JsonValue ToJson() const;
 
   /// Pretty-printed (2-space indent) ToJson().
@@ -143,8 +137,6 @@ class RunReport {
   RunReportPool pool_;
   bool has_metrics_ = false;
   JsonValue metrics_ = JsonValue::Object();
-  bool has_trace_ = false;
-  JsonValue trace_ = JsonValue::Object();
   bool has_hw_status_ = false;
   bool hw_collected_ = false;
   std::string hw_unavailable_reason_;

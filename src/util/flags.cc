@@ -30,7 +30,8 @@ Flag NumberFlag(const char* name, const char* value_name, T* out, T min,
             }
             *out = *parsed;
             return true;
-          }};
+          },
+          [out] { return JsonValue(*out); }};
 }
 
 }  // namespace
@@ -41,14 +42,17 @@ Flag StringFlag(const char* name, std::string* out, const char* value_name,
           [out](std::string_view value) {
             *out = value;
             return true;
-          }};
+          },
+          [out] { return JsonValue(*out); }};
 }
 
 Flag BoolFlag(const char* name, bool* out, const char* help) {
-  return {name, "", help, "", "", [out](std::string_view) {
+  return {name, "", help, "", "",
+          [out](std::string_view) {
             *out = true;
             return true;
-          }};
+          },
+          [out] { return JsonValue(*out); }};
 }
 
 Flag CountFlag(const char* name, uint64_t* out, uint64_t min,

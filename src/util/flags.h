@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.h"
 #include "util/status.h"
 
 namespace srp {
@@ -27,6 +28,8 @@ struct Flag {
   std::string default_text;
   /// Stores `value` in the flag's destination if the flag accepts it.
   std::function<bool(std::string_view value)> store;
+  /// The destination's current value, as a run report echoes it.
+  std::function<JsonValue()> value;
 };
 
 /// Any text, the empty string included.

@@ -1,10 +1,15 @@
 // The bench binaries' env knobs are parsed strictly: a malformed value
 // warns and falls back to the default instead of being read as its numeric
-// prefix (atol("5x") == 5).
+// prefix (atol("5x") == 5). The result table, the one record of a bench
+// run, round-trips through its CSV.
 
 #include "bench_common.h"
 
+#include <unistd.h>
+
+#include <cmath>
 #include <cstdlib>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +43,38 @@ TEST(BenchEnvTest, TelemetryIntervalParsesStrictly) {
     EXPECT_EQ(TelemetryIntervalMs(250.0), 250.0) << "'" << bad << "'";
   }
   ASSERT_EQ(unsetenv("SRP_TELEMETRY_INTERVAL_MS"), 0);
+}
+
+TEST(BenchEnvTest, RepeatSamplesGivesMedianAndSampleStddev) {
+  ASSERT_EQ(setenv("SRP_BENCH_REPEATS", "4", 1), 0);
+  double next = 0.0;
+  const RepeatTiming timing = RepeatSamples([&next] { return next += 1.0; });
+  ASSERT_EQ(unsetenv("SRP_BENCH_REPEATS"), 0);
+  EXPECT_EQ(next, 4.0);
+  EXPECT_DOUBLE_EQ(timing.median_seconds, 2.5);
+  EXPECT_DOUBLE_EQ(timing.stddev_seconds, std::sqrt(5.0 / 3.0));
+}
+
+TEST(ResultTableTest, PrintWritesTheTableAsCsv) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) /
+      ("bench_common_test." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ResultTable table("Fig0 a, b", {"dataset", "note"});
+  table.AddRow({"taxi", "plain"});
+  table.AddRow({"homes", "one, two"});
+  ASSERT_EQ(setenv("SRP_BENCH_CSV_DIR", dir.c_str(), 1), 0);
+  table.Print();
+  ASSERT_EQ(unsetenv("SRP_BENCH_CSV_DIR"), 0);
+
+  const Result<CsvTable> csv = ReadCsv((dir / "fig0_a__b.csv").string());
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  EXPECT_EQ(csv->header, (std::vector<std::string>{"dataset", "note"}));
+  ASSERT_EQ(csv->rows.size(), 2u);
+  EXPECT_EQ(csv->rows[0], (std::vector<std::string>{"taxi", "plain"}));
+  EXPECT_EQ(csv->rows[1], (std::vector<std::string>{"homes", "one, two"}));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BenchEnvDeathTest, DeadlineOutsideTheCliRangeAborts) {

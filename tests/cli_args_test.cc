@@ -197,6 +197,37 @@ TEST(CliReportTest, RunReportCarriesMetricsAndIntrospection) {
   std::filesystem::remove_all(dir);
 }
 
+// The report's config echoes every flag under its own name, as the run used
+// it; the resolved thread count is a result. Spans go only to --trace-out.
+TEST(CliReportTest, RunReportConfigIsKeyedByFlagName) {
+  const std::string dir = FreshOutDir();
+  const std::string report = dir + "/report.json";
+  ASSERT_EQ(RunCli(std::string(kBaseArgs) + "--out-dir " + dir +
+                   " --theta 0.1 --step 0.005 --report-out " + report),
+            0);
+  auto json = srp::JsonValue::Parse(ReadFile(report));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("schema_version")->number_value(), 5.0);
+  EXPECT_EQ(json->Find("trace"), nullptr);
+  const srp::JsonValue* config = json->Find("config");
+  ASSERT_NE(config, nullptr);
+  ASSERT_EQ(config->members().size(), 27u);
+  EXPECT_EQ(config->members().front().first, "demo");
+  EXPECT_EQ(config->Find("demo")->string_value(), "taxi_uni");
+  EXPECT_EQ(config->Find("rows")->number_value(), 8.0);
+  EXPECT_EQ(config->Find("step")->number_value(), 0.005);
+  EXPECT_EQ(config->Find("out-dir")->string_value(), dir);
+  EXPECT_EQ(config->Find("report-out")->string_value(), report);
+  EXPECT_EQ(config->Find("threads")->number_value(), 0.0);
+  EXPECT_FALSE(config->Find("best-effort")->bool_value());
+  EXPECT_EQ(config->Find("min_variation_step"), nullptr);
+  EXPECT_EQ(config->Find("num_threads"), nullptr);
+  const srp::JsonValue* threads = json->FindPath("result.threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_GE(threads->number_value(), 1.0);
+  std::filesystem::remove_all(dir);
+}
+
 // The per-format export flags are gone: naming one is a usage error before
 // any compute.
 TEST(CliReportTest, RemovedExportFlagsAreUsageErrors) {
@@ -311,6 +342,23 @@ TEST(CliUsageTest, BadNamesFailBeforeTheOutDirCheck) {
   std::filesystem::remove_all(dir);
 }
 
+// --schema is parsed with the flags: a bad one is a usage error even when
+// the input file is missing, and no file is opened.
+TEST(CliUsageTest, BadSchemaFailsBeforeReadingTheInput) {
+  const std::string dir = FreshOutDir();
+  const std::string out = dir + "/out.txt";
+  EXPECT_EQ(RunTool(SRP_REPARTITION_BIN,
+                    "--input " + dir + "/missing.csv --schema v:bogus "
+                    "--out-dir " + dir,
+                    out),
+            2);
+  EXPECT_NE(ReadFile(out).find("bad aggregation 'bogus'"), std::string::npos)
+      << ReadFile(out);
+  EXPECT_EQ(ReadFile(out).find("missing.csv"), std::string::npos)
+      << ReadFile(out);
+  std::filesystem::remove_all(dir);
+}
+
 // The grid's dimensions are checked before the input is read: a missing CSV
 // with too many cells reports the dimensions, not the missing file.
 TEST(CliUsageTest, OversizeGridFailsBeforeReadingTheInput) {
@@ -330,7 +378,8 @@ TEST(CliUsageTest, OversizeGridFailsBeforeReadingTheInput) {
 // An output file in a missing directory fails before any compute, like a
 // missing --out-dir: no run, so no "stopped:" summary and no CSVs.
 TEST(CliOutDirTest, UnwritableOutputFilesFailBeforeAnyCompute) {
-  for (const char* flag : {"--report-out", "--trace-out", "--profile-out"}) {
+  for (const char* flag : {"--report-out", "--trace-out", "--profile-out",
+                           "--telemetry-out", "--log-out"}) {
     const std::string dir = FreshOutDir();
     const std::string out = dir + "/stdout.txt";
     EXPECT_EQ(RunTool(SRP_REPARTITION_BIN,

@@ -8,7 +8,6 @@
 #include "core/repartitioner.h"
 #include "data/datasets.h"
 #include "obs/metrics_registry.h"
-#include "obs/tracer.h"
 #include "util/json.h"
 
 namespace srp {
@@ -36,15 +35,12 @@ TEST(RunReportTest, TopLevelKeyOrderIsFixed) {
   MetricsRegistry registry;
   registry.GetCounter("runs")->Add(1);
   report.CaptureMetrics(registry);
-  Tracer::Get().Disable();
-  Tracer::Get().Clear();
-  report.CaptureTracer();
 
   const JsonValue doc = report.ToJson();
   ASSERT_TRUE(doc.is_object());
   const std::vector<std::string> expected = {
-      "schema_version", "tool",   "provenance", "config",
-      "phases",         "pool",   "result",     "metrics", "trace"};
+      "schema_version", "tool", "provenance", "config",
+      "phases",         "pool", "result",     "metrics"};
   ASSERT_EQ(doc.members().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(doc.members()[i].first, expected[i]) << "position " << i;
@@ -123,32 +119,6 @@ TEST(RunReportTest, AwkwardMetricNamesSurviveTheReport) {
   ASSERT_NE(newline_gauge, nullptr);
   EXPECT_EQ(newline_gauge->number_value(), 0.5);
   EXPECT_EQ(metrics->Find("histograms"), nullptr);  // schema v4
-}
-
-TEST(RunReportTest, CaptureTracerReconstructsNesting) {
-  Tracer::Get().Disable();
-  Tracer::Get().Clear();
-  Tracer::Get().Enable();
-  {
-    SRP_TRACE_SPAN("outer");
-    { SRP_TRACE_SPAN("inner"); }
-  }
-  Tracer::Get().Disable();
-
-  RunReport report("trace_only");
-  report.CaptureTracer();
-  Tracer::Get().Clear();
-
-  const JsonValue doc = report.ToJson();
-  EXPECT_EQ(doc.FindPath("trace.dropped_spans")->number_value(), 0.0);
-  const JsonValue* spans = doc.FindPath("trace.spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_EQ(spans->size(), 1u);
-  EXPECT_EQ(spans->at(0).Find("name")->string_value(), "outer");
-  const JsonValue* children = spans->at(0).Find("children");
-  ASSERT_NE(children, nullptr);
-  ASSERT_EQ(children->size(), 1u);
-  EXPECT_EQ(children->at(0).Find("name")->string_value(), "inner");
 }
 
 /// Builds a report from a real re-partitioning run the way the CLI does.
@@ -274,7 +244,7 @@ TEST(RunReportTest, ValidateAcceptsTheCliShapedReport) {
   // The invariant sections every report carries, read off a report built
   // the way the CLI builds one.
   const JsonValue doc = ReportForRun(1).ToJson();
-  EXPECT_EQ(doc.Find("schema_version")->number_value(), 4.0);
+  EXPECT_EQ(doc.Find("schema_version")->number_value(), 5.0);
   EXPECT_EQ(doc.Find("tool")->string_value(), "run_report_test");
   for (const char* key : {"provenance.git_sha", "provenance.build_type",
                           "provenance.compiler"}) {

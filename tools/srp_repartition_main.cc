@@ -51,6 +51,7 @@ struct CliOptions {
   std::string demo;
   DatasetKind demo_kind = DatasetKind::kTaxiTripUni;  ///< resolved --demo
   std::string schema;
+  std::vector<GridAttributeDef> schema_defs;  ///< resolved --schema
   std::string out_dir = ".";
   std::string trace_out;    ///< Chrome trace-event JSON (empty = no tracing)
   /// Span ring capacity; 0 = resolve from $SRP_TRACE_CAPACITY / default.
@@ -121,8 +122,8 @@ std::vector<Flag> CliFlags(CliOptions* o) {
       CountFlag("trace-capacity", &o->trace_capacity, 1,
                 "span ring size (unset: SRP_TRACE_CAPACITY, then built in)"),
       StringFlag("report-out", &o->report_out, "FILE",
-                 "write the run report: config, phases, metrics, spans and "
-                 "IFL series"),
+                 "write the run report: config, phases, metrics and IFL "
+                 "series"),
       MillisFlag("deadline-ms", &o->deadline_ms,
                  "wall-time budget of the run; past it the run fails"),
       BoolFlag("best-effort", &o->best_effort,
@@ -164,67 +165,6 @@ Result<DatasetKind> DemoKind(const std::string& name) {
   return Status::InvalidArgument("unknown demo dataset: " + name);
 }
 
-/// Parses the flags and checks the rules between them. Returns the exit
-/// code to stop with (0 after --help, 2 on a usage error), or nullopt.
-std::optional<int> ParseArgs(int argc, char** argv, CliOptions* out) {
-  const std::vector<Flag> flags = CliFlags(out);
-  const auto usage_error = [&](const std::string& message) {
-    return FlagUsageError(kSynopsis, flags, message);
-  };
-  if (const std::optional<int> exit_code =
-          ParseToolFlags(argc, argv, kSynopsis, flags, nullptr)) {
-    return exit_code;
-  }
-  if (!out->log_level.empty() &&
-      !ParseLogLevel(out->log_level, &out->resolved_log_level)) {
-    return usage_error("invalid --log-level: " + out->log_level);
-  }
-  if (out->print_version) return std::nullopt;  // needs no dataset
-  if (out->resume && out->checkpoint_dir.empty()) {
-    return usage_error("--resume requires --checkpoint-dir");
-  }
-  if (out->demo.empty() == out->input.empty()) {
-    return usage_error("exactly one of --demo / --input is required");
-  }
-  if (!out->input.empty() && out->schema.empty()) {
-    return usage_error("--input requires --schema");
-  }
-  if (!out->demo.empty()) {
-    const Result<DatasetKind> kind = DemoKind(out->demo);
-    if (!kind.ok()) return usage_error(kind.status().message());
-    out->demo_kind = *kind;
-  }
-  return std::nullopt;
-}
-
-/// The checks that need no compute: --out-dir and the directory of every
-/// output file are writable, and the grid fits kMaxGridCells. A run that
-/// fails here (exit 1) reads no input and creates nothing.
-bool CheckBeforeCompute(const CliOptions& options) {
-  std::vector<std::string> dirs = {options.out_dir};
-  for (const std::string* file :
-       {&options.trace_out, &options.report_out, &options.profile_out}) {
-    if (file->empty()) continue;
-    const std::string dir = std::filesystem::path(*file).parent_path();
-    dirs.push_back(dir.empty() ? "." : dir);
-  }
-  for (const std::string& dir : dirs) {
-    struct stat st {};
-    if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
-        ::access(dir.c_str(), W_OK | X_OK) != 0) {
-      std::fprintf(stderr, "%s is not a writable directory\n", dir.c_str());
-      return false;
-    }
-  }
-  if (const Status s =
-          CheckGridDimensions(options.data.rows, options.data.cols);
-      !s.ok()) {
-    std::fprintf(stderr, "failed to build grid: %s\n", s.ToString().c_str());
-    return false;
-  }
-  return true;
-}
-
 Result<std::vector<GridAttributeDef>> ParseSchema(const std::string& schema) {
   std::vector<GridAttributeDef> defs;
   int field_index = 0;
@@ -258,13 +198,76 @@ Result<std::vector<GridAttributeDef>> ParseSchema(const std::string& schema) {
   return defs;
 }
 
+/// Parses the flags and checks the rules between them. Returns the exit
+/// code to stop with (0 after --help, 2 on a usage error), or nullopt.
+std::optional<int> ParseArgs(int argc, char** argv, CliOptions* out) {
+  const std::vector<Flag> flags = CliFlags(out);
+  const auto usage_error = [&](const std::string& message) {
+    return FlagUsageError(kSynopsis, flags, message);
+  };
+  if (const std::optional<int> exit_code =
+          ParseToolFlags(argc, argv, kSynopsis, flags, nullptr)) {
+    return exit_code;
+  }
+  if (!out->log_level.empty() &&
+      !ParseLogLevel(out->log_level, &out->resolved_log_level)) {
+    return usage_error("invalid --log-level: " + out->log_level);
+  }
+  if (out->print_version) return std::nullopt;  // needs no dataset
+  if (out->resume && out->checkpoint_dir.empty()) {
+    return usage_error("--resume requires --checkpoint-dir");
+  }
+  if (out->demo.empty() == out->input.empty()) {
+    return usage_error("exactly one of --demo / --input is required");
+  }
+  if (!out->input.empty()) {
+    if (out->schema.empty()) return usage_error("--input requires --schema");
+    Result<std::vector<GridAttributeDef>> defs = ParseSchema(out->schema);
+    if (!defs.ok()) return usage_error(defs.status().message());
+    out->schema_defs = std::move(defs).value();
+  }
+  if (!out->demo.empty()) {
+    const Result<DatasetKind> kind = DemoKind(out->demo);
+    if (!kind.ok()) return usage_error(kind.status().message());
+    out->demo_kind = *kind;
+  }
+  return std::nullopt;
+}
+
+/// The checks that need no compute: --out-dir and the directory of every
+/// output file are writable, and the grid fits kMaxGridCells. A run that
+/// fails here (exit 1) reads no input and creates nothing.
+bool CheckBeforeCompute(const CliOptions& options) {
+  std::vector<std::string> dirs = {options.out_dir};
+  for (const std::string* file :
+       {&options.trace_out, &options.report_out, &options.profile_out,
+        &options.telemetry_out, &options.log_out}) {
+    if (file->empty() || *file == "-") continue;  // "-" logs to stderr
+    const std::string dir = std::filesystem::path(*file).parent_path();
+    dirs.push_back(dir.empty() ? "." : dir);
+  }
+  for (const std::string& dir : dirs) {
+    struct stat st {};
+    if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
+        ::access(dir.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr, "%s is not a writable directory\n", dir.c_str());
+      return false;
+    }
+  }
+  if (const Status s =
+          CheckGridDimensions(options.data.rows, options.data.cols);
+      !s.ok()) {
+    std::fprintf(stderr, "failed to build grid: %s\n", s.ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
 Result<GridDataset> LoadCsvGrid(const CliOptions& options) {
   SRP_ASSIGN_OR_RETURN(CsvTable table, ReadCsv(options.input));
   if (table.num_cols() < 2) {
     return Status::InvalidArgument("CSV needs at least lat,lon columns");
   }
-  SRP_ASSIGN_OR_RETURN(std::vector<GridAttributeDef> defs,
-                       ParseSchema(options.schema));
 
   std::vector<PointRecord> records;
   records.reserve(table.num_rows());
@@ -312,7 +315,7 @@ Result<GridDataset> LoadCsvGrid(const CliOptions& options) {
   const GeoExtent extent{lat_min, lat_max + 1e-9, lon_min, lon_max + 1e-9};
   size_t dropped = 0;
   return BuildGridFromPoints(records, options.data.rows, options.data.cols,
-                             extent, defs, &dropped);
+                             extent, options.schema_defs, &dropped);
 }
 
 Status WriteOutputs(const CliOptions& options, const GridDataset& grid,
@@ -407,39 +410,18 @@ void PrintRunStats(const RepartitionResult& result,
 /// --report-out: one JSON document holding everything this run produced —
 /// provenance, config echo, per-phase time + allocation high-water (+ hw
 /// counters when collected), pool utilization, headline results (the stop
-/// reason among them), introspection series, metrics, span tree.
+/// reason among them), introspection series, metrics.
 Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
                       const RepartitionResult& result,
                       const obs::IntrospectionRecord* introspection,
                       const obs::RunReportTelemetry* telemetry) {
   obs::RunReport report("srp_repartition");
-  if (!options.demo.empty()) {
-    report.SetConfig("demo", options.demo);
-  } else {
-    report.SetConfig("input", options.input);
-    report.SetConfig("schema", options.schema);
+  // Every flag under its own name, in table order, as the run used it.
+  CliOptions echo = options;
+  for (const Flag& flag : CliFlags(&echo)) {
+    report.SetConfig(flag.name, flag.value());
   }
   const RepartitionOptions& ropt = options.repartition;
-  report.SetConfig("rows", static_cast<uint64_t>(options.data.rows));
-  report.SetConfig("cols", static_cast<uint64_t>(options.data.cols));
-  report.SetConfig("theta", ropt.ifl_threshold);
-  report.SetConfig("seed", options.data.seed);
-  report.SetConfig("min_variation_step", ropt.min_variation_step);
-  report.SetConfig("max_iterations",
-                   static_cast<uint64_t>(ropt.max_iterations));
-  report.SetConfig("num_threads",
-                   static_cast<uint64_t>(ResolveThreadCount(
-                       ropt.num_threads)));
-  report.SetConfig("deadline_ms", options.deadline_ms);
-  report.SetConfig("best_effort", options.best_effort);
-  if (!options.checkpoint_dir.empty()) {
-    report.SetConfig("checkpoint_dir", options.checkpoint_dir);
-    report.SetConfig("checkpoint_every",
-                     static_cast<uint64_t>(options.checkpoint_every));
-    report.SetConfig("resume", options.resume);
-  }
-
-  report.SetConfig("hw_counters", ropt.hw_counters);
 
   const RunStats& stats = result.stats;
   for (const RunPhaseInfo& phase : kRunPhases) {
@@ -474,6 +456,8 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
   report.SetResult("information_loss", result.information_loss);
   report.SetResult("cell_ratio", result.CellRatio());
   report.SetResult("elapsed_seconds", result.elapsed_seconds);
+  report.SetResult("threads", static_cast<uint64_t>(
+                                  ResolveThreadCount(ropt.num_threads)));
   if (stats.resumed) {
     report.SetResult("resumed_iterations",
                      static_cast<uint64_t>(stats.resumed_iterations));
@@ -493,7 +477,6 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
 
   obs::MetricsRegistry::Get().UpdateMemoryGauges();
   report.CaptureMetrics();
-  report.CaptureTracer();
   return report.WriteJson(options.report_out);
 }
 
@@ -501,6 +484,12 @@ int Run(int argc, char** argv) {
   CliOptions options;
   if (const std::optional<int> exit_code = ParseArgs(argc, argv, &options)) {
     return *exit_code;
+  }
+  // The env var mirrors --telemetry-out so wrappers (benches, CI) can turn
+  // the stream on without plumbing.
+  if (options.telemetry_out.empty()) {
+    const char* env = std::getenv("SRP_TELEMETRY_OUT");
+    if (env != nullptr) options.telemetry_out = env;
   }
   if (!options.print_version && !CheckBeforeCompute(options)) return 1;
 
@@ -529,12 +518,7 @@ int Run(int argc, char** argv) {
   }
 
   // Live telemetry: start the sampler before any heavy phase so grid
-  // building is already visible in the stream. The env var mirrors the
-  // flag so wrappers (benches, CI) can turn the stream on without plumbing.
-  if (options.telemetry_out.empty()) {
-    const char* env = std::getenv("SRP_TELEMETRY_OUT");
-    if (env != nullptr && env[0] != '\0') options.telemetry_out = env;
-  }
+  // building is already visible in the stream.
   std::optional<obs::TelemetrySampler> sampler;
   if (!options.telemetry_out.empty() || options.stall_timeout_ms > 0.0) {
     obs::TelemetrySamplerOptions topt;
