@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <memory>
 
 #include "fail/cancellation.h"
 #include "obs/journal.h"
@@ -36,8 +38,6 @@ struct RecorderState {
   std::atomic<bool> installed{false};
   std::atomic<bool> dumping{false};
   bool handlers_armed = false;
-  bool dump_on_interrupt = true;
-  int max_interrupt_dumps = 8;
   std::atomic<int> interrupt_dumps{0};
   std::atomic<int> stall_dumps{0};
   char dir[512] = {};
@@ -50,16 +50,17 @@ struct RecorderState {
   JournalInterruptHook previous_hook = nullptr;
 };
 
-RecorderState g_state;
-char g_alt_stack[64 * 1024];         // SIGSTKSZ is not constexpr on glibc
-char g_dump_buf[256 * 1024];         // the whole postmortem JSON
-JournalRawThreadView g_raw_views[kJournalMaxThreads];
+/// The buffers one dump streams through. The crash handler uses the static
+/// g_crash_scratch; a normal-context dump allocates its own, so a crash
+/// during an interrupt or stall dump cannot scribble over it.
+struct DumpScratch {
+  char buf[16 * 1024];
+  JournalRawThreadView views[kJournalMaxThreads];
+};
 
-std::mutex g_written_mu;
-std::vector<std::string>& WrittenPaths() {
-  static auto* paths = new std::vector<std::string>();
-  return *paths;
-}
+RecorderState g_state;
+char g_alt_stack[64 * 1024];  // SIGSTKSZ is not constexpr on glibc
+DumpScratch g_crash_scratch;
 
 const char* SignalName(int sig) {
   switch (sig) {
@@ -89,29 +90,64 @@ const char* InterruptKindName(int kind) {
   return "?";
 }
 
-void BoundedCopy(char* dst, size_t cap, const char* src) {
-  if (cap == 0) return;
-  size_t n = 0;
-  if (src != nullptr) {
-    while (n + 1 < cap && src[n] != '\0') ++n;
-    std::memcpy(dst, src, n);
-  }
-  dst[n] = '\0';
+/// The document's "kind" and the file name's middle part, by
+/// PostmortemKind.
+constexpr const char* kPostmortemKindNames[] = {"signal", "interrupt",
+                                                "stall"};
+
+const char* PostmortemKindName(PostmortemKind kind) {
+  return kPostmortemKindNames[static_cast<int>(kind)];
 }
 
 // ---------------------------------------------------------------------------
-// Signal-safe JSON formatting: bounded appends into g_dump_buf, silently
-// truncating (the buffer is sized for worst-case journal contents, so
-// truncation means something is badly wrong anyway).
+// Signal-safe JSON formatting into a fixed buffer. With a sink (an fd, or a
+// string in normal context) a full buffer is flushed to it and reused, so a
+// document of any size comes out whole; without one, appends past the end
+// are dropped (paths and the stderr note).
 // ---------------------------------------------------------------------------
 
 struct SigBuf {
+  char* begin;
   char* p;
   char* end;
+  int fd = -1;
+  std::string* out = nullptr;
+  bool write_failed = false;
 };
 
+SigBuf FixedBuf(char* buf, size_t size, int fd = -1,
+                std::string* out = nullptr) {
+  return SigBuf{buf, buf, buf + size, fd, out};
+}
+
+/// Hands the buffered bytes to the sink and empties the buffer; false when
+/// there is no sink.
+bool SigFlush(SigBuf* b) {
+  const char* q = b->begin;
+  size_t remaining = static_cast<size_t>(b->p - b->begin);
+  if (b->out != nullptr) {
+    b->out->append(q, remaining);
+  } else if (b->fd >= 0) {
+    while (remaining > 0 && !b->write_failed) {
+      const ssize_t written = write(b->fd, q, remaining);
+      if (written < 0 && errno == EINTR) continue;
+      if (written <= 0) {
+        b->write_failed = true;
+        break;
+      }
+      q += written;
+      remaining -= static_cast<size_t>(written);
+    }
+  } else {
+    return false;
+  }
+  b->p = b->begin;
+  return true;
+}
+
 void SigChar(SigBuf* b, char c) {
-  if (b->p < b->end) *b->p++ = c;
+  if (b->p == b->end && !SigFlush(b)) return;
+  *b->p++ = c;
 }
 
 void SigStr(SigBuf* b, const char* s) {
@@ -156,6 +192,17 @@ void SigI64(SigBuf* b, int64_t v) {
   }
 }
 
+/// A non-negative number with three decimals (NaN and negatives as 0).
+void SigFixed3(SigBuf* b, double v) {
+  const uint64_t thousandths =
+      v >= 0.0 ? static_cast<uint64_t>(v * 1000.0 + 0.5) : 0;
+  SigU64(b, thousandths / 1000);
+  SigChar(b, '.');
+  SigChar(b, static_cast<char>('0' + thousandths / 100 % 10));
+  SigChar(b, static_cast<char>('0' + thousandths / 10 % 10));
+  SigChar(b, static_cast<char>('0' + thousandths % 10));
+}
+
 void SigHex(SigBuf* b, uint64_t v) {
   SigStr(b, "0x");
   const char* hex = "0123456789abcdef";
@@ -192,16 +239,16 @@ void SigFrame(SigBuf* b, void* pc) {
 
 /// Emits the journal section from raw slot views — per-thread groups in
 /// ring order; srp_inspect merges across threads by seq.
-void SigJournal(SigBuf* b) {
+void SigJournal(SigBuf* b, JournalRawThreadView* views) {
   SigStr(b, "{\"total_events\":");
   SigU64(b, Journal::total_events());
   SigStr(b, ",\"dropped_thread_events\":");
   SigU64(b, Journal::dropped_thread_events());
   SigStr(b, ",\"threads\":[");
-  const size_t n = Journal::ReadRawThreads(g_raw_views, kJournalMaxThreads);
+  const size_t n = Journal::ReadRawThreads(views, kJournalMaxThreads);
   bool first_thread = true;
   for (size_t i = 0; i < n; ++i) {
-    const JournalRawThreadView& view = g_raw_views[i];
+    const JournalRawThreadView& view = views[i];
     if (view.total_appends == 0) continue;
     if (!first_thread) SigChar(b, ',');
     first_thread = false;
@@ -223,7 +270,7 @@ void SigJournal(SigBuf* b) {
     bool first_event = true;
     for (uint64_t j = 0; j < retained; ++j) {
       const JournalEvent& event = view.ring[(start + j) % view.capacity];
-      if (event.seq == 0) continue;
+      if (event.seq == 0) continue;  // torn or not yet published
       if (!first_event) SigChar(b, ',');
       first_event = false;
       SigStr(b, "{\"seq\":");
@@ -246,106 +293,128 @@ void SigJournal(SigBuf* b) {
   SigStr(b, "]}");
 }
 
-/// Builds the whole signal postmortem into g_dump_buf and writes it with
-/// write(2). Runs exactly once, on the crashing thread, on the alt stack.
-void WriteSignalPostmortem(int sig, siginfo_t* info) {
-  if (g_state.dir[0] == '\0') return;
-
-  // postmortem.<pid>.signal.json
-  char path[640];
-  SigBuf pb{path, path + sizeof(path) - 1};
-  SigStr(&pb, g_state.dir);
-  SigStr(&pb, "/postmortem.");
-  SigU64(&pb, static_cast<uint64_t>(getpid()));
-  SigStr(&pb, ".signal.json");
-  *pb.p = '\0';
-
+/// The one postmortem formatter: streams `event`'s document through
+/// `scratch` to `fd`, or to `out` when `fd` < 0. Every kind shares the
+/// sections after its own; `metrics_json` (normal context only, nullptr
+/// omits it) is copied in verbatim. Signal-safe with an fd and no metrics.
+/// False on a write error.
+bool StreamPostmortem(const PostmortemEvent& event, const char* metrics_json,
+                      DumpScratch* scratch, int fd, std::string* out) {
+  SigBuf buf = FixedBuf(scratch->buf, sizeof(scratch->buf), fd, out);
+  SigBuf* b = &buf;
+  const char* cause = event.cause != nullptr ? event.cause : "";
   const char* crash_cause = Journal::crash_cause();
-  const bool is_check = crash_cause[0] != '\0';
+  const bool is_check =
+      event.kind == PostmortemKind::kSignal && crash_cause[0] != '\0';
 
-  SigBuf b{g_dump_buf, g_dump_buf + sizeof(g_dump_buf) - 1};
-  SigStr(&b, "{\"postmortem_schema_version\":");
-  SigI64(&b, kPostmortemSchemaVersion);
-  SigStr(&b, ",\"kind\":\"");
-  SigStr(&b, is_check ? "check" : "signal");
-  SigStr(&b, "\",\"cause\":\"");
-  if (is_check) {
-    SigEscaped(&b, crash_cause);
-  } else {
-    SigStr(&b, SignalName(sig));
+  SigStr(b, "{\"postmortem_schema_version\":");
+  SigI64(b, kPostmortemSchemaVersion);
+  SigStr(b, ",\"kind\":\"");
+  SigStr(b, is_check ? "check" : PostmortemKindName(event.kind));
+  SigStr(b, "\",\"cause\":\"");
+  switch (event.kind) {
+    case PostmortemKind::kSignal:
+      SigEscaped(b, is_check ? crash_cause : SignalName(event.signal));
+      SigStr(b, "\",\"signal\":{\"number\":");
+      SigI64(b, event.signal);
+      SigStr(b, ",\"name\":\"");
+      SigStr(b, SignalName(event.signal));
+      SigStr(b, "\",\"fault_addr\":\"");
+      SigHex(b, reinterpret_cast<uint64_t>(event.fault_addr));
+      SigStr(b, "\"}");
+      if (is_check) {
+        SigStr(b, ",\"crash_cause\":\"");
+        SigEscaped(b, crash_cause);
+        SigChar(b, '"');
+      }
+      break;
+    case PostmortemKind::kInterrupt:
+      SigEscaped(b, cause);
+      SigStr(b, "\",\"interrupt\":{\"kind\":");
+      SigI64(b, event.interrupt_kind);
+      SigStr(b, ",\"kind_name\":\"");
+      SigStr(b, InterruptKindName(event.interrupt_kind));
+      SigStr(b, "\"}");
+      break;
+    case PostmortemKind::kStall:
+      SigEscaped(b, cause);
+      SigStr(b, "\",\"stall\":{\"window_ms\":");
+      SigFixed3(b, event.window_ms);
+      SigStr(b, ",\"phase\":\"");
+      SigEscaped(b, Journal::CurrentPhase());
+      SigStr(b, "\"}");
+      break;
   }
-  SigStr(&b, "\",\"signal\":{\"number\":");
-  SigI64(&b, sig);
-  SigStr(&b, ",\"name\":\"");
-  SigStr(&b, SignalName(sig));
-  SigStr(&b, "\",\"fault_addr\":\"");
-  SigHex(&b, info != nullptr
-                 ? reinterpret_cast<uint64_t>(info->si_addr)
-                 : 0);
-  SigStr(&b, "\"}");
-  if (is_check) {
-    SigStr(&b, ",\"crash_cause\":\"");
-    SigEscaped(&b, crash_cause);
-    SigChar(&b, '"');
-  }
-  SigStr(&b, ",\"thread\":{\"tid\":");
-  SigU64(&b, Journal::CurrentThreadId());
-  SigStr(&b, ",\"label\":\"");
-  SigEscaped(&b, Journal::ThreadLabel());
-  SigStr(&b, "\"},\"phase\":\"");
-  SigEscaped(&b, Journal::CurrentPhase());
-  SigChar(&b, '"');
+
+  SigStr(b, ",\"thread\":{\"tid\":");
+  SigU64(b, Journal::CurrentThreadId());
+  SigStr(b, ",\"label\":\"");
+  SigEscaped(b, Journal::ThreadLabel());
+  SigStr(b, "\"},\"phase\":\"");
+  SigEscaped(b, Journal::CurrentPhase());
+  SigChar(b, '"');
   // Newest durable checkpoint generation, when one was committed: the
-  // postmortem's pointer to the resumable state (one relaxed load —
-  // signal-safe). Additive within schema version 1.
+  // postmortem's pointer to the resumable state (one relaxed load).
   const int64_t ckpt_gen = Journal::checkpoint_generation();
   if (ckpt_gen >= 0) {
-    SigStr(&b, ",\"checkpoint\":{\"generation\":");
-    SigI64(&b, ckpt_gen);
-    SigChar(&b, '}');
+    SigStr(b, ",\"checkpoint\":{\"generation\":");
+    SigI64(b, ckpt_gen);
+    SigChar(b, '}');
   }
-  SigStr(&b, ",\"provenance\":{\"git_sha\":\"");
-  SigEscaped(&b, g_state.git_sha);
-  SigStr(&b, "\",\"build_type\":\"");
-  SigEscaped(&b, g_state.build_type);
-  SigStr(&b, "\",\"compiler\":\"");
-  SigEscaped(&b, g_state.compiler);
-  SigStr(&b, "\"},\"backtrace\":[");
+  SigStr(b, ",\"provenance\":{\"git_sha\":\"");
+  SigEscaped(b, g_state.git_sha);
+  SigStr(b, "\",\"build_type\":\"");
+  SigEscaped(b, g_state.build_type);
+  SigStr(b, "\",\"compiler\":\"");
+  SigEscaped(b, g_state.compiler);
+  SigStr(b, "\"},\"backtrace\":[");
   void* frames[64];
   const int depth = backtrace(frames, 64);
   for (int i = 0; i < depth; ++i) {
-    if (i > 0) SigChar(&b, ',');
-    SigChar(&b, '"');
-    SigFrame(&b, frames[i]);
-    SigChar(&b, '"');
+    if (i > 0) SigChar(b, ',');
+    SigChar(b, '"');
+    SigFrame(b, frames[i]);
+    SigChar(b, '"');
   }
-  SigStr(&b, "],\"journal\":");
-  SigJournal(&b);
-  SigStr(&b, "}\n");
-
-  const int fd = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    const char* p = g_dump_buf;
-    size_t remaining = static_cast<size_t>(b.p - g_dump_buf);
-    while (remaining > 0) {
-      const ssize_t written = write(fd, p, remaining);
-      if (written <= 0) break;
-      p += written;
-      remaining -= static_cast<size_t>(written);
-    }
-    fsync(fd);
-    close(fd);
-
-    // One stderr line naming the artifact, signal-safe.
-    char note[768];
-    SigBuf nb{note, note + sizeof(note) - 1};
-    SigStr(&nb, "srp: wrote postmortem ");
-    SigStr(&nb, path);
-    SigChar(&nb, '\n');
-    ssize_t ignored = write(STDERR_FILENO, note,
-                            static_cast<size_t>(nb.p - note));
-    (void)ignored;
+  SigChar(b, ']');
+  if (metrics_json != nullptr) {
+    SigStr(b, ",\"metrics\":");
+    SigStr(b, metrics_json);
   }
+  SigStr(b, ",\"journal\":");
+  SigJournal(b, scratch->views);
+  SigStr(b, "}\n");
+  SigFlush(b);
+  return !b->write_failed;
+}
+
+/// Creates `path`, streams the postmortem into it and fsyncs it.
+/// Signal-safe with no metrics. False when any step fails.
+bool WritePostmortemFile(const char* path, const PostmortemEvent& event,
+                         const char* metrics_json, DumpScratch* scratch) {
+  const int fd = open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  const bool streamed =
+      StreamPostmortem(event, metrics_json, scratch, fd, nullptr);
+  const bool synced = fsync(fd) == 0;
+  return close(fd) == 0 && streamed && synced;
+}
+
+/// <dir>/postmortem.<pid>.signal.json, or .<kind>.<n>.json for the
+/// numbered normal-context kinds.
+void PostmortemPath(char* path, size_t size, PostmortemKind kind, int n) {
+  SigBuf pb = FixedBuf(path, size - 1);
+  SigStr(&pb, g_state.dir);
+  SigStr(&pb, "/postmortem.");
+  SigU64(&pb, static_cast<uint64_t>(getpid()));
+  SigChar(&pb, '.');
+  SigStr(&pb, PostmortemKindName(kind));
+  if (kind != PostmortemKind::kSignal) {
+    SigChar(&pb, '.');
+    SigI64(&pb, n);
+  }
+  SigStr(&pb, ".json");
+  *pb.p = '\0';
 }
 
 size_t SignalIndex(int sig) {
@@ -359,75 +428,43 @@ void CrashHandler(int sig, siginfo_t* info, void* /*ucontext*/) {
   // Restore the previous disposition FIRST: a fault inside the dumper then
   // terminates the process instead of recursing into this handler.
   sigaction(sig, &g_state.previous[SignalIndex(sig)], nullptr);
-  if (!g_state.dumping.exchange(true)) {
-    WriteSignalPostmortem(sig, info);
+  // Dump once, on the crashing thread, on the alt stack.
+  if (!g_state.dumping.exchange(true) && g_state.dir[0] != '\0') {
+    char path[640];
+    PostmortemPath(path, sizeof(path), PostmortemKind::kSignal, 0);
+    const PostmortemEvent event{
+        .kind = PostmortemKind::kSignal,
+        .signal = sig,
+        .fault_addr = info != nullptr ? info->si_addr : nullptr};
+    if (WritePostmortemFile(path, event, nullptr, &g_crash_scratch)) {
+      // One stderr line naming the artifact, through the now idle buffer.
+      SigBuf note = FixedBuf(g_crash_scratch.buf, sizeof(g_crash_scratch.buf),
+                             STDERR_FILENO);
+      SigStr(&note, "srp: wrote postmortem ");
+      SigStr(&note, path);
+      SigChar(&note, '\n');
+      SigFlush(&note);
+    }
   }
   // Chain: re-deliver to the previous handler (ASan's, gtest death tests')
   // or the default action, preserving the exit status.
   raise(sig);
 }
 
-Status WriteWholeFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open postmortem file: " + path);
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != content.size() || !close_ok) {
-    return Status::IOError("short write to postmortem file: " + path);
-  }
-  return Status::OK();
-}
-
-JsonValue JournalThreadsToJson() {
-  JsonValue journal = JsonValue::Object();
-  journal.Set("total_events", Journal::total_events());
-  journal.Set("dropped_thread_events", Journal::dropped_thread_events());
-  JsonValue threads = JsonValue::Array();
-  for (const JournalThreadSnapshot& thread : Journal::SnapshotThreads()) {
-    JsonValue t = JsonValue::Object();
-    t.Set("tid", static_cast<int64_t>(thread.tid));
-    t.Set("label", thread.label);
-    t.Set("live", thread.live);
-    t.Set("total_appends", thread.total_appends);
-    JsonValue events = JsonValue::Array();
-    for (const JournalEvent& event : thread.events) {
-      JsonValue e = JsonValue::Object();
-      e.Set("seq", event.seq);
-      e.Set("ts_ns", event.ts_ns);
-      e.Set("kind", JournalEventKindName(event.kind));
-      e.Set("level", static_cast<int64_t>(event.level));
-      e.Set("text", std::string(event.text));
-      events.Append(std::move(e));
-    }
-    t.Set("events", std::move(events));
-    threads.Append(std::move(t));
-  }
-  journal.Set("threads", std::move(threads));
-  return journal;
-}
-
 /// Interrupt hook registered with the journal: the fail layer calls this
 /// (via Journal::NotifyInterrupt) at the first sticky interrupt transition.
 void OnInterrupt(int kind, const char* detail) {
   if (!g_state.installed.load(std::memory_order_acquire)) return;
-  if (!g_state.dump_on_interrupt || g_state.dir[0] == '\0') return;
-  const int n = g_state.interrupt_dumps.fetch_add(1);
-  if (n >= g_state.max_interrupt_dumps) return;
-  std::string path = std::string(g_state.dir) + "/postmortem." +
-                     std::to_string(getpid()) + ".interrupt." +
-                     std::to_string(n) + ".json";
-  const JsonValue doc = FlightRecorder::BuildInterruptPostmortem(kind, detail);
-  const Status status = WriteWholeFile(path, doc.Dump(2) + "\n");
-  if (status.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(g_written_mu);
-      WrittenPaths().push_back(path);
-    }
-    SRP_LOG(Info) << "wrote interrupt postmortem " << path;
-  } else {
-    SRP_LOG(Warning) << status.ToString();
+  if (g_state.dir[0] == '\0') return;
+  const Result<std::string> path = FlightRecorder::WritePostmortem(
+      {.kind = PostmortemKind::kInterrupt,
+       .cause = detail,
+       .interrupt_kind = kind});
+  if (path.ok()) {
+    SRP_LOG(Info) << "wrote interrupt postmortem " << *path;
+  } else if (path.status().code() != StatusCode::kOutOfRange) {
+    // (Past the per-process cap is the budget working, not a failure.)
+    SRP_LOG(Warning) << path.status().ToString();
   }
 }
 
@@ -447,23 +484,19 @@ Status FlightRecorder::Install(const FlightRecorderOptions& options) {
     // failed dump later, never as a crash-path error.
     ::mkdir(dir.c_str(), 0755);
   }
-  BoundedCopy(g_state.dir, sizeof(g_state.dir), dir.c_str());
-  g_state.dump_on_interrupt = options.dump_on_interrupt;
-  g_state.max_interrupt_dumps = options.max_interrupt_dumps;
+  std::snprintf(g_state.dir, sizeof(g_state.dir), "%s", dir.c_str());
   g_state.interrupt_dumps.store(0);
   g_state.stall_dumps.store(0);
 
   const RunReportProvenance provenance = BuildProvenance();
-  BoundedCopy(g_state.git_sha, sizeof(g_state.git_sha),
-              provenance.git_sha.c_str());
-  BoundedCopy(g_state.build_type, sizeof(g_state.build_type),
-              provenance.build_type.c_str());
-  BoundedCopy(g_state.compiler, sizeof(g_state.compiler),
-              provenance.compiler.c_str());
+  std::snprintf(g_state.git_sha, sizeof(g_state.git_sha), "%s",
+                provenance.git_sha.c_str());
+  std::snprintf(g_state.build_type, sizeof(g_state.build_type), "%s",
+                provenance.build_type.c_str());
+  std::snprintf(g_state.compiler, sizeof(g_state.compiler), "%s",
+                provenance.compiler.c_str());
 
-  if (options.thread_label != nullptr) {
-    Journal::SetThreadLabel(options.thread_label);
-  }
+  Journal::SetThreadLabel("main");
 
   // Warm up the unwinder: the first backtrace() call may dlopen/allocate,
   // which must not happen inside the signal handler.
@@ -516,166 +549,91 @@ void FlightRecorder::Uninstall() {
 
 std::string FlightRecorder::postmortem_dir() { return g_state.dir; }
 
-// Shared tail of the normal-context (interrupt/stall) postmortem shapes:
-// thread, phase, checkpoint, provenance, backtrace, metrics, journal.
-static void AppendNormalContextSections(JsonValue* doc_ptr) {
-  JsonValue& doc = *doc_ptr;
-  JsonValue thread = JsonValue::Object();
-  thread.Set("tid", static_cast<int64_t>(Journal::CurrentThreadId()));
-  thread.Set("label", std::string(Journal::ThreadLabel()));
-  doc.Set("thread", std::move(thread));
-  doc.Set("phase", std::string(Journal::CurrentPhase()));
-
-  // Matches the signal path: present only when a durable checkpoint was
-  // committed this process, so the operator knows resume is on the table.
-  const int64_t ckpt_gen = Journal::checkpoint_generation();
-  if (ckpt_gen >= 0) {
-    JsonValue checkpoint = JsonValue::Object();
-    checkpoint.Set("generation", ckpt_gen);
-    doc.Set("checkpoint", std::move(checkpoint));
-  }
-
-  const RunReportProvenance provenance = BuildProvenance();
-  JsonValue prov = JsonValue::Object();
-  prov.Set("git_sha", provenance.git_sha);
-  prov.Set("build_type", provenance.build_type);
-  prov.Set("compiler", provenance.compiler);
-  doc.Set("provenance", std::move(prov));
-
-  JsonValue backtrace_json = JsonValue::Array();
-  void* frames[64];
-  const int depth = backtrace(frames, 64);
-  char** symbols = backtrace_symbols(frames, depth);
-  for (int i = 0; i < depth; ++i) {
-    backtrace_json.Append(symbols != nullptr ? std::string(symbols[i])
-                                             : std::string("?"));
-  }
-  std::free(symbols);
-  doc.Set("backtrace", std::move(backtrace_json));
-
-  // Normal-context dump → the metrics registry is safe to snapshot (this is
-  // the section signal dumps must omit).
-  doc.Set("metrics", MetricsRegistry::Get().ToJson());
-
-  doc.Set("journal", JournalThreadsToJson());
+std::string FlightRecorder::RenderPostmortem(const PostmortemEvent& event) {
+  const std::string metrics = MetricsRegistry::Get().ToJson().Dump();
+  const auto scratch = std::make_unique<DumpScratch>();
+  std::string out;
+  StreamPostmortem(event, metrics.c_str(), scratch.get(), -1, &out);
+  return out;
 }
 
-JsonValue FlightRecorder::BuildInterruptPostmortem(int interrupt_kind,
-                                                   const char* cause) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("postmortem_schema_version", kPostmortemSchemaVersion);
-  doc.Set("kind", "interrupt");
-  doc.Set("cause", cause != nullptr ? cause : "");
-  JsonValue interrupt = JsonValue::Object();
-  interrupt.Set("kind", interrupt_kind);
-  interrupt.Set("kind_name", InterruptKindName(interrupt_kind));
-  doc.Set("interrupt", std::move(interrupt));
-  AppendNormalContextSections(&doc);
-  return doc;
-}
-
-JsonValue FlightRecorder::BuildStallPostmortem(const char* cause,
-                                               double window_ms) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("postmortem_schema_version", kPostmortemSchemaVersion);
-  doc.Set("kind", "stall");
-  doc.Set("cause", cause != nullptr ? cause : "");
-  JsonValue stall = JsonValue::Object();
-  stall.Set("window_ms", window_ms);
-  stall.Set("phase", std::string(Journal::CurrentPhase()));
-  doc.Set("stall", std::move(stall));
-  AppendNormalContextSections(&doc);
-  return doc;
-}
-
-Result<std::string> FlightRecorder::WriteStallPostmortem(const char* cause,
-                                                         double window_ms) {
+Result<std::string> FlightRecorder::WritePostmortem(
+    const PostmortemEvent& event) {
   if (g_state.dir[0] == '\0') {
     return Status::FailedPrecondition(
         "no postmortem directory configured (SRP_POSTMORTEM_DIR)");
   }
-  const int n = g_state.stall_dumps.fetch_add(1);
-  std::string path = std::string(g_state.dir) + "/postmortem." +
-                     std::to_string(getpid()) + ".stall." + std::to_string(n) +
-                     ".json";
-  const JsonValue doc = BuildStallPostmortem(cause, window_ms);
-  Status status = WriteWholeFile(path, doc.Dump(2) + "\n");
-  if (!status.ok()) return status;
-  std::lock_guard<std::mutex> lock(g_written_mu);
-  WrittenPaths().push_back(path);
-  return path;
-}
-
-Result<std::string> FlightRecorder::WriteInterruptPostmortem(
-    int interrupt_kind, const char* cause) {
-  if (g_state.dir[0] == '\0') {
-    return Status::FailedPrecondition(
-        "no postmortem directory configured (SRP_POSTMORTEM_DIR)");
+  int n = 0;
+  if (event.kind == PostmortemKind::kInterrupt) {
+    n = g_state.interrupt_dumps.fetch_add(1);
+    if (n >= kMaxInterruptDumps) {
+      return Status::OutOfRange("interrupt postmortem cap of " +
+                                std::to_string(kMaxInterruptDumps) +
+                                " reached");
+    }
+  } else if (event.kind == PostmortemKind::kStall) {
+    n = g_state.stall_dumps.fetch_add(1);
   }
-  const int n = g_state.interrupt_dumps.fetch_add(1);
-  std::string path = std::string(g_state.dir) + "/postmortem." +
-                     std::to_string(getpid()) + ".interrupt." +
-                     std::to_string(n) + ".json";
-  const JsonValue doc = BuildInterruptPostmortem(interrupt_kind, cause);
-  Status status = WriteWholeFile(path, doc.Dump(2) + "\n");
-  if (!status.ok()) return status;
-  std::lock_guard<std::mutex> lock(g_written_mu);
-  WrittenPaths().push_back(path);
-  return path;
-}
-
-std::vector<std::string> FlightRecorder::written_postmortems() {
-  std::lock_guard<std::mutex> lock(g_written_mu);
-  return WrittenPaths();
+  char path[640];
+  PostmortemPath(path, sizeof(path), event.kind, n);
+  const std::string metrics = MetricsRegistry::Get().ToJson().Dump();
+  const auto scratch = std::make_unique<DumpScratch>();
+  if (!WritePostmortemFile(path, event, metrics.c_str(), scratch.get())) {
+    return Status::IOError(std::string("cannot write postmortem file: ") +
+                           path);
+  }
+  return std::string(path);
 }
 
 Status ValidatePostmortemJson(const JsonValue& doc) {
+  using Kind = JsonValue::Kind;
   auto invalid = [](const std::string& what) {
     return Status::InvalidArgument("postmortem: " + what);
   };
+  // True when `parent` is an object whose `key` is of kind `kind`.
+  const auto has_field = [](const JsonValue* parent, const char* key,
+                           Kind kind) {
+    if (parent == nullptr || !parent->is_object()) return false;
+    const JsonValue* field = parent->Find(key);
+    return field != nullptr && field->kind() == kind;
+  };
   if (!doc.is_object()) return invalid("document is not an object");
 
-  const JsonValue* version = doc.Find("postmortem_schema_version");
-  if (version == nullptr || !version->is_number()) {
+  if (!has_field(&doc, "postmortem_schema_version", Kind::kNumber)) {
     return invalid("missing postmortem_schema_version");
   }
-  const int v = static_cast<int>(version->number_value());
+  const int v =
+      static_cast<int>(doc.Find("postmortem_schema_version")->number_value());
   if (v < 1 || v > kPostmortemSchemaVersion) {
     return invalid("unsupported postmortem_schema_version " +
                    std::to_string(v));
   }
 
-  const JsonValue* kind = doc.Find("kind");
-  if (kind == nullptr || !kind->is_string()) return invalid("missing kind");
-  const std::string& kind_name = kind->string_value();
+  if (!has_field(&doc, "kind", Kind::kString)) return invalid("missing kind");
+  const std::string& kind_name = doc.Find("kind")->string_value();
   if (kind_name != "signal" && kind_name != "check" &&
       kind_name != "interrupt" && kind_name != "stall") {
     return invalid("unknown kind '" + kind_name + "'");
   }
 
-  const JsonValue* cause = doc.Find("cause");
-  if (cause == nullptr || !cause->is_string() ||
-      cause->string_value().empty()) {
+  if (!has_field(&doc, "cause", Kind::kString) ||
+      doc.Find("cause")->string_value().empty()) {
     return invalid("missing cause");
   }
 
   const JsonValue* thread = doc.Find("thread");
-  if (thread == nullptr || !thread->is_object() ||
-      thread->Find("tid") == nullptr || !thread->Find("tid")->is_number() ||
-      thread->Find("label") == nullptr ||
-      !thread->Find("label")->is_string()) {
+  if (!has_field(thread, "tid", Kind::kNumber) ||
+      !has_field(thread, "label", Kind::kString)) {
     return invalid("missing thread {tid, label}");
   }
 
-  const JsonValue* phase = doc.Find("phase");
-  if (phase == nullptr || !phase->is_string()) return invalid("missing phase");
+  if (!has_field(&doc, "phase", Kind::kString)) return invalid("missing phase");
 
   // Optional (written only when a durable checkpoint exists), but when
   // present it must point at a concrete generation.
   const JsonValue* checkpoint = doc.Find("checkpoint");
   if (checkpoint != nullptr &&
-      (!checkpoint->is_object() || checkpoint->Find("generation") == nullptr ||
-       !checkpoint->Find("generation")->is_number())) {
+      !has_field(checkpoint, "generation", Kind::kNumber)) {
     return invalid("checkpoint section must carry a numeric generation");
   }
 
@@ -684,61 +642,48 @@ Status ValidatePostmortemJson(const JsonValue& doc) {
     return invalid("missing provenance");
   }
   for (const char* key : {"git_sha", "build_type", "compiler"}) {
-    const JsonValue* field = provenance->Find(key);
-    if (field == nullptr || !field->is_string()) {
+    if (!has_field(provenance, key, Kind::kString)) {
       return invalid(std::string("missing provenance.") + key);
     }
   }
 
   if (kind_name == "interrupt") {
-    const JsonValue* interrupt = doc.Find("interrupt");
-    if (interrupt == nullptr || !interrupt->is_object() ||
-        interrupt->Find("kind_name") == nullptr ||
-        !interrupt->Find("kind_name")->is_string()) {
+    if (!has_field(doc.Find("interrupt"), "kind_name", Kind::kString)) {
       return invalid("missing interrupt {kind_name}");
     }
   } else if (kind_name == "stall") {
-    const JsonValue* stall = doc.Find("stall");
-    if (stall == nullptr || !stall->is_object() ||
-        stall->Find("window_ms") == nullptr ||
-        !stall->Find("window_ms")->is_number()) {
+    if (!has_field(doc.Find("stall"), "window_ms", Kind::kNumber)) {
       return invalid("missing stall {window_ms}");
     }
   } else {
     const JsonValue* signal = doc.Find("signal");
-    if (signal == nullptr || !signal->is_object() ||
-        signal->Find("number") == nullptr ||
-        !signal->Find("number")->is_number() ||
-        signal->Find("name") == nullptr ||
-        !signal->Find("name")->is_string()) {
+    if (!has_field(signal, "number", Kind::kNumber) ||
+        !has_field(signal, "name", Kind::kString)) {
       return invalid("missing signal {number, name}");
     }
-    const JsonValue* backtrace_json = doc.Find("backtrace");
-    if (backtrace_json == nullptr || !backtrace_json->is_array()) {
-      return invalid("missing backtrace");
-    }
+  }
+
+  if (!has_field(&doc, "backtrace", Kind::kArray)) {
+    return invalid("missing backtrace");
   }
 
   const JsonValue* journal = doc.Find("journal");
   if (journal == nullptr || !journal->is_object()) {
     return invalid("missing journal");
   }
-  const JsonValue* threads = journal->Find("threads");
-  if (threads == nullptr || !threads->is_array()) {
+  if (!has_field(journal, "threads", Kind::kArray)) {
     return invalid("missing journal.threads");
   }
-  for (const JsonValue& t : threads->items()) {
-    if (!t.is_object() || t.Find("tid") == nullptr ||
-        !t.Find("tid")->is_number() || t.Find("events") == nullptr ||
-        !t.Find("events")->is_array()) {
+  for (const JsonValue& t : journal->Find("threads")->items()) {
+    if (!has_field(&t, "tid", Kind::kNumber) ||
+        !has_field(&t, "events", Kind::kArray)) {
       return invalid("malformed journal thread entry");
     }
     for (const JsonValue& e : t.Find("events")->items()) {
-      if (!e.is_object() || e.Find("seq") == nullptr ||
-          !e.Find("seq")->is_number() || e.Find("ts_ns") == nullptr ||
-          !e.Find("ts_ns")->is_number() || e.Find("kind") == nullptr ||
-          !e.Find("kind")->is_string() || e.Find("text") == nullptr ||
-          !e.Find("text")->is_string()) {
+      if (!has_field(&e, "seq", Kind::kNumber) ||
+          !has_field(&e, "ts_ns", Kind::kNumber) ||
+          !has_field(&e, "kind", Kind::kString) ||
+          !has_field(&e, "text", Kind::kString)) {
         return invalid("malformed journal event");
       }
     }

@@ -2,7 +2,6 @@
 #define SRP_OBS_FLIGHT_RECORDER_H_
 
 #include <string>
-#include <vector>
 
 #include "util/json.h"
 #include "util/status.h"
@@ -14,6 +13,10 @@ namespace obs {
 /// version"). Bump on breaking changes; additions are fine within a version.
 inline constexpr int kPostmortemSchemaVersion = 1;
 
+/// Interrupt dumps are capped per process so a pathological loop of
+/// deadline-bounded runs cannot fill the disk.
+inline constexpr int kMaxInterruptDumps = 8;
+
 struct FlightRecorderOptions {
   /// Directory postmortem dumps land in. Empty → $SRP_POSTMORTEM_DIR;
   /// still empty → handlers stay armed but nothing is written to disk.
@@ -22,31 +25,42 @@ struct FlightRecorderOptions {
   /// Arm the SIGSEGV/SIGABRT/SIGBUS/SIGFPE crash handler (on an alternate
   /// stack; the previous disposition is chained to after the dump).
   bool install_signal_handlers = true;
-  /// Dump a postmortem when a RunContext observes its first interrupt
-  /// (deadline, cancellation, injected fault).
-  bool dump_on_interrupt = true;
-  /// Interrupt dumps are capped per process so a pathological loop of
-  /// deadline-bounded runs cannot fill the disk.
-  int max_interrupt_dumps = 8;
-  /// Journal thread label applied to the installing thread (nullptr skips).
-  const char* thread_label = "main";
+};
+
+/// What a postmortem is about. A signal dump whose process recorded a
+/// crash cause (a failed SRP_CHECK) is written as kind "check".
+enum class PostmortemKind { kSignal, kInterrupt, kStall };
+
+/// The kind-specific part of a postmortem; every kind shares the rest.
+struct PostmortemEvent {
+  PostmortemKind kind = PostmortemKind::kInterrupt;
+  /// Interrupt and stall dumps: the "cause" text. Signal dumps derive
+  /// theirs from the signal or the crash cause.
+  const char* cause = "";
+  /// kSignal: the signal number and the faulting address.
+  int signal = 0;
+  const void* fault_addr = nullptr;
+  /// kInterrupt: the numeric fail::InterruptKind value.
+  int interrupt_kind = 0;
+  /// kStall: how long the watchdog saw no forward progress.
+  double window_ms = 0.0;
 };
 
 /// The crash-forensics half of the flight recorder (DESIGN.md §11): a
 /// signal-safe crash handler plus an interrupt hook, both of which dump a
 /// versioned postmortem JSON — merged journal, backtrace, build provenance,
-/// last-known phase, metrics snapshot — for `tools/srp_inspect`.
+/// last-known phase — for `tools/srp_inspect`.
 ///
-/// Signal-safety rules for the crash path (everything reachable from
-/// CrashHandler): static buffers only, no allocation, no locks, no stdio —
-/// the JSON is hand-formatted and written with write(2). The journal's raw
-/// read path upholds the same rules. Interrupt dumps run in normal context
-/// and use the full JsonValue/metrics machinery (which is why only they
-/// carry a "metrics" section — the registry mutex is off-limits in a signal
-/// handler).
+/// One signal-safe formatter writes every kind: static or caller-owned
+/// buffers only, no allocation, no locks, no stdio. It streams the document
+/// through a fixed buffer, write(2)ing each time the buffer fills, so no
+/// journal size can truncate a dump. Normal-context dumps (interrupt,
+/// stall) also carry a "metrics" section, rendered before the write — the
+/// registry mutex is off-limits in a signal handler.
 class FlightRecorder {
  public:
   /// Idempotent; the first call wins and later calls are no-ops (OK).
+  /// Labels the calling thread "main" in the journal.
   static Status Install(const FlightRecorderOptions& options = {});
   static bool installed();
 
@@ -57,35 +71,20 @@ class FlightRecorder {
   /// The effective dump directory ("" when dumps are disabled).
   static std::string postmortem_dir();
 
-  /// Builds an interrupt-kind postmortem document in normal context.
-  /// `interrupt_kind` is the numeric fail::InterruptKind value.
-  static JsonValue BuildInterruptPostmortem(int interrupt_kind,
-                                            const char* cause);
+  /// The postmortem document for `event`, rendered in normal context: the
+  /// bytes WritePostmortem would write. Provenance is the copy taken at
+  /// Install (empty strings before it).
+  static std::string RenderPostmortem(const PostmortemEvent& event);
 
-  /// Builds and writes an interrupt postmortem to the dump directory,
-  /// returning the path written. Fails when no directory is configured.
-  static Result<std::string> WriteInterruptPostmortem(int interrupt_kind,
-                                                      const char* cause);
-
-  /// Builds a stall-kind postmortem (telemetry watchdog: no forward
-  /// progress for `window_ms`). Normal context; same shape as an interrupt
-  /// dump but with a "stall" section instead of "interrupt".
-  static JsonValue BuildStallPostmortem(const char* cause, double window_ms);
-
-  /// Builds and writes a stall postmortem ("postmortem.<pid>.stall.<n>
-  /// .json"), returning the path. Fails when no directory is configured.
-  static Result<std::string> WriteStallPostmortem(const char* cause,
-                                                  double window_ms);
-
-  /// Paths of interrupt postmortems written since Install (signal-path
-  /// dumps are not tracked here — the process is dying when they happen;
-  /// their filename is printed to stderr instead).
-  static std::vector<std::string> written_postmortems();
+  /// Writes and fsyncs postmortem.<pid>.{signal,interrupt.<n>,stall.<n>}
+  /// .json in the dump directory, returning the path. Fails when no
+  /// directory is configured, on a write error (IOError), and for an
+  /// interrupt dump past kMaxInterruptDumps (OutOfRange).
+  static Result<std::string> WritePostmortem(const PostmortemEvent& event);
 };
 
-/// Structural validation of a parsed postmortem document (both the
-/// signal-path and interrupt-path shapes). Returns InvalidArgument naming
-/// the first violated invariant.
+/// Structural validation of a parsed postmortem document (every kind).
+/// Returns InvalidArgument naming the first violated invariant.
 Status ValidatePostmortemJson(const JsonValue& doc);
 
 }  // namespace obs

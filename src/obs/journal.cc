@@ -46,19 +46,23 @@ void BoundedCopy(char* dst, size_t cap, const char* text) {
   dst[n] = '\0';
 }
 
+/// The calling thread's slot. A plain pointer (no constructor, no
+/// destructor), so reading it is one TLS load — safe in a signal handler
+/// even on a thread that never journaled.
+thread_local ThreadSlot* t_slot = nullptr;
+
 /// Per-thread slot registration. The destructor releases the slot on thread
 /// exit so pools that come and go do not exhaust the fixed arena. A released
 /// ring keeps its events: the postmortem wants the history of dead workers,
 /// so ClaimSlot only recycles (and thus empties) a released ring once no
 /// never-written slot is left.
 struct ThreadRegistration {
-  ThreadSlot* slot = nullptr;
   uint32_t tid = 0;
   bool denied = false;  ///< arena was full; this thread journals nowhere
 
   ~ThreadRegistration() {
-    if (slot != nullptr) {
-      slot->in_use.store(false, std::memory_order_release);
+    if (t_slot != nullptr) {
+      t_slot->in_use.store(false, std::memory_order_release);
     }
   }
 };
@@ -66,7 +70,7 @@ struct ThreadRegistration {
 thread_local ThreadRegistration t_reg;
 
 ThreadSlot* ClaimSlot() {
-  if (t_reg.slot != nullptr) return t_reg.slot;
+  if (t_slot != nullptr) return t_slot;
   if (t_reg.denied) return nullptr;
   t_reg.tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
   // Pass 0 takes only never-written slots so a fresh thread does not wipe a
@@ -85,8 +89,8 @@ ThreadSlot* ClaimSlot() {
         slot.total_appends.store(0, std::memory_order_relaxed);
         slot.label[0] = '\0';
         slot.tid.store(t_reg.tid, std::memory_order_relaxed);
-        t_reg.slot = &slot;
-        return t_reg.slot;
+        t_slot = &slot;
+        return t_slot;
       }
     }
   }
@@ -173,7 +177,7 @@ void Journal::SetThreadLabel(const char* label) {
 }
 
 const char* Journal::ThreadLabel() {
-  return t_reg.slot != nullptr ? t_reg.slot->label : "";
+  return t_slot != nullptr ? t_slot->label : "";
 }
 
 const char* Journal::SetPhase(const char* phase) {
@@ -284,7 +288,7 @@ uint64_t Journal::total_events() {
 
 void Journal::ResetForTesting() {
   for (ThreadSlot& slot : g_slots) {
-    const bool mine = (&slot == t_reg.slot);
+    const bool mine = (&slot == t_slot);
     if (!mine && slot.in_use.load(std::memory_order_acquire)) {
       // A live foreign thread owns this ring; emptying it under the owner
       // would race. Leave it alone — tests reset between runs when their

@@ -121,7 +121,7 @@ class Journal {
   /// ("main", "pool-worker-3"). `label` is copied (truncated to
   /// kJournalThreadLabelCapacity - 1 chars).
   static void SetThreadLabel(const char* label);
-  /// The calling thread's label; "" when unset.
+  /// The calling thread's label; "" when unset. Signal-safe.
   static const char* ThreadLabel();
 
   /// Process-wide last-known algorithm phase, e.g. "repartition.extract".

@@ -7,6 +7,7 @@
 #include <map>
 #include <utility>
 
+#include "obs/journal.h"
 #include "util/logging.h"
 
 #if defined(__linux__)
@@ -153,24 +154,6 @@ HwCounterValues HwCounterGroup::Read() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Thread-label registry. Labels live in a fixed process-wide table so the
-// signal handler (and stop-time symbolization) can read them without touching
-// a thread's TLS after that thread exited. Slot 0 is reserved for "main".
-// ---------------------------------------------------------------------------
-
-constexpr int kMaxLabelSlots = 256;
-constexpr int kLabelChars = 32;
-
-char g_label_table[kMaxLabelSlots][kLabelChars] = {"main"};
-std::atomic<int> g_next_label_slot{1};
-thread_local int t_label_slot = 0;
-
-const char* LabelForSlot(int slot) {
-  if (slot < 0 || slot >= kMaxLabelSlots) return "thread";
-  return g_label_table[slot];
-}
-
-// ---------------------------------------------------------------------------
 // Signal plumbing. The handler reads the active profiler through one atomic
 // pointer; Stop() clears the pointer and waits for in-flight handlers, and
 // the SIGPROF disposition is installed once and left in place for the
@@ -197,7 +180,15 @@ struct ProfilerSignalAccess {
       if (slot < profiler->samples_.size()) {
         SamplingProfiler::RawSample& sample = profiler->samples_[slot];
         sample.depth = backtrace(sample.frames, kMaxStackFrames);
-        sample.label_slot = t_label_slot;
+        // The thread's journal label, copied now: the thread may be gone
+        // (and its label slot reused) by the time Stop() folds the stacks.
+        const char* label = Journal::ThreadLabel();
+        size_t n = 0;
+        while (n + 1 < sizeof(sample.label) && label[n] != '\0') {
+          sample.label[n] = label[n];
+          ++n;
+        }
+        sample.label[n] = '\0';
       } else {
         profiler->next_sample_.store(profiler->samples_.size(),
                                      std::memory_order_relaxed);
@@ -259,16 +250,6 @@ std::string SymbolizeFrame(void* address) {
 }
 
 }  // namespace
-
-void SetProfilerThreadLabel(const char* label) {
-  if (label == nullptr) return;
-  if (t_label_slot == 0) {
-    const int slot = g_next_label_slot.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= kMaxLabelSlots) return;  // registry full: keep "main"
-    t_label_slot = slot;
-  }
-  std::snprintf(g_label_table[t_label_slot], kLabelChars, "%s", label);
-}
 
 SamplingProfiler::SamplingProfiler() : SamplingProfiler(Options()) {}
 
@@ -364,7 +345,7 @@ std::vector<std::string> SamplingProfiler::FoldedStacks() const {
   std::map<void*, std::string> symbol_cache;
   for (size_t i = 0; i < count; ++i) {
     const RawSample& sample = samples_[i];
-    std::string line = LabelForSlot(sample.label_slot);
+    std::string line = sample.label[0] != '\0' ? sample.label : "main";
     // frames[0] is the handler and frames[1] the kernel signal trampoline;
     // the interrupted program stack starts at frames[2]. Folded output is
     // root-first, so walk from the outermost frame inward.
@@ -420,8 +401,6 @@ void HwCounterGroup::Stop() {}
 HwCounterValues HwCounterGroup::Read() const { return HwCounterValues(); }
 
 struct ProfilerTimer {};
-
-void SetProfilerThreadLabel(const char* /*label*/) {}
 
 SamplingProfiler::SamplingProfiler() : SamplingProfiler(Options()) {}
 

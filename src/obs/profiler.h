@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/journal.h"
 #include "util/status.h"
 
 namespace srp {
@@ -53,7 +54,7 @@ struct HwCounterValues {
 ///
 /// The group counts user-space events of the thread that constructed it.
 /// Work sharded to pool workers is attributed via the sampling profiler's
-/// per-thread labels instead (DESIGN.md §10).
+/// per-thread (journal) labels instead (DESIGN.md §10).
 class HwCounterGroup {
  public:
   HwCounterGroup();
@@ -145,7 +146,7 @@ class SamplingProfiler {
   struct RawSample {
     void* frames[kMaxStackFrames];
     int depth = 0;
-    int label_slot = -1;  ///< index into the thread-label registry
+    char label[kJournalThreadLabelCapacity] = {};  ///< "" folds as "main"
   };
 
   Options options_;
@@ -161,13 +162,6 @@ class SamplingProfiler {
 
   friend struct ProfilerSignalAccess;
 };
-
-/// Labels the calling thread for sample attribution; the label becomes the
-/// first frame of every folded stack sampled on this thread ("main" for the
-/// main thread by default, "pool-worker-<i>" set by ThreadPool workers).
-/// Copies into a fixed process-wide registry, so it stays readable from the
-/// signal handler even after the thread exits. Truncated to 31 characters.
-void SetProfilerThreadLabel(const char* label);
 
 }  // namespace obs
 }  // namespace srp

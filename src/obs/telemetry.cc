@@ -390,10 +390,7 @@ void TelemetrySampler::CheckStall(const TelemetrySample& sample) {
   const double quiet_ms =
       static_cast<double>(sample.ts_ns - last_change_ns_) * 1e-6;
   if (quiet_ms < options_.stall_timeout_ms) return;
-  if (stall_dumps_.load(std::memory_order_relaxed) >=
-      static_cast<uint64_t>(std::max(0, options_.max_stall_dumps))) {
-    return;
-  }
+  if (stall_dumps_.load(std::memory_order_relaxed) >= kMaxStallDumps) return;
 
   stall_dumps_.fetch_add(1, std::memory_order_relaxed);
   char cause[160];
@@ -402,8 +399,8 @@ void TelemetrySampler::CheckStall(const TelemetrySample& sample) {
                 quiet_ms, phase,
                 static_cast<unsigned long long>(sample.journal_seq));
   Journal::Appendf(JournalEventKind::kLog, 2, "stall watchdog: %s", cause);
-  const Result<std::string> written =
-      FlightRecorder::WriteStallPostmortem(cause, quiet_ms);
+  const Result<std::string> written = FlightRecorder::WritePostmortem(
+      {.kind = PostmortemKind::kStall, .cause = cause, .window_ms = quiet_ms});
   if (written.ok()) {
     SRP_LOG(Warning) << "stall watchdog wrote " << *written;
   } else {

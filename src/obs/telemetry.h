@@ -205,9 +205,10 @@ struct TelemetrySamplerOptions {
   std::string stream_path;
   /// Stall watchdog window; <= 0 disables the watchdog (the default).
   double stall_timeout_ms = 0.0;
-  /// Max kind-"stall" flight-recorder dumps this sampler may trigger.
-  int max_stall_dumps = 2;
 };
+
+/// Max kind-"stall" flight-recorder dumps one sampler may trigger.
+inline constexpr uint64_t kMaxStallDumps = 2;
 
 /// Background sampler thread. Start() spawns the thread; Stop() (also run
 /// by the destructor) joins it, takes one final synchronous sample (tagged

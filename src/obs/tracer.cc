@@ -5,8 +5,8 @@
 #include <cstdlib>
 
 #include "obs/journal.h"
-#include "obs/json_util.h"
 #include "obs/metrics_registry.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace srp {
@@ -116,7 +116,7 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
     if (!first) out += ",\n";
     first = false;
     out += "{\"name\":\"";
-    internal::AppendJsonEscaped(&out, ev.name == nullptr ? "?" : ev.name);
+    AppendJsonEscaped(&out, ev.name == nullptr ? "?" : ev.name);
     out += "\",\"cat\":\"srp\",\"ph\":\"X\",\"ts\":";
     out += FormatDouble(ev.start_us, 3);
     out += ",\"dur\":";

@@ -8,7 +8,6 @@
 
 #include "obs/journal.h"
 #include "obs/metrics_registry.h"
-#include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -171,14 +170,13 @@ ThreadPoolStats ThreadPool::Stats() const {
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
-  // Attribute this worker's sampling-profiler stacks (DESIGN.md §10); the
-  // label index matches ThreadPoolStats::worker_busy_ns.
+  // The journal label attributes this worker's flight-recorder ring and
+  // its sampling-profiler stacks (DESIGN.md §10); the index matches
+  // ThreadPoolStats::worker_busy_ns. Lifecycle milestones are journaled per
+  // worker, never per task — the journal must stay cold on the task hot
+  // path.
   char label[32];
   std::snprintf(label, sizeof(label), "pool-worker-%zu", worker_index);
-  obs::SetProfilerThreadLabel(label);
-  // The same label attributes this worker's flight-recorder journal ring.
-  // Lifecycle milestones are journaled per worker, never per task — the
-  // journal must stay cold on the task hot path.
   obs::Journal::SetThreadLabel(label);
   obs::Journal::Append(obs::JournalEventKind::kTask, 0, "worker started");
   for (;;) {

@@ -12,37 +12,6 @@ namespace {
 /// input deeper than this is hostile or corrupt.
 constexpr int kMaxDepth = 128;
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          *out += buf;
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
-
 void AppendNumber(std::string* out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Infinity/NaN; null is the conventional stand-in and the
@@ -316,6 +285,37 @@ class Parser {
 
 }  // namespace
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char ch : s) {
+    switch (ch) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
+          *out += buf;
+        } else {
+          out->push_back(ch);
+        }
+    }
+  }
+}
+
 JsonValue& JsonValue::Append(JsonValue value) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
   items_.push_back(std::move(value));
@@ -373,7 +373,7 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       break;
     case Kind::kString:
       out->push_back('"');
-      AppendEscaped(out, string_);
+      AppendJsonEscaped(out, string_);
       out->push_back('"');
       break;
     case Kind::kArray: {
@@ -401,7 +401,7 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
         if (i > 0) out->push_back(',');
         newline_pad(depth + 1);
         out->push_back('"');
-        AppendEscaped(out, members_[i].first);
+        AppendJsonEscaped(out, members_[i].first);
         *out += pretty ? "\": " : "\":";
         members_[i].second.DumpTo(out, indent, depth + 1);
       }

@@ -11,6 +11,13 @@
 
 namespace srp {
 
+/// Appends `s` to `*out` with JSON string escaping: `"` and `\`
+/// backslashed, `\n` `\r` `\t` as such, other control bytes as `\u00XX`,
+/// every other byte as is. The one escaper of the JSON documents, logs and
+/// traces this project writes (the crash handler's signal-safe formatter
+/// aside).
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 /// Minimal JSON document model backing the run-report / benchmark artifacts
 /// (DESIGN.md §9). Two properties matter more than generality:
 ///

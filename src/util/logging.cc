@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "obs/journal.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace srp {
@@ -31,37 +32,6 @@ const char* UpperLevelName(LogLevel level) {
       return "ERROR";
   }
   return "?";
-}
-
-void AppendJsonEscaped(std::string* out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
 }
 
 /// Default sink: one fwrite per record (newline appended first) so

@@ -165,12 +165,21 @@ TEST(CheckpointFuzzTest, SeededRandomGarbageNeverCrashesTheReader) {
   }
 }
 
+obs::PostmortemEvent InterruptPostmortem(InterruptKind kind) {
+  return {.kind = obs::PostmortemKind::kInterrupt,
+          .cause = "fuzz seed",
+          .interrupt_kind = static_cast<int>(kind)};
+}
+
 TEST(CheckpointFuzzTest, PostmortemCheckpointSectionIsValidated) {
   obs::Journal::ResetForTesting();
   obs::Journal::SetCheckpointGeneration(7);
-  const JsonValue good = obs::FlightRecorder::BuildInterruptPostmortem(
-      static_cast<int>(InterruptKind::kDeadlineExceeded), "fuzz seed");
+  const Result<JsonValue> parsed = JsonValue::Parse(
+      obs::FlightRecorder::RenderPostmortem(
+          InterruptPostmortem(InterruptKind::kDeadlineExceeded)));
   obs::Journal::ResetForTesting();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& good = *parsed;
   ASSERT_TRUE(obs::ValidatePostmortemJson(good).ok())
       << obs::ValidatePostmortemJson(good).ToString();
   ASSERT_NE(good.FindPath("checkpoint.generation"), nullptr);
@@ -198,10 +207,8 @@ TEST(CheckpointFuzzTest, PostmortemCheckpointSectionIsValidated) {
 TEST(CheckpointFuzzTest, CorruptedPostmortemTextNeverCrashesTheValidator) {
   obs::Journal::ResetForTesting();
   obs::Journal::SetCheckpointGeneration(3);
-  const std::string seed =
-      obs::FlightRecorder::BuildInterruptPostmortem(
-          static_cast<int>(InterruptKind::kCancelled), "fuzz seed")
-          .Dump(2);
+  const std::string seed = obs::FlightRecorder::RenderPostmortem(
+      InterruptPostmortem(InterruptKind::kCancelled));
   obs::Journal::ResetForTesting();
 
   // Truncations: whatever still parses as JSON must flow through the

@@ -3,7 +3,8 @@
 // via SIGSEGV from an introspection callback, and via an SRP_CHECK failure
 // (SIGABRT). The parent asserts the child's signal handler produced a
 // postmortem that ValidatePostmortemJson accepts and that names the signal,
-// the failing thread and the algorithm phase that was active at crash time.
+// the failing thread and the algorithm phase that was active at crash time,
+// and that a journal with every ring full comes out whole.
 //
 // The suite is intentionally named CrashForensicsTest (no ThreadPool /
 // Journal / FlightRecorder substring): CI's TSan matrix selects suites by
@@ -15,16 +16,22 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/repartitioner.h"
+#include "fail/cancellation.h"
 #include "grid/grid_dataset.h"
 #include "obs/flight_recorder.h"
 #include "obs/introspect.h"
+#include "obs/journal.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -48,19 +55,75 @@ GridDataset SmoothGrid(size_t rows, size_t cols) {
   return g;
 }
 
+/// A store to an inaccessible page: a genuine SIGSEGV without the
+/// undefined behaviour of a null store, which UBSan would halt on.
+void StoreToInaccessiblePage() {
+  void* page =
+      mmap(nullptr, 4096, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (page == MAP_FAILED) _exit(5);
+  *static_cast<volatile int*>(page) = 1;
+}
+
 /// Introspection sink that crashes the process from inside the core's
 /// iteration loop, so the postmortem captures a mid-run phase.
 class CrashingSink : public IntrospectionSink {
  public:
   void OnIteration(size_t, double, double, size_t, bool) override {
-    // A store to an inaccessible page is a genuine SIGSEGV without the
-    // undefined behaviour of a null store, which UBSan would halt on.
-    void* page = mmap(nullptr, 4096, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS,
-                      -1, 0);
-    ASSERT_NE(page, MAP_FAILED);
-    *static_cast<volatile int*>(page) = 1;
+    StoreToInaccessiblePage();
   }
 };
+
+/// Journal filler: kFillerThreads threads each append kFillerAppends
+/// maximum-length texts (wrapping their ring), about 0.7 MB of postmortem
+/// JSON.
+constexpr int kFillerThreads = 16;
+constexpr int kFillerAppends = static_cast<int>(kJournalEventsPerThread) + 44;
+
+std::string FillerText(int thread, int i) {
+  char head[40];
+  std::snprintf(head, sizeof(head), "filler %02d event %03d \"quoted\" ",
+                thread, i);
+  std::string text = head;
+  text.resize(kJournalTextCapacity - 1, 'x');
+  return text;
+}
+
+void FillJournalRings() {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFillerThreads; ++t) {
+    threads.emplace_back([t] {
+      char label[16];
+      std::snprintf(label, sizeof(label), "filler-%02d", t);
+      Journal::SetThreadLabel(label);
+      for (int i = 0; i < kFillerAppends; ++i) {
+        Journal::Append(JournalEventKind::kLog, 1, FillerText(t, i).c_str());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+/// Every filler ring is in `doc` whole: the last kJournalEventsPerThread
+/// texts of each thread, oldest first.
+void ExpectEveryRetainedFillerEvent(const JsonValue& doc) {
+  int seen = 0;
+  for (const JsonValue& thread : doc.FindPath("journal.threads")->items()) {
+    const std::string& label = thread.Find("label")->string_value();
+    if (label.rfind("filler-", 0) != 0) continue;
+    ++seen;
+    const int t = std::atoi(label.c_str() + 7);
+    const JsonValue* events = thread.Find("events");
+    ASSERT_EQ(events->size(), kJournalEventsPerThread) << label;
+    for (size_t j = 0; j < events->size(); ++j) {
+      const int i = kFillerAppends -
+                    static_cast<int>(kJournalEventsPerThread) +
+                    static_cast<int>(j);
+      ASSERT_EQ(events->at(j).Find("text")->string_value(), FillerText(t, i))
+          << label << " event " << j;
+    }
+  }
+  EXPECT_EQ(seen, kFillerThreads);
+}
 
 /// Runs `crash` in a forked child with the flight recorder armed and dump
 /// directory `dir`; returns the signal the child died with (0 on confusion).
@@ -127,6 +190,34 @@ TEST(CrashForensicsTest, SegvMidRunProducesAValidSignalPostmortem) {
   // The journal made it out: at least the phase-transition events.
   EXPECT_GE(doc->FindPath("journal.total_events")->number_value(), 1.0);
   ASSERT_GE(doc->FindPath("journal.threads")->size(), 1u);
+}
+
+TEST(CrashForensicsTest, FullJournalRingsAreNeverTruncated) {
+  const std::string dir = testing::TempDir() + "/crash_forensics_full";
+  pid_t child = 0;
+  const int sig = RunCrashingChild(
+      dir,
+      [] {
+        FillJournalRings();
+        const PostmortemEvent event{
+            .kind = PostmortemKind::kInterrupt,
+            .cause = "full journal",
+            .interrupt_kind = static_cast<int>(InterruptKind::kCancelled)};
+        if (!FlightRecorder::WritePostmortem(event).ok()) _exit(4);
+        StoreToInaccessiblePage();
+      },
+      &child);
+  ASSERT_EQ(sig, SIGSEGV);
+
+  for (const char* suffix : {".signal.json", ".interrupt.0.json"}) {
+    const std::string path =
+        dir + "/postmortem." + std::to_string(child) + suffix;
+    const Result<JsonValue> doc = LoadPostmortem(path);
+    ASSERT_TRUE(doc.ok()) << path << ": " << doc.status().ToString();
+    ASSERT_TRUE(ValidatePostmortemJson(*doc).ok())
+        << path << ": " << ValidatePostmortemJson(*doc).ToString();
+    ExpectEveryRetainedFillerEvent(*doc);
+  }
 }
 
 TEST(CrashForensicsTest, CheckFailureProducesACheckPostmortem) {

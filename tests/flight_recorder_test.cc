@@ -1,14 +1,18 @@
 // Tests for the flight recorder's interrupt-path postmortems and the
-// postmortem schema validator (DESIGN.md §11): BuildInterruptPostmortem
-// round-trips through ValidatePostmortemJson, tampered documents are
-// rejected with a named violation, and a strict deadline interrupt during
-// Repartitioner::Run dumps a postmortem naming the interrupted phase. The
-// signal-path dumps are covered by crash_forensics_test.cc (fork-based).
+// postmortem schema validator (DESIGN.md §11): a rendered interrupt
+// postmortem round-trips through ValidatePostmortemJson, tampered documents
+// are rejected with a named violation, and a strict deadline interrupt
+// during Repartitioner::Run dumps a postmortem naming the interrupted phase.
+// The signal-path dumps are covered by crash_forensics_test.cc (fork-based).
 
 #include "obs/flight_recorder.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,8 +30,6 @@ namespace srp {
 namespace obs {
 namespace {
 
-constexpr int kDeadlineKind = static_cast<int>(InterruptKind::kDeadlineExceeded);
-
 /// Same smooth fixture as cancellation_test.cc: one averaged attribute whose
 /// value ramps with r + c, so the run has real work in every phase.
 GridDataset SmoothGrid(size_t rows, size_t cols) {
@@ -40,29 +42,59 @@ GridDataset SmoothGrid(size_t rows, size_t cols) {
   return g;
 }
 
-/// Installs the recorder into a per-test dump directory and guarantees the
-/// process-global state (handlers, hook, dump budget) is restored.
+PostmortemEvent InterruptEvent(InterruptKind kind, const char* cause) {
+  return {.kind = PostmortemKind::kInterrupt,
+          .cause = cause,
+          .interrupt_kind = static_cast<int>(kind)};
+}
+
+Result<JsonValue> LoadJson(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) return Status::IOError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return JsonValue::Parse(text.str());
+}
+
+/// The postmortem.*.json files in `dir`, sorted.
+std::vector<std::string> PostmortemFiles(const std::string& dir) {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("postmortem.", 0) == 0 &&
+        name.size() > 5 && name.compare(name.size() - 5, 5, ".json") == 0) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+/// Installs the recorder into an emptied per-test dump directory and
+/// guarantees the process-global state (handlers, hook, dump budget) is
+/// restored.
 class FlightRecorderTest : public testing::Test {
  protected:
   void SetUp() override {
     FlightRecorder::Uninstall();
     Journal::ResetForTesting();
-    dir_ = testing::TempDir() + "/flight_recorder_test";
+    // One directory per test and process: ctest runs tests in parallel.
+    dir_ = testing::TempDir() + "/flight_recorder_test." +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "." + std::to_string(getpid());
+    std::filesystem::remove_all(dir_);
     FlightRecorderOptions options;
     options.postmortem_dir = dir_;
     options.install_signal_handlers = false;  // signal path: forensics test
     ASSERT_TRUE(FlightRecorder::Install(options).ok());
-    // The written-postmortem list is process-cumulative; assert relative to
-    // it so the suite also passes when run in one process.
-    baseline_ = FlightRecorder::written_postmortems().size();
   }
   void TearDown() override {
     FlightRecorder::Uninstall();
     Journal::ResetForTesting();
+    std::filesystem::remove_all(dir_);
   }
 
   std::string dir_;
-  size_t baseline_ = 0;
 };
 
 TEST_F(FlightRecorderTest, InstallIsIdempotentAndFirstCallWins) {
@@ -77,9 +109,12 @@ TEST_F(FlightRecorderTest, InstallIsIdempotentAndFirstCallWins) {
 TEST_F(FlightRecorderTest, BuiltInterruptPostmortemValidates) {
   Journal::SetPhase("repartition.extract");
   Journal::Append(JournalEventKind::kLog, 1, "about to be interrupted");
-  const JsonValue doc = FlightRecorder::BuildInterruptPostmortem(
-      kDeadlineKind, "run deadline exceeded");
+  const Result<JsonValue> parsed = JsonValue::Parse(
+      FlightRecorder::RenderPostmortem(InterruptEvent(
+          InterruptKind::kDeadlineExceeded, "run deadline exceeded")));
   Journal::SetPhase("");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& doc = *parsed;
 
   EXPECT_TRUE(ValidatePostmortemJson(doc).ok())
       << ValidatePostmortemJson(doc).ToString();
@@ -90,6 +125,9 @@ TEST_F(FlightRecorderTest, BuiltInterruptPostmortemValidates) {
   EXPECT_EQ(doc.FindPath("phase")->string_value(), "repartition.extract");
   ASSERT_NE(doc.FindPath("provenance.git_sha"), nullptr);
   ASSERT_NE(doc.FindPath("metrics.counters"), nullptr);
+  // Every kind carries the dladdr backtrace.
+  ASSERT_TRUE(doc.FindPath("backtrace")->is_array());
+  EXPECT_GE(doc.FindPath("backtrace")->size(), 1u);
   const JsonValue* threads = doc.FindPath("journal.threads");
   ASSERT_NE(threads, nullptr);
   ASSERT_TRUE(threads->is_array());
@@ -109,8 +147,11 @@ TEST_F(FlightRecorderTest, BuiltInterruptPostmortemValidates) {
 }
 
 TEST_F(FlightRecorderTest, ValidatorNamesTheFirstViolation) {
-  JsonValue good = FlightRecorder::BuildInterruptPostmortem(
-      kDeadlineKind, "run deadline exceeded");
+  const Result<JsonValue> parsed = JsonValue::Parse(
+      FlightRecorder::RenderPostmortem(InterruptEvent(
+          InterruptKind::kDeadlineExceeded, "run deadline exceeded")));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& good = *parsed;
   ASSERT_TRUE(ValidatePostmortemJson(good).ok());
 
   JsonValue wrong_version = good;
@@ -138,22 +179,24 @@ TEST_F(FlightRecorderTest, ValidatorNamesTheFirstViolation) {
   no_interrupt.Set("interrupt", JsonValue());
   EXPECT_FALSE(ValidatePostmortemJson(no_interrupt).ok());
 
+  // Every kind writes a backtrace, so every kind must carry one.
+  JsonValue no_backtrace = good;
+  no_backtrace.Set("backtrace", JsonValue());
+  EXPECT_FALSE(ValidatePostmortemJson(no_backtrace).ok());
+
   EXPECT_FALSE(ValidatePostmortemJson(JsonValue::Array()).ok());
   EXPECT_FALSE(ValidatePostmortemJson(JsonValue::Object()).ok());
 }
 
-TEST_F(FlightRecorderTest, WriteInterruptPostmortemLandsInTheDumpDir) {
-  const Result<std::string> path = FlightRecorder::WriteInterruptPostmortem(
-      static_cast<int>(InterruptKind::kCancelled),
-      "run cancelled via CancellationToken");
+TEST_F(FlightRecorderTest, WritePostmortemLandsInTheDumpDir) {
+  const Result<std::string> path = FlightRecorder::WritePostmortem(
+      InterruptEvent(InterruptKind::kCancelled,
+                     "run cancelled via CancellationToken"));
   ASSERT_TRUE(path.ok()) << path.status().ToString();
   EXPECT_EQ(path->rfind(dir_, 0), 0u) << *path;
+  EXPECT_NE(path->find(".interrupt.0.json"), std::string::npos) << *path;
 
-  std::ifstream in(*path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream text;
-  text << in.rdbuf();
-  const Result<JsonValue> doc = JsonValue::Parse(text.str());
+  const Result<JsonValue> doc = LoadJson(*path);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_TRUE(ValidatePostmortemJson(*doc).ok());
   EXPECT_EQ(doc->FindPath("interrupt.kind_name")->string_value(), "cancelled");
@@ -167,13 +210,9 @@ TEST_F(FlightRecorderTest, DeadlineInterruptDuringRunDumpsAPostmortem) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 
-  const std::vector<std::string> written = FlightRecorder::written_postmortems();
-  ASSERT_EQ(written.size() - baseline_, 1u);
-  std::ifstream in(written.back());
-  ASSERT_TRUE(in.good()) << written.back();
-  std::ostringstream text;
-  text << in.rdbuf();
-  const Result<JsonValue> doc = JsonValue::Parse(text.str());
+  const std::vector<std::string> written = PostmortemFiles(dir_);
+  ASSERT_EQ(written.size(), 1u);
+  const Result<JsonValue> doc = LoadJson(written.back());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_TRUE(ValidatePostmortemJson(*doc).ok())
       << ValidatePostmortemJson(*doc).ToString();
@@ -196,23 +235,22 @@ TEST_F(FlightRecorderTest, EachRunContextDumpsAtMostOnce) {
   }
   // Three runs, three sticky first-interrupt transitions, three dumps —
   // repeated polls of the same context never re-dump.
-  EXPECT_EQ(FlightRecorder::written_postmortems().size() - baseline_, 3u);
+  EXPECT_EQ(PostmortemFiles(dir_).size(), 3u);
 }
 
 TEST_F(FlightRecorderTest, InterruptDumpBudgetIsCapped) {
-  FlightRecorder::Uninstall();
-  FlightRecorderOptions options;
-  options.postmortem_dir = dir_;
-  options.install_signal_handlers = false;
-  options.max_interrupt_dumps = 2;
-  ASSERT_TRUE(FlightRecorder::Install(options).ok());
   const GridDataset grid = SmoothGrid(12, 12);
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kMaxInterruptDumps + 3; ++i) {
     RunContext ctx;
     ctx.set_deadline_after_seconds(-1.0);
     ASSERT_FALSE(Repartitioner().Run(grid, &ctx).ok());
   }
-  EXPECT_EQ(FlightRecorder::written_postmortems().size() - baseline_, 2u);
+  EXPECT_EQ(PostmortemFiles(dir_).size(),
+            static_cast<size_t>(kMaxInterruptDumps));
+  // Past the cap an explicit write is refused as well.
+  const Result<std::string> extra = FlightRecorder::WritePostmortem(
+      InterruptEvent(InterruptKind::kCancelled, "over budget"));
+  EXPECT_EQ(extra.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(FlightRecorderNoDirTest, WriteFailsWithoutAConfiguredDirectory) {
@@ -226,8 +264,9 @@ TEST(FlightRecorderNoDirTest, WriteFailsWithoutAConfiguredDirectory) {
   options.install_signal_handlers = false;
   ASSERT_TRUE(FlightRecorder::Install(options).ok());
   EXPECT_EQ(FlightRecorder::postmortem_dir(), "");
-  EXPECT_FALSE(
-      FlightRecorder::WriteInterruptPostmortem(kDeadlineKind, "x").ok());
+  EXPECT_FALSE(FlightRecorder::WritePostmortem(
+                   InterruptEvent(InterruptKind::kDeadlineExceeded, "x"))
+                   .ok());
   FlightRecorder::Uninstall();
   if (!saved.empty()) ::setenv("SRP_POSTMORTEM_DIR", saved.c_str(), 1);
 }

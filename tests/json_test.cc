@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 namespace srp {
@@ -51,6 +52,34 @@ TEST(JsonValueTest, StringsEscapeControlAndQuoteCharacters) {
   auto parsed = JsonValue::Parse(dumped);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->string_value(), v.string_value());
+
+  // The shared escaper, byte by byte: all 32 control bytes, the quote and
+  // the backslash; everything else (0x7f, UTF-8) passes through.
+  for (int c = 0; c < 0x20; ++c) {
+    std::string expected;
+    switch (c) {
+      case '\n':
+        expected = "\\n";
+        break;
+      case '\r':
+        expected = "\\r";
+        break;
+      case '\t':
+        expected = "\\t";
+        break;
+      default: {
+        char hex[8];
+        std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+        expected = hex;
+      }
+    }
+    std::string out = "<";
+    AppendJsonEscaped(&out, std::string(1, static_cast<char>(c)));
+    EXPECT_EQ(out, "<" + expected) << "byte " << c;
+  }
+  std::string out;
+  AppendJsonEscaped(&out, "\"\\\x7f\xc3\xa9 ok");
+  EXPECT_EQ(out, "\\\"\\\\\x7f\xc3\xa9 ok");
 }
 
 TEST(JsonValueTest, FindPathDescendsNestedObjects) {

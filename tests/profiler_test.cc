@@ -6,13 +6,18 @@
 
 #include "obs/profiler.h"
 
+#include <pthread.h>
+#include <signal.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/journal.h"
 #include "util/timer.h"
 
 namespace srp {
@@ -78,7 +83,7 @@ TEST(HwCounterValuesTest, ArithmeticAndIpc) {
 }
 
 TEST(SamplingProfilerTest, CollectsFoldedStacksUnderLoad) {
-  SetProfilerThreadLabel("profiler-test");
+  Journal::SetThreadLabel("profiler-test");
   SamplingProfiler profiler;
   const Status started = profiler.Start();
 #if !defined(__linux__)
@@ -106,6 +111,39 @@ TEST(SamplingProfilerTest, CollectsFoldedStacksUnderLoad) {
     EXPECT_GT(std::atoll(line.c_str() + space + 1), 0) << line;
     EXPECT_NE(line.find(';'), std::string::npos) << line;
     EXPECT_EQ(line.rfind("profiler-test;", 0), 0u) << line;
+  }
+}
+
+TEST(SamplingProfilerTest, JournalThreadLabelNamesTheFoldedRoot) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "profiler unsupported on this platform";
+#endif
+  // Only the worker may take SIGPROF: block it on this thread; the worker
+  // inherits the mask and unblocks it once it is labelled.
+  sigset_t prof;
+  sigemptyset(&prof);
+  sigaddset(&prof, SIGPROF);
+  sigset_t saved;
+  ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &prof, &saved), 0);
+
+  SamplingProfiler profiler;
+  ASSERT_TRUE(profiler.Start().ok());
+  std::thread worker([&profiler, &prof] {
+    // Labelled through the journal only, like the telemetry sampler.
+    Journal::SetThreadLabel("journal-only");
+    pthread_sigmask(SIG_UNBLOCK, &prof, nullptr);
+    WallTimer timer;
+    while (profiler.CollectedSamples() < 3 && timer.ElapsedSeconds() < 10.0) {
+      SpinFor(0.01);
+    }
+  });
+  worker.join();
+  ASSERT_TRUE(profiler.Stop().ok());
+  pthread_sigmask(SIG_SETMASK, &saved, nullptr);
+
+  ASSERT_GE(profiler.CollectedSamples(), 1u);
+  for (const std::string& line : profiler.FoldedStacks()) {
+    EXPECT_EQ(line.rfind("journal-only;", 0), 0u) << line;
   }
 }
 

@@ -6,7 +6,11 @@
 
 #include "obs/telemetry.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -308,35 +312,49 @@ TEST_F(TelemetrySamplerTest, StreamSinkWritesSelfContainedVersionedLines) {
 // Stall watchdog
 // ---------------------------------------------------------------------------
 
+/// The postmortem.*.json files in `dir`, sorted.
+std::vector<std::string> PostmortemFiles(const std::string& dir) {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("postmortem.", 0) == 0 &&
+        name.size() > 5 && name.compare(name.size() - 5, 5, ".json") == 0) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
 class StallWatchdogTest : public testing::Test {
  protected:
   void SetUp() override {
     FlightRecorder::Uninstall();
     Journal::ResetForTesting();
     ProgressTracker::Get().ResetForTesting();
-    dir_ = testing::TempDir() + "/stall_watchdog_test";
+    // One directory per test and process: ctest runs tests in parallel.
+    dir_ = testing::TempDir() + "/stall_watchdog_test." +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "." + std::to_string(getpid());
+    std::filesystem::remove_all(dir_);
     FlightRecorderOptions options;
     options.postmortem_dir = dir_;
     options.install_signal_handlers = false;
     ASSERT_TRUE(FlightRecorder::Install(options).ok());
-    // The written-postmortem list is process-cumulative; assert relative to
-    // it so the suite also passes when run in one process.
-    baseline_ = FlightRecorder::written_postmortems().size();
   }
   void TearDown() override {
     FlightRecorder::Uninstall();
     Journal::ResetForTesting();
     ProgressTracker::Get().ResetForTesting();
+    std::filesystem::remove_all(dir_);
   }
   std::string dir_;
-  size_t baseline_ = 0;
 };
 
 TEST_F(StallWatchdogTest, FrozenRunTriggersValidatedStallPostmortem) {
   TelemetrySamplerOptions options;
   options.interval_ms = 5.0;
   options.stall_timeout_ms = 40.0;
-  options.max_stall_dumps = 1;
   TelemetrySampler sampler(options);
 
   // An active run that then freezes completely.
@@ -345,36 +363,41 @@ TEST_F(StallWatchdogTest, FrozenRunTriggersValidatedStallPostmortem) {
   ProgressTracker::Get().SetWorkDone(1);
   ASSERT_TRUE(sampler.Start().ok());
 
-  // Wait past the stall window (plus sampling slack).
-  for (int i = 0; i < 100 && sampler.stall_dumps_triggered() == 0; ++i) {
+  // The watchdog re-arms after each dump, so a run that stays frozen fills
+  // the cap; wait for it, then three more windows past it.
+  for (int i = 0;
+       i < 200 && sampler.stall_dumps_triggered() < kMaxStallDumps; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
   sampler.Stop();
   ProgressTracker::Get().EndRun(token);
 
-  ASSERT_EQ(sampler.stall_dumps_triggered(), 1u);  // capped by max_stall_dumps
+  ASSERT_EQ(sampler.stall_dumps_triggered(), kMaxStallDumps);  // capped
 
-  // Exactly the written path is recorded and validates as kind "stall".
-  const std::vector<std::string> written = FlightRecorder::written_postmortems();
-  ASSERT_EQ(written.size(), baseline_ + 1);
-  EXPECT_NE(written[baseline_].find(".stall."), std::string::npos);
-  std::FILE* f = std::fopen(written[baseline_].c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
+  // Exactly the capped number of files landed; each validates as "stall".
+  const std::vector<std::string> written = PostmortemFiles(dir_);
+  ASSERT_EQ(written.size(), kMaxStallDumps);
+  for (const std::string& path : written) {
+    EXPECT_NE(path.find(".stall."), std::string::npos) << path;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string contents;
+    char buffer[4096];
+    size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+      contents.append(buffer, n);
+    }
+    std::fclose(f);
+    auto doc = JsonValue::Parse(contents);
+    ASSERT_TRUE(doc.ok()) << path;
+    EXPECT_TRUE(ValidatePostmortemJson(*doc).ok())
+        << ValidatePostmortemJson(*doc).ToString();
+    EXPECT_EQ(doc->Find("kind")->string_value(), "stall");
+    const JsonValue* window = doc->FindPath("stall.window_ms");
+    ASSERT_NE(window, nullptr);
+    EXPECT_GE(window->number_value(), 40.0);
   }
-  std::fclose(f);
-  auto doc = JsonValue::Parse(contents);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(ValidatePostmortemJson(*doc).ok())
-      << ValidatePostmortemJson(*doc).ToString();
-  EXPECT_EQ(doc->Find("kind")->string_value(), "stall");
-  const JsonValue* window = doc->FindPath("stall.window_ms");
-  ASSERT_NE(window, nullptr);
-  EXPECT_GE(window->number_value(), 40.0);
 }
 
 TEST_F(StallWatchdogTest, ForwardProgressSuppressesTheWatchdog) {
@@ -394,7 +417,7 @@ TEST_F(StallWatchdogTest, ForwardProgressSuppressesTheWatchdog) {
   sampler.Stop();
   ProgressTracker::Get().EndRun(token);
   EXPECT_EQ(sampler.stall_dumps_triggered(), 0u);
-  EXPECT_EQ(FlightRecorder::written_postmortems().size(), baseline_);
+  EXPECT_TRUE(PostmortemFiles(dir_).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -85,30 +85,22 @@ double FieldNumber(const JsonValue& doc, const char* dotted_path) {
   return value != nullptr ? value->number_value() : 0.0;
 }
 
+/// The journal events of a validated postmortem (ValidatePostmortemJson
+/// vouches for every field read here but the thread label), seq-ordered.
 std::vector<ParsedEvent> ExtractEvents(const JsonValue& doc,
                                        const std::string& source) {
   std::vector<ParsedEvent> events;
-  const JsonValue* threads = doc.FindPath("journal.threads");
-  if (threads == nullptr || !threads->is_array()) return events;
-  for (const JsonValue& thread : threads->items()) {
-    const JsonValue* tid = thread.Find("tid");
+  for (const JsonValue& thread : doc.FindPath("journal.threads")->items()) {
     const JsonValue* label = thread.Find("label");
-    const JsonValue* thread_events = thread.Find("events");
-    if (thread_events == nullptr || !thread_events->is_array()) continue;
-    for (const JsonValue& e : thread_events->items()) {
+    for (const JsonValue& e : thread.Find("events")->items()) {
       ParsedEvent event;
-      event.seq = static_cast<uint64_t>(
-          e.Find("seq") != nullptr ? e.Find("seq")->number_value() : 0);
-      event.ts_ns = static_cast<int64_t>(
-          e.Find("ts_ns") != nullptr ? e.Find("ts_ns")->number_value() : 0);
-      event.tid = static_cast<uint32_t>(
-          tid != nullptr ? tid->number_value() : 0);
+      event.seq = static_cast<uint64_t>(e.Find("seq")->number_value());
+      event.ts_ns = static_cast<int64_t>(e.Find("ts_ns")->number_value());
+      event.tid = static_cast<uint32_t>(thread.Find("tid")->number_value());
       event.thread_label =
           label != nullptr && label->is_string() ? label->string_value() : "";
-      event.kind =
-          e.Find("kind") != nullptr ? e.Find("kind")->string_value() : "";
-      event.text =
-          e.Find("text") != nullptr ? e.Find("text")->string_value() : "";
+      event.kind = e.Find("kind")->string_value();
+      event.text = e.Find("text")->string_value();
       event.source = source;
       events.push_back(std::move(event));
     }
@@ -172,8 +164,8 @@ void PrintSummary(const std::string& path, const JsonValue& doc,
               FieldString(doc, "provenance.build_type").c_str(),
               FieldString(doc, "provenance.compiler").c_str());
 
-  const JsonValue* backtrace = doc.Find("backtrace");
-  if (backtrace != nullptr && backtrace->is_array() && backtrace->size() > 0) {
+  const JsonValue* backtrace = doc.Find("backtrace");  // validated: an array
+  if (backtrace->size() > 0) {
     std::printf("  backtrace (%zu frames, top 5):\n", backtrace->size());
     for (size_t i = 0; i < std::min<size_t>(5, backtrace->size()); ++i) {
       std::printf("    #%zu %s\n", i, backtrace->at(i).string_value().c_str());
@@ -199,23 +191,6 @@ void PrintSummary(const std::string& path, const JsonValue& doc,
   }
 }
 
-void AppendTraceJsonEscaped(std::string* out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 /// Chrome trace export: one process per input file, one instant event per
 /// journal event, timestamps relative to the file's earliest event.
 Status WriteTrace(const std::string& path,
@@ -234,11 +209,11 @@ Status WriteTrace(const std::string& path,
     first = false;
     out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
            std::to_string(f + 1) + ",\"args\":{\"name\":\"";
-    AppendTraceJsonEscaped(&out, files[f]);
+    AppendJsonEscaped(&out, files[f]);
     out += "\"}}";
     for (const ParsedEvent& event : events) {
       out += ",\n{\"name\":\"";
-      AppendTraceJsonEscaped(&out, event.kind + ": " + event.text);
+      AppendJsonEscaped(&out, event.kind + ": " + event.text);
       out += "\",\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
       char ts[32];
       std::snprintf(ts, sizeof(ts), "%.3f",
