@@ -6,7 +6,6 @@
 #include "grid/normalize.h"
 #include "ml/dataset.h"
 #include "ml/schc.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 
@@ -17,9 +16,6 @@ Result<ReducedDataset> ClusteringReduction(
     const RunContext* ctx) {
   SRP_TRACE_SPAN("baseline.clustering");
   obs::ScopedProgressRun progress_run("baseline.clustering", 0.0);
-  static obs::Counter* runs =
-      obs::MetricsRegistry::Get().GetCounter("baseline.clustering.runs");
-  runs->Increment();
   SRP_RETURN_IF_ERROR(grid.Validate());
   SRP_INJECT_FAULT("baseline.clustering");
   SRP_RETURN_IF_INTERRUPTED(ctx);

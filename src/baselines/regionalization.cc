@@ -7,7 +7,6 @@
 
 #include "fail/fault_injection.h"
 #include "grid/normalize.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "util/random.h"
@@ -78,9 +77,6 @@ Result<ReducedDataset> Regionalize(const GridDataset& grid,
                                    const RunContext* ctx) {
   SRP_TRACE_SPAN("baseline.regionalization");
   obs::ScopedProgressRun progress_run("baseline.regionalization", 0.0);
-  static obs::Counter* runs =
-      obs::MetricsRegistry::Get().GetCounter("baseline.regionalization.runs");
-  runs->Increment();
   SRP_RETURN_IF_ERROR(grid.Validate());
   SRP_INJECT_FAULT("baseline.regionalization");
   const GridDataset norm = AttributeNormalized(grid);

@@ -5,7 +5,6 @@
 
 #include "fail/fault_injection.h"
 #include "ml/kdtree.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "util/random.h"
@@ -17,9 +16,6 @@ Result<ReducedDataset> SpatialSampling(const GridDataset& grid,
                                        const RunContext* ctx) {
   SRP_TRACE_SPAN("baseline.sampling");
   obs::ScopedProgressRun progress_run("baseline.sampling", 0.0);
-  static obs::Counter* runs =
-      obs::MetricsRegistry::Get().GetCounter("baseline.sampling.runs");
-  runs->Increment();
   SRP_RETURN_IF_ERROR(grid.Validate());
   SRP_INJECT_FAULT("baseline.sampling");
 

@@ -13,37 +13,11 @@
 #include "fail/fault_injection.h"
 #include "grid/normalize.h"
 #include "obs/journal.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "parallel/thread_pool.h"
 
 namespace srp {
 namespace {
-
-/// Handles into the process-wide metrics registry, resolved once. Updates
-/// are relaxed atomic bumps, cheap enough to stay on even for the
-/// paper-faithful timing runs (a few per iteration vs. O(cells) work).
-struct CoreMetrics {
-  obs::Counter* runs;
-  obs::Counter* iterations;
-  obs::Counter* heap_pops;
-  obs::Counter* cells_in;
-  obs::Counter* groups_out;
-};
-
-CoreMetrics& Metrics() {
-  static CoreMetrics* metrics = [] {
-    auto& registry = obs::MetricsRegistry::Get();
-    auto* m = new CoreMetrics();
-    m->runs = registry.GetCounter("repartition.runs");
-    m->iterations = registry.GetCounter("repartition.iterations");
-    m->heap_pops = registry.GetCounter("repartition.heap_pops");
-    m->cells_in = registry.GetCounter("repartition.cells_in");
-    m->groups_out = registry.GetCounter("repartition.groups_out");
-    return m;
-  }();
-  return *metrics;
-}
 
 /// Hands the committed state to the durable checkpoint sink. The pop
 /// threshold follows from it (the last accepted variation, or the -1.0
@@ -287,13 +261,6 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     stats.pool_queue_depth_high_water = pool_stats.queue_depth_high_water;
     stats.pool_worker_busy_ns = pool_stats.worker_busy_ns;
   }
-
-  CoreMetrics& metrics = Metrics();
-  metrics.runs->Increment();
-  metrics.iterations->Add(static_cast<int64_t>(result.iterations));
-  metrics.heap_pops->Add(static_cast<int64_t>(stats.heap_pops));
-  metrics.cells_in->Add(static_cast<int64_t>(grid.num_cells()));
-  metrics.groups_out->Add(static_cast<int64_t>(result.partition.num_groups()));
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "fail/fault_injection.h"
-#include "obs/metrics_registry.h"
 #include "obs/tracer.h"
 #include "util/logging.h"
 
@@ -97,12 +96,10 @@ void GridAccumulator::FinishCell(size_t cell, GridDataset* grid) const {
   }
 }
 
-GridDataset GridAccumulator::Finish(size_t dropped) const {
+GridDataset GridAccumulator::Finish() const {
   GridDataset grid(rows_, cols_, attrs_, extent_);
-  size_t ingested = 0;
   for (size_t cell = 0; cell < counts_.size(); ++cell) {
     if (counts_[cell] == 0) continue;  // stays null
-    ingested += counts_[cell];
     FinishCell(cell, &grid);
     // Poisoned here, not in FinishCell: the stream rebuilds its cells with
     // FinishCell and must never fire this build's fault point.
@@ -112,16 +109,6 @@ GridDataset GridAccumulator::Finish(size_t dropped) const {
       grid.Set(r, c, k, SRP_FAULT_POISON("grid.build", grid.At(r, c, k)));
     }
   }
-
-  static obs::Counter* builds =
-      obs::MetricsRegistry::Get().GetCounter("grid.builds");
-  static obs::Counter* ingested_points =
-      obs::MetricsRegistry::Get().GetCounter("grid.points_ingested");
-  static obs::Counter* dropped_points =
-      obs::MetricsRegistry::Get().GetCounter("grid.points_dropped");
-  builds->Increment();
-  ingested_points->Add(static_cast<int64_t>(ingested));
-  dropped_points->Add(static_cast<int64_t>(dropped));
   return grid;
 }
 
@@ -157,7 +144,7 @@ Result<GridDataset> BuildGridFromPoints(
     acc.Add(acc.CellOf(rec.lat, rec.lon), rec.fields.data());
   }
   if (dropped != nullptr) *dropped = dropped_count;
-  return acc.Finish(dropped_count);
+  return acc.Finish();
 }
 
 }  // namespace srp

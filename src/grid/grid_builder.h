@@ -105,12 +105,11 @@ class GridAccumulator {
   /// attributes.
   void FinishCell(size_t cell, GridDataset* grid) const;
 
-  /// The aggregated grid; cells without records stay null. Counts the
-  /// build in `grid.builds`, `grid.points_ingested` and, with `dropped`,
-  /// `grid.points_dropped`. Hosts the `grid.build` poison, which corrupts
-  /// the nth aggregated value (in cell, then attribute order) so the
-  /// downstream GridDataset::Validate() scan must catch it.
-  GridDataset Finish(size_t dropped = 0) const;
+  /// The aggregated grid; cells without records stay null. Hosts the
+  /// `grid.build` poison, which corrupts the nth aggregated value (in
+  /// cell, then attribute order) so the downstream GridDataset::Validate()
+  /// scan must catch it.
+  GridDataset Finish() const;
 
   /// One past the highest field index any def reads (0 for count-only
   /// schemas): the fields every added record must carry.

@@ -18,7 +18,6 @@
 
 #include "fail/cancellation.h"
 #include "obs/journal.h"
-#include "obs/metrics_registry.h"
 #include "obs/run_report.h"
 #include "util/logging.h"
 
@@ -295,11 +294,9 @@ void SigJournal(SigBuf* b, JournalRawThreadView* views) {
 
 /// The one postmortem formatter: streams `event`'s document through
 /// `scratch` to `fd`, or to `out` when `fd` < 0. Every kind shares the
-/// sections after its own; `metrics_json` (normal context only, nullptr
-/// omits it) is copied in verbatim. Signal-safe with an fd and no metrics.
-/// False on a write error.
-bool StreamPostmortem(const PostmortemEvent& event, const char* metrics_json,
-                      DumpScratch* scratch, int fd, std::string* out) {
+/// sections after its own. Signal-safe with an fd. False on a write error.
+bool StreamPostmortem(const PostmortemEvent& event, DumpScratch* scratch,
+                      int fd, std::string* out) {
   SigBuf buf = FixedBuf(scratch->buf, sizeof(scratch->buf), fd, out);
   SigBuf* b = &buf;
   const char* cause = event.cause != nullptr ? event.cause : "";
@@ -376,12 +373,7 @@ bool StreamPostmortem(const PostmortemEvent& event, const char* metrics_json,
     SigFrame(b, frames[i]);
     SigChar(b, '"');
   }
-  SigChar(b, ']');
-  if (metrics_json != nullptr) {
-    SigStr(b, ",\"metrics\":");
-    SigStr(b, metrics_json);
-  }
-  SigStr(b, ",\"journal\":");
+  SigStr(b, "],\"journal\":");
   SigJournal(b, scratch->views);
   SigStr(b, "}\n");
   SigFlush(b);
@@ -389,13 +381,12 @@ bool StreamPostmortem(const PostmortemEvent& event, const char* metrics_json,
 }
 
 /// Creates `path`, streams the postmortem into it and fsyncs it.
-/// Signal-safe with no metrics. False when any step fails.
+/// Signal-safe. False when any step fails.
 bool WritePostmortemFile(const char* path, const PostmortemEvent& event,
-                         const char* metrics_json, DumpScratch* scratch) {
+                         DumpScratch* scratch) {
   const int fd = open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  const bool streamed =
-      StreamPostmortem(event, metrics_json, scratch, fd, nullptr);
+  const bool streamed = StreamPostmortem(event, scratch, fd, nullptr);
   const bool synced = fsync(fd) == 0;
   return close(fd) == 0 && streamed && synced;
 }
@@ -436,7 +427,7 @@ void CrashHandler(int sig, siginfo_t* info, void* /*ucontext*/) {
         .kind = PostmortemKind::kSignal,
         .signal = sig,
         .fault_addr = info != nullptr ? info->si_addr : nullptr};
-    if (WritePostmortemFile(path, event, nullptr, &g_crash_scratch)) {
+    if (WritePostmortemFile(path, event, &g_crash_scratch)) {
       // One stderr line naming the artifact, through the now idle buffer.
       SigBuf note = FixedBuf(g_crash_scratch.buf, sizeof(g_crash_scratch.buf),
                              STDERR_FILENO);
@@ -550,10 +541,9 @@ void FlightRecorder::Uninstall() {
 std::string FlightRecorder::postmortem_dir() { return g_state.dir; }
 
 std::string FlightRecorder::RenderPostmortem(const PostmortemEvent& event) {
-  const std::string metrics = MetricsRegistry::Get().ToJson().Dump();
   const auto scratch = std::make_unique<DumpScratch>();
   std::string out;
-  StreamPostmortem(event, metrics.c_str(), scratch.get(), -1, &out);
+  StreamPostmortem(event, scratch.get(), -1, &out);
   return out;
 }
 
@@ -576,9 +566,8 @@ Result<std::string> FlightRecorder::WritePostmortem(
   }
   char path[640];
   PostmortemPath(path, sizeof(path), event.kind, n);
-  const std::string metrics = MetricsRegistry::Get().ToJson().Dump();
   const auto scratch = std::make_unique<DumpScratch>();
-  if (!WritePostmortemFile(path, event, metrics.c_str(), scratch.get())) {
+  if (!WritePostmortemFile(path, event, scratch.get())) {
     return Status::IOError(std::string("cannot write postmortem file: ") +
                            path);
   }

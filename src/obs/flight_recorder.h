@@ -54,9 +54,7 @@ struct PostmortemEvent {
 /// One signal-safe formatter writes every kind: static or caller-owned
 /// buffers only, no allocation, no locks, no stdio. It streams the document
 /// through a fixed buffer, write(2)ing each time the buffer fills, so no
-/// journal size can truncate a dump. Normal-context dumps (interrupt,
-/// stall) also carry a "metrics" section, rendered before the write — the
-/// registry mutex is off-limits in a signal handler.
+/// journal size can truncate a dump. Every kind shares the same sections.
 class FlightRecorder {
  public:
   /// Idempotent; the first call wins and later calls are no-ops (OK).

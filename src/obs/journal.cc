@@ -5,7 +5,6 @@
 #include <cstring>
 #include <ctime>
 
-#include <algorithm>
 #include <atomic>
 
 namespace srp {
@@ -233,49 +232,6 @@ size_t Journal::ReadRawThreads(JournalRawThreadView* out, size_t max) {
     view.capacity = kJournalEventsPerThread;
   }
   return count;
-}
-
-std::vector<JournalThreadSnapshot> Journal::SnapshotThreads() {
-  JournalRawThreadView views[kJournalMaxThreads];
-  const size_t n = ReadRawThreads(views, kJournalMaxThreads);
-  std::vector<JournalThreadSnapshot> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const JournalRawThreadView& view = views[i];
-    if (view.total_appends == 0) continue;
-    JournalThreadSnapshot snapshot;
-    snapshot.tid = view.tid;
-    snapshot.label = view.label;
-    snapshot.live = view.live;
-    snapshot.total_appends = view.total_appends;
-    const uint64_t retained =
-        std::min<uint64_t>(view.total_appends, view.capacity);
-    const uint64_t start =
-        view.total_appends > view.capacity ? view.total_appends % view.capacity
-                                           : 0;
-    snapshot.events.reserve(retained);
-    for (uint64_t j = 0; j < retained; ++j) {
-      const JournalEvent& event = view.ring[(start + j) % view.capacity];
-      if (event.seq == 0) continue;  // torn or not yet published
-      snapshot.events.push_back(event);
-      // Defensive NUL termination against a torn text copy.
-      snapshot.events.back().text[kJournalTextCapacity - 1] = '\0';
-    }
-    threads.push_back(std::move(snapshot));
-  }
-  return threads;
-}
-
-std::vector<JournalEvent> Journal::SnapshotMerged() {
-  std::vector<JournalEvent> merged;
-  for (const JournalThreadSnapshot& thread : SnapshotThreads()) {
-    merged.insert(merged.end(), thread.events.begin(), thread.events.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const JournalEvent& a, const JournalEvent& b) {
-              return a.seq < b.seq;
-            });
-  return merged;
 }
 
 uint64_t Journal::dropped_thread_events() {

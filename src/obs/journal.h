@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace srp {
 namespace obs {
@@ -65,15 +63,6 @@ static_assert(sizeof(JournalEvent) == 128, "journal event must stay compact");
 inline constexpr size_t kJournalEventsPerThread = 256;
 inline constexpr size_t kJournalMaxThreads = 64;
 inline constexpr size_t kJournalThreadLabelCapacity = 24;
-
-/// Snapshot of one thread's ring, oldest event first (normal-context reads).
-struct JournalThreadSnapshot {
-  uint32_t tid = 0;
-  std::string label;        ///< "" when the thread never set one
-  bool live = false;        ///< thread still owns its slot
-  uint64_t total_appends = 0;
-  std::vector<JournalEvent> events;
-};
 
 /// Signal-safe view of one thread slot: raw pointers into the static arena,
 /// no allocation. `ring` is the full circular buffer; the oldest retained
@@ -149,13 +138,6 @@ class Journal {
   /// NotifyInterrupt records a kInterrupt event, then invokes the hook.
   static JournalInterruptHook SetInterruptHook(JournalInterruptHook hook);
   static void NotifyInterrupt(int kind, const char* detail);
-
-  /// Per-thread snapshots (normal context; locks nothing but tolerates
-  /// concurrent writers). Threads with zero events are omitted.
-  static std::vector<JournalThreadSnapshot> SnapshotThreads();
-
-  /// All events across threads merged by global sequence number.
-  static std::vector<JournalEvent> SnapshotMerged();
 
   /// Signal-safe slot iteration for the crash handler: fills `out` with up
   /// to `max` views of slots that have ever been written, returns the

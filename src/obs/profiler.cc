@@ -291,7 +291,11 @@ Status SamplingProfiler::Start() {
   std::memset(&event, 0, sizeof(event));
   event.sigev_notify = SIGEV_SIGNAL;
   event.sigev_signo = SIGPROF;
-  if (timer_create(CLOCK_MONOTONIC, &event, &timer_->id) != 0) {
+  // Process CPU time, not wall time: the kernel sends a process-directed
+  // timer signal to a thread that is running when it fires, so busy pool
+  // workers get sampled. On a wall clock it goes to any thread that does
+  // not block it — in practice the main thread, even while it sleeps.
+  if (timer_create(CLOCK_PROCESS_CPUTIME_ID, &event, &timer_->id) != 0) {
     g_active_profiler.store(nullptr, std::memory_order_release);
     return Status::Internal(std::string("timer_create failed: ") +
                             std::strerror(errno));

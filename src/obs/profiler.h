@@ -91,21 +91,27 @@ class HwCounterGroup {
 /// leaf end.
 inline constexpr int kMaxStackFrames = 64;
 
-/// Wall-clock sampling profiler: a POSIX interval timer (CLOCK_MONOTONIC)
-/// delivers SIGPROF at `hz`; the signal handler captures a raw backtrace
-/// into a preallocated sample buffer (lock-free slot claim, no allocation,
-/// no formatting — see the signal-safety notes in DESIGN.md §10) and
-/// symbolization is deferred to Stop(). Output is folded collapsed-stack
-/// text ("label;outer;...;inner count") consumable by flamegraph.pl and
-/// https://speedscope.app.
+/// CPU-time sampling profiler: a POSIX interval timer on the process CPU
+/// clock (CLOCK_PROCESS_CPUTIME_ID) delivers SIGPROF every 1/`hz` seconds
+/// of CPU time summed over all threads, to a thread that is running, so
+/// busy pool workers are sampled and idle or blocked threads are not. The
+/// sample rate per wall second therefore grows with the number of busy
+/// threads: size `max_samples` for it and watch DroppedSamples(). The
+/// signal handler captures a raw backtrace into a preallocated sample
+/// buffer (lock-free slot claim, no allocation, no formatting — see the
+/// signal-safety notes in DESIGN.md §10) and symbolization is deferred to
+/// Stop(). Output is folded collapsed-stack text ("label;outer;...;inner
+/// count") consumable by flamegraph.pl and https://speedscope.app.
 ///
 /// One profiler can be active per process at a time; Start() fails when
 /// another instance is already running.
 class SamplingProfiler {
  public:
   struct Options {
-    /// Sampling frequency. A prime default avoids lockstep with periodic
-    /// work; 997 Hz keeps even ~10 ms runs from going sample-less.
+    /// Sampling frequency in samples per CPU second; a prime avoids
+    /// lockstep with periodic work. The kernel checks CPU timers once per
+    /// scheduler tick, so each busy CPU yields at most CONFIG_HZ samples a
+    /// second (250 on many kernels) whatever `hz` asks.
     int hz = 997;
     size_t max_samples = 1 << 16;
   };

@@ -117,11 +117,6 @@ void RunReport::SetTelemetry(const RunReportTelemetry& telemetry) {
   telemetry_ = telemetry;
 }
 
-void RunReport::CaptureMetrics(const MetricsRegistry& registry) {
-  metrics_ = registry.ToJson();
-  has_metrics_ = true;
-}
-
 JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
   out.Set("schema_version", kSchemaVersion);
@@ -193,7 +188,6 @@ JsonValue RunReport::ToJson() const {
 
   out.Set("result", result_);
   if (has_introspection_) out.Set("introspection", introspection_);
-  if (has_metrics_) out.Set("metrics", metrics_);
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "util/json.h"
 #include "util/status.h"
@@ -67,8 +66,8 @@ struct RunReportTelemetry {
 /// Aggregates everything one run of the framework leaves behind into a
 /// single versioned JSON document (DESIGN.md §9): build/config provenance,
 /// per-phase wall time and allocation high-water, thread-pool utilization,
-/// headline results (including why the run stopped) and the full metrics
-/// snapshot. The spans of a traced run go to the Chrome trace, not here.
+/// and headline results (including why the run stopped). The spans of a
+/// traced run go to the Chrome trace, not here.
 ///
 /// Key order in the emitted JSON is stable by construction (JsonValue
 /// objects preserve insertion order and every section is emitted in a fixed
@@ -81,8 +80,9 @@ class RunReport {
   /// v2 added the optional "hw_counters" section, per-phase "hw" objects and
   /// the optional "introspection" section; v3 the optional "telemetry"
   /// summary; v4 removed "metrics.histograms" and
-  /// "telemetry.dropped_samples"; v5 removed the "trace" span tree.
-  static constexpr int kSchemaVersion = 5;
+  /// "telemetry.dropped_samples"; v5 removed the "trace" span tree; v6
+  /// removed "metrics", whose values the other sections already hold.
+  static constexpr int kSchemaVersion = 6;
 
   /// `tool` names the producing binary ("srp_repartition", a bench name...).
   explicit RunReport(std::string tool = "unknown");
@@ -117,9 +117,6 @@ class RunReport {
   /// Telemetry-sampler summary, embedded under "telemetry" (schema v3).
   void SetTelemetry(const RunReportTelemetry& telemetry);
 
-  /// Snapshot of every registered metric, embedded under "metrics".
-  void CaptureMetrics(const MetricsRegistry& registry = MetricsRegistry::Get());
-
   JsonValue ToJson() const;
 
   /// Pretty-printed (2-space indent) ToJson().
@@ -135,8 +132,6 @@ class RunReport {
   std::vector<RunReportPhase> phases_;
   bool has_pool_ = false;
   RunReportPool pool_;
-  bool has_metrics_ = false;
-  JsonValue metrics_ = JsonValue::Object();
   bool has_hw_status_ = false;
   bool hw_collected_ = false;
   std::string hw_unavailable_reason_;

@@ -21,7 +21,7 @@ namespace obs {
 ///  * TelemetrySampler — a background thread that periodically samples
 ///    progress, live thread-pool stats, memory and the current journal phase
 ///    and appends each sample to a JSON-lines stream, the one record of a
-///    run's live progress (the registry's one export is the run report).
+///    run's live progress (a finished run's record is the run report).
 ///  * Stall watchdog — the sampler doubles as a watchdog: when the journal
 ///    sequence counter and the progress gauges make no forward progress for
 ///    a configurable window it records the cause and triggers a

@@ -5,8 +5,8 @@
 #include <cstdlib>
 
 #include "obs/journal.h"
-#include "obs/metrics_registry.h"
 #include "util/json.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace srp {
@@ -28,12 +28,12 @@ size_t Tracer::ResolveCapacity(size_t explicit_capacity) {
   size_t capacity = explicit_capacity;
   if (capacity == 0) {
     if (const char* env = std::getenv("SRP_TRACE_CAPACITY")) {
-      // strtoull silently wraps negative input ("-5" parses as a huge
-      // unsigned value), so reject a leading '-' explicitly.
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (env[0] != '-' && end != env && *end == '\0' && parsed > 0) {
-        capacity = static_cast<size_t>(parsed);
+      const Result<uint64_t> parsed = ParseUint64(env);
+      if (parsed.ok() && *parsed > 0) {
+        capacity = static_cast<size_t>(*parsed);
+      } else {
+        SRP_LOG(Warning) << "ignoring invalid SRP_TRACE_CAPACITY '" << env
+                         << "'";
       }
     }
   }
@@ -73,11 +73,6 @@ void Tracer::Record(const SpanEvent& event) {
   if (!Enabled() || capacity_ == 0) return;
   if (size_ == capacity_) {
     ++dropped_;  // the slot at next_ holds the oldest span; overwrite it
-    // Also surfaced as a registry counter so run reports and metric dumps
-    // flag a clipped ring without consulting the trace export.
-    static Counter* dropped_spans =
-        MetricsRegistry::Get().GetCounter("trace.dropped_spans");
-    dropped_spans->Increment();
   } else {
     ++size_;
   }

@@ -51,7 +51,8 @@ class Tracer {
   /// Ring capacity resolution: a nonzero `explicit_capacity` wins (CLI
   /// flag), then a positive integer in $SRP_TRACE_CAPACITY, then
   /// kDefaultCapacity; the result is clamped to [1, kMaxCapacity].
-  /// Unparsable or non-positive env values are ignored.
+  /// An env value that is not a positive integer is ignored with a
+  /// warning.
   static size_t ResolveCapacity(size_t explicit_capacity = 0);
 
   /// Starts recording into a fresh ring buffer of `capacity` spans and

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/journal.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -52,32 +51,6 @@ bool ProvidePoolStats(obs::PoolStatsSample* out) {
   return true;
 }
 
-/// Handles into the process-wide metrics registry, resolved once.
-struct PoolMetrics {
-  obs::Counter* pools_created;
-  obs::Counter* tasks_executed;
-  obs::Counter* queue_waits;
-  obs::Counter* busy_ns;
-  obs::Gauge* pool_size;
-  obs::Gauge* queue_depth_high_water;
-};
-
-PoolMetrics& Metrics() {
-  static PoolMetrics* metrics = [] {
-    auto& registry = obs::MetricsRegistry::Get();
-    auto* m = new PoolMetrics();
-    m->pools_created = registry.GetCounter("parallel.pools_created");
-    m->tasks_executed = registry.GetCounter("parallel.tasks_executed");
-    m->queue_waits = registry.GetCounter("parallel.queue_waits");
-    m->busy_ns = registry.GetCounter("parallel.busy_ns");
-    m->pool_size = registry.GetGauge("parallel.pool_size");
-    m->queue_depth_high_water =
-        registry.GetGauge("parallel.queue_depth_high_water");
-    return m;
-  }();
-  return *metrics;
-}
-
 }  // namespace
 
 size_t ResolveThreadCount(size_t requested) {
@@ -106,8 +79,6 @@ ThreadPool::ThreadPool(size_t num_threads) {
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  Metrics().pools_created->Increment();
-  Metrics().pool_size->Set(static_cast<double>(num_threads));
   // Install the telemetry provider once; the sampler reports zeros until
   // the first pool of the process exists.
   static const bool provider_installed = [] {
@@ -130,20 +101,9 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-
-  // Publish the utilization snapshot: the high-water gauge keeps the
-  // process-wide maximum across pools, the busy counter accumulates.
-  const ThreadPoolStats stats = Stats();
-  PoolMetrics& metrics = Metrics();
-  metrics.busy_ns->Add(stats.TotalBusyNs());
-  if (static_cast<double>(stats.queue_depth_high_water) >
-      metrics.queue_depth_high_water->Value()) {
-    metrics.queue_depth_high_water->Set(
-        static_cast<double>(stats.queue_depth_high_water));
-  }
   obs::Journal::Appendf(obs::JournalEventKind::kTask, 0,
                         "pool destroyed tasks=%lld",
-                        static_cast<long long>(stats.tasks_executed));
+                        static_cast<long long>(Stats().tasks_executed));
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -183,10 +143,7 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (queue_.empty() && !stop_) {
-        Metrics().queue_waits->Increment();
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      }
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       // Drain remaining tasks even after stop so queued work is never lost.
       if (queue_.empty()) {
         obs::Journal::Append(obs::JournalEventKind::kTask, 0,
@@ -202,7 +159,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
                           std::chrono::steady_clock::now() - task_start)
                           .count();
     worker_busy_ns_[worker_index].fetch_add(busy, std::memory_order_relaxed);
-    Metrics().tasks_executed->Increment();
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++tasks_executed_;

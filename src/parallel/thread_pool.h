@@ -61,14 +61,11 @@ size_t ResolveThreadCount(size_t requested);
 /// lifetime scoped to the operation that needs it — there is no process-wide
 /// pool and therefore no global teardown order to get wrong.
 ///
-/// Observability (srp_obs): construction sets the "parallel.pool_size"
-/// gauge and bumps "parallel.pools_created"; every executed task bumps
-/// "parallel.tasks_executed"; every time a worker goes to sleep on an empty
-/// queue "parallel.queue_waits" is bumped. Destruction publishes the
-/// utilization snapshot: the "parallel.queue_depth_high_water" gauge keeps
-/// the largest value any pool has seen and the "parallel.busy_ns" counter
-/// accumulates worker busy time, so a metrics dump after a run shows how
-/// saturated the pools were.
+/// Observability: Stats() is the one record of a pool's utilization
+/// (tasks executed, queue high-water, busy time per worker); drivers copy
+/// it into RunStats and the telemetry sampler reads the live pools through
+/// AggregateLivePoolStats(). Creation, worker start/exit and destruction
+/// are journaled, never individual tasks.
 class ThreadPool {
  public:
   /// Spawns exactly `num_threads` workers (clamped to >= 1).

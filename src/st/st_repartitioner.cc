@@ -14,7 +14,6 @@
 #include "core/variation_heap.h"
 #include "fail/fault_injection.h"
 #include "grid/normalize.h"
-#include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
 
 namespace srp {
@@ -192,11 +191,6 @@ Result<StRepartitionResult> StRepartitioner::Run(
   loop_options.min_variation_step = options_.min_variation_step;
   SRP_RETURN_IF_ERROR(loop_options.Validate());
   SRP_INJECT_FAULT("st.run");
-  static obs::Counter* runs =
-      obs::MetricsRegistry::Get().GetCounter("st.runs");
-  static obs::Counter* iterations_counter =
-      obs::MetricsRegistry::Get().GetCounter("st.iterations");
-  runs->Increment();
   PhaseClock clock("st.run", "st", options_.ifl_threshold);
   StRepartitionResult result;
   SRP_RETURN_IF_ERROR(clock.Start(/*hw_counters=*/false, &result.stats));
@@ -254,7 +248,6 @@ Result<StRepartitionResult> StRepartitioner::Run(
   result.iterations = state.iterations;
   result.stop_reason = state.stop_reason;
   result.elapsed_seconds = clock.Finish(state.stop_reason);
-  iterations_counter->Add(static_cast<int64_t>(state.iterations));
   return result;
 }
 

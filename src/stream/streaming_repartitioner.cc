@@ -7,30 +7,11 @@
 #include "core/kernels/kernels.h"
 #include "fail/fault_injection.h"
 #include "grid/soa_view.h"
-#include "obs/metrics_registry.h"
 #include "obs/tracer.h"
 #include "util/logging.h"
 
 namespace srp {
 namespace {
-
-struct StreamMetrics {
-  obs::Counter* records_ingested;
-  obs::Counter* records_dropped;
-  obs::Counter* refreshes;
-};
-
-StreamMetrics& Metrics() {
-  static StreamMetrics* metrics = [] {
-    auto& registry = obs::MetricsRegistry::Get();
-    auto* m = new StreamMetrics();
-    m->records_ingested = registry.GetCounter("stream.records_ingested");
-    m->records_dropped = registry.GetCounter("stream.records_dropped");
-    m->refreshes = registry.GetCounter("stream.refreshes");
-    return m;
-  }();
-  return *metrics;
-}
 
 /// Eq. 3 subtotal and term count of one cell under `p`: the shared kernel
 /// on a one-cell range, i.e. exactly the per-cell subtotal InformationLoss
@@ -56,8 +37,6 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
   SRP_TRACE_SPAN("stream.ingest");
   SRP_INJECT_FAULT("stream.ingest");
   SRP_RETURN_IF_INTERRUPTED(ctx);
-  const size_t ingested_before = ingested_;
-  const size_t dropped_before = dropped_;
   const std::vector<GridAttributeDef>& defs = acc_.defs();
 
   // Pass 1 — validate only. The accumulators are untouched until the whole
@@ -118,10 +97,6 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
       drift_terms_ += p.terms;
     }
   }
-  Metrics().records_ingested->Add(
-      static_cast<int64_t>(ingested_ - ingested_before));
-  Metrics().records_dropped->Add(
-      static_cast<int64_t>(dropped_ - dropped_before));
   return Status::OK();
 }
 
@@ -193,7 +168,6 @@ Status StreamingRepartitioner::Refresh(const RunContext* ctx) {
   RebuildDriftCache();
   SRP_RETURN_IF_ERROR(result.status());
   ++refreshes_;
-  Metrics().refreshes->Increment();
   return Status::OK();
 }
 

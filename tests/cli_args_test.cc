@@ -177,7 +177,8 @@ TEST(CliReportTest, IterationCapPrintsANote) {
 }
 
 // The run report is the one export of a finished run's metrics and
-// introspection series.
+// introspection series. Each metric is recorded once, in the section that
+// owns it: there is no separate "metrics" copy (schema 6).
 TEST(CliReportTest, RunReportCarriesMetricsAndIntrospection) {
   const std::string dir = FreshOutDir();
   const std::string report = dir + "/report.json";
@@ -186,11 +187,15 @@ TEST(CliReportTest, RunReportCarriesMetricsAndIntrospection) {
             0);
   auto json = srp::JsonValue::Parse(ReadFile(report));
   ASSERT_TRUE(json.ok()) << json.status().ToString();
-  const srp::JsonValue* counters = json->FindPath("metrics.counters");
-  ASSERT_NE(counters, nullptr);
-  const srp::JsonValue* runs = counters->Find("repartition.runs");
-  ASSERT_NE(runs, nullptr);
-  EXPECT_GE(runs->number_value(), 1.0);
+  EXPECT_EQ(json->Find("schema_version")->number_value(), 6.0);
+  EXPECT_EQ(json->Find("metrics"), nullptr);
+  const srp::JsonValue* iterations = json->FindPath("result.iterations");
+  ASSERT_NE(iterations, nullptr);
+  EXPECT_GE(iterations->number_value(), 1.0);
+  // The CLI links the allocation hooks, so the process peak is real.
+  const srp::JsonValue* peak = json->FindPath("result.alloc_peak_bytes");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_GT(peak->number_value(), 0.0);
   const srp::JsonValue* ifl = json->FindPath("introspection.ifl_series");
   ASSERT_NE(ifl, nullptr);
   EXPECT_GT(ifl->size(), 0u);
@@ -207,7 +212,7 @@ TEST(CliReportTest, RunReportConfigIsKeyedByFlagName) {
             0);
   auto json = srp::JsonValue::Parse(ReadFile(report));
   ASSERT_TRUE(json.ok()) << json.status().ToString();
-  EXPECT_EQ(json->Find("schema_version")->number_value(), 5.0);
+  EXPECT_EQ(json->Find("schema_version")->number_value(), 6.0);
   EXPECT_EQ(json->Find("trace"), nullptr);
   const srp::JsonValue* config = json->Find("config");
   ASSERT_NE(config, nullptr);

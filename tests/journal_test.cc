@@ -1,11 +1,13 @@
 // Tests for the lock-free per-thread flight-recorder journal (DESIGN.md
-// §11): append/snapshot ordering, ring wrap-around, thread labels, the
+// §11): append/read-back ordering, ring wrap-around, thread labels, the
 // process-wide phase, the crash-cause buffer
 // and the interrupt hook the fail layer fires through.
 
 #include "obs/journal.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -17,24 +19,81 @@ namespace srp {
 namespace obs {
 namespace {
 
+/// One thread's retained events, oldest first.
+struct ThreadEvents {
+  std::string label;
+  bool live = false;
+  uint64_t total_appends = 0;
+  std::vector<JournalEvent> events;
+};
+
+/// Decodes Journal::ReadRawThreads — the view the postmortem formatter
+/// reads — into per-thread event lists, oldest event first. Slots that were
+/// never appended to are omitted.
+std::vector<ThreadEvents> ReadThreads() {
+  JournalRawThreadView views[kJournalMaxThreads];
+  const size_t n = Journal::ReadRawThreads(views, kJournalMaxThreads);
+  std::vector<ThreadEvents> threads;
+  for (size_t i = 0; i < n; ++i) {
+    const JournalRawThreadView& view = views[i];
+    if (view.total_appends == 0) continue;
+    ThreadEvents thread;
+    thread.label = view.label;
+    thread.live = view.live;
+    thread.total_appends = view.total_appends;
+    const uint64_t retained =
+        std::min<uint64_t>(view.total_appends, view.capacity);
+    const uint64_t start = view.total_appends - retained;
+    for (uint64_t j = 0; j < retained; ++j) {
+      thread.events.push_back(view.ring[(start + j) % view.capacity]);
+    }
+    threads.push_back(std::move(thread));
+  }
+  return threads;
+}
+
+/// Every retained event across threads, in global sequence order.
+std::vector<JournalEvent> ReadMerged() {
+  std::vector<JournalEvent> merged;
+  for (const ThreadEvents& thread : ReadThreads()) {
+    merged.insert(merged.end(), thread.events.begin(), thread.events.end());
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const JournalEvent& a, const JournalEvent& b) {
+              return a.seq < b.seq;
+            });
+  return merged;
+}
+
 /// Resets the journal around every test so cases are independent. The
-/// journal ships enabled; restore that on the way out.
+/// journal ships enabled; restore that on the way out. The sequence counter
+/// is process-wide and survives the reset, so event counts are read
+/// against the value it had after it.
 class JournalTest : public testing::Test {
  protected:
   void SetUp() override {
     Journal::ResetForTesting();
     Journal::SetEnabled(true);
+    events_at_reset_ = Journal::total_events();
   }
   void TearDown() override {
     Journal::ResetForTesting();
     Journal::SetEnabled(true);
   }
+
+  /// Events appended since SetUp.
+  uint64_t EventsSinceReset() const {
+    return Journal::total_events() - events_at_reset_;
+  }
+
+ private:
+  uint64_t events_at_reset_ = 0;
 };
 
 TEST_F(JournalTest, AppendShowsUpInMergedSnapshotInOrder) {
   Journal::Append(JournalEventKind::kLog, 1, "first");
   Journal::Append(JournalEventKind::kFault, 0, "second");
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_LT(merged[0].seq, merged[1].seq);
   EXPECT_LE(merged[0].ts_ns, merged[1].ts_ns);
@@ -43,7 +102,7 @@ TEST_F(JournalTest, AppendShowsUpInMergedSnapshotInOrder) {
   EXPECT_EQ(merged[0].level, 1);
   EXPECT_STREQ(merged[1].text, "second");
   EXPECT_EQ(merged[1].kind, JournalEventKind::kFault);
-  EXPECT_EQ(Journal::total_events(), 2u);
+  EXPECT_EQ(EventsSinceReset(), 2u);
 }
 
 TEST_F(JournalTest, RingWrapKeepsTheNewestEvents) {
@@ -51,9 +110,9 @@ TEST_F(JournalTest, RingWrapKeepsTheNewestEvents) {
   for (size_t i = 0; i < appended; ++i) {
     Journal::Appendf(JournalEventKind::kLog, 0, "event %zu", i);
   }
-  const std::vector<JournalThreadSnapshot> threads = Journal::SnapshotThreads();
+  const std::vector<ThreadEvents> threads = ReadThreads();
   ASSERT_EQ(threads.size(), 1u);
-  const JournalThreadSnapshot& snap = threads[0];
+  const ThreadEvents& snap = threads[0];
   EXPECT_EQ(snap.total_appends, appended);
   ASSERT_EQ(snap.events.size(), kJournalEventsPerThread);
   // Oldest retained event is the one right after the overwritten prefix.
@@ -70,7 +129,7 @@ TEST_F(JournalTest, ThreadLabelIsCopiedAndTruncated) {
   Journal::SetThreadLabel("main");
   EXPECT_STREQ(Journal::ThreadLabel(), "main");
   Journal::Append(JournalEventKind::kLog, 1, "labelled");
-  const auto threads = Journal::SnapshotThreads();
+  const std::vector<ThreadEvents> threads = ReadThreads();
   ASSERT_EQ(threads.size(), 1u);
   EXPECT_EQ(threads[0].label, "main");
   EXPECT_TRUE(threads[0].live);
@@ -99,7 +158,7 @@ TEST_F(JournalTest, PhaseChangeAppendsOneEventOnlyWhenItChanges) {
   Journal::SetPhase("test.phase_a");
   Journal::SetPhase("test.phase_a");  // no-op: unchanged
   Journal::SetPhase("test.phase_b");
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].kind, JournalEventKind::kPhase);
   EXPECT_STREQ(merged[0].text, "test.phase_a");
@@ -111,16 +170,16 @@ TEST_F(JournalTest, DisabledJournalDropsAppends) {
   Journal::SetEnabled(false);
   EXPECT_FALSE(Journal::Enabled());
   Journal::Append(JournalEventKind::kLog, 1, "dropped");
-  EXPECT_EQ(Journal::total_events(), 0u);
+  EXPECT_EQ(EventsSinceReset(), 0u);
   Journal::SetEnabled(true);
   Journal::Append(JournalEventKind::kLog, 1, "kept");
-  EXPECT_EQ(Journal::total_events(), 1u);
+  EXPECT_EQ(EventsSinceReset(), 1u);
 }
 
 TEST_F(JournalTest, AppendfTruncatesOverlongText) {
   const std::string longer(2 * kJournalTextCapacity, 'y');
   Journal::Appendf(JournalEventKind::kLog, 0, "%s", longer.c_str());
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(std::strlen(merged[0].text), kJournalTextCapacity - 1);
 }
@@ -153,7 +212,7 @@ TEST_F(JournalTest, NotifyInterruptJournalsAndInvokesHook) {
 
   EXPECT_EQ(HookCapture::last_kind, 2);
   EXPECT_EQ(HookCapture::last_detail, "run deadline exceeded");
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].kind, JournalEventKind::kInterrupt);
   EXPECT_STREQ(merged[0].text, "run deadline exceeded");
@@ -163,7 +222,7 @@ TEST_F(JournalTest, NotifyInterruptWithoutHookStillJournals) {
   JournalInterruptHook previous = Journal::SetInterruptHook(nullptr);
   Journal::NotifyInterrupt(1, "run cancelled via CancellationToken");
   Journal::SetInterruptHook(previous);
-  EXPECT_EQ(Journal::total_events(), 1u);
+  EXPECT_EQ(EventsSinceReset(), 1u);
 }
 
 TEST_F(JournalTest, RawThreadViewsCoverTheStaticArena) {
@@ -200,9 +259,9 @@ TEST_F(JournalTest, ConcurrentAppendersAreAllRetained) {
     });
   }
   for (std::thread& w : workers) w.join();
-  EXPECT_EQ(Journal::total_events(),
+  EXPECT_EQ(EventsSinceReset(),
             static_cast<uint64_t>(kThreads * kPerThread));
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   EXPECT_EQ(merged.size(), static_cast<size_t>(kThreads * kPerThread));
   for (size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LT(merged[i - 1].seq, merged[i].seq);
@@ -220,7 +279,7 @@ TEST_F(JournalTest, DeadThreadRingsSurviveForThePostmortem) {
     });
     worker.join();
   }
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   ASSERT_EQ(merged.size(), 3u);
   for (int t = 0; t < 3; ++t) {
     EXPECT_EQ(std::string(merged[static_cast<size_t>(t)].text),
@@ -233,10 +292,9 @@ TEST_F(JournalTest, RingWrapThreeTimesOverRetainsExactlyTheNewestCapacity) {
   for (size_t i = 0; i < appended; ++i) {
     Journal::Appendf(JournalEventKind::kLog, 0, "wrap %zu", i);
   }
-  const std::vector<JournalThreadSnapshot> threads =
-      Journal::SnapshotThreads();
+  const std::vector<ThreadEvents> threads = ReadThreads();
   ASSERT_EQ(threads.size(), 1u);
-  const JournalThreadSnapshot& snap = threads[0];
+  const ThreadEvents& snap = threads[0];
   EXPECT_EQ(snap.total_appends, appended);
   ASSERT_EQ(snap.events.size(), kJournalEventsPerThread);
   EXPECT_EQ(std::string(snap.events.front().text),
@@ -263,10 +321,10 @@ TEST_F(JournalTest, SlotChurnBeyondArenaRecyclesOnlyAfterVirginSlotsGone) {
     });
     worker.join();
   }
-  EXPECT_EQ(Journal::total_events(), static_cast<uint64_t>(churn + 1));
+  EXPECT_EQ(EventsSinceReset(), static_cast<uint64_t>(churn + 1));
   EXPECT_EQ(Journal::dropped_thread_events(), 0u);
 
-  const std::vector<JournalEvent> merged = Journal::SnapshotMerged();
+  const std::vector<JournalEvent> merged = ReadMerged();
   // One retained event per slot: every slot was written exactly once and
   // recycling evicts before it rewrites.
   ASSERT_EQ(merged.size(), kJournalMaxThreads);

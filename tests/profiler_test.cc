@@ -9,6 +9,8 @@
 #include <pthread.h>
 #include <signal.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/journal.h"
+#include "parallel/thread_pool.h"
 #include "util/timer.h"
 
 namespace srp {
@@ -145,6 +148,43 @@ TEST(SamplingProfilerTest, JournalThreadLabelNamesTheFoldedRoot) {
   for (const std::string& line : profiler.FoldedStacks()) {
     EXPECT_EQ(line.rfind("journal-only;", 0), 0u) << line;
   }
+}
+
+TEST(SamplingProfilerTest, BusyPoolWorkersAreSampledWhileTheCallerWaits) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "profiler unsupported on this platform";
+#endif
+  // Two pool workers spin while this thread sleeps: the samples must land
+  // on the threads that burn the CPU, under their pool-worker-<i> labels.
+  SamplingProfiler profiler;
+  ASSERT_TRUE(profiler.Start().ok());
+  std::atomic<int> done{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 2; ++i) {
+      pool.Submit([&profiler, &done] {
+        WallTimer timer;
+        while (profiler.CollectedSamples() < 20 &&
+               timer.ElapsedSeconds() < 10.0) {
+          SpinFor(0.01);
+        }
+        done.fetch_add(1);
+      });
+    }
+    while (done.load() < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_TRUE(profiler.Stop().ok());
+
+  ASSERT_GE(profiler.CollectedSamples(), 1u);
+  long long worker_samples = 0;
+  for (const std::string& line : profiler.FoldedStacks()) {
+    if (line.rfind("pool-worker-", 0) == 0) {
+      worker_samples += std::atoll(line.c_str() + line.rfind(' ') + 1);
+    }
+  }
+  EXPECT_GE(worker_samples, 1);
 }
 
 TEST(SamplingProfilerTest, SecondProfilerCannotStartWhileOneRuns) {

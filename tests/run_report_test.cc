@@ -7,7 +7,6 @@
 
 #include "core/repartitioner.h"
 #include "data/datasets.h"
-#include "obs/metrics_registry.h"
 #include "util/json.h"
 
 namespace srp {
@@ -32,15 +31,13 @@ RunReport FullReport() {
 
 TEST(RunReportTest, TopLevelKeyOrderIsFixed) {
   RunReport report = FullReport();
-  MetricsRegistry registry;
-  registry.GetCounter("runs")->Add(1);
-  report.CaptureMetrics(registry);
+  report.SetIntrospection(JsonValue::Object());
 
   const JsonValue doc = report.ToJson();
   ASSERT_TRUE(doc.is_object());
   const std::vector<std::string> expected = {
       "schema_version", "tool", "provenance", "config",
-      "phases",         "pool", "result",     "metrics"};
+      "phases",         "pool", "result",     "introspection"};
   ASSERT_EQ(doc.members().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(doc.members()[i].first, expected[i]) << "position " << i;
@@ -51,9 +48,7 @@ TEST(RunReportTest, TopLevelKeyOrderIsFixed) {
 
 TEST(RunReportTest, JsonStringParsesBackToTheSameDocument) {
   RunReport report = FullReport();
-  MetricsRegistry registry;
-  registry.GetGauge("memory.peak_bytes")->Set(4096.0);
-  report.CaptureMetrics(registry);
+  report.SetResult("alloc_peak_bytes", 4096);
 
   const std::string text = report.ToJsonString();
   auto parsed = JsonValue::Parse(text);
@@ -65,6 +60,8 @@ TEST(RunReportTest, JsonStringParsesBackToTheSameDocument) {
   EXPECT_EQ(parsed->FindPath("config.rows")->number_value(), 32.0);
   EXPECT_EQ(parsed->FindPath("pool.tasks_executed")->number_value(), 9.0);
   EXPECT_EQ(parsed->FindPath("pool.total_busy_ns")->number_value(), 300.0);
+  EXPECT_EQ(parsed->FindPath("result.alloc_peak_bytes")->number_value(),
+            4096.0);
   const JsonValue* phases = parsed->Find("phases");
   ASSERT_NE(phases, nullptr);
   ASSERT_EQ(phases->size(), 2u);
@@ -93,32 +90,30 @@ TEST(RunReportTest, ProvenanceIsPopulated) {
 }
 
 TEST(RunReportTest, AwkwardMetricNamesSurviveTheReport) {
-  // Names with a separator, a quote and a newline round-trip through the
-  // report's JSON byte-for-byte.
-  MetricsRegistry registry;
+  // Result names with a separator, a quote and a newline round-trip
+  // through the report's JSON byte-for-byte.
   const std::string comma_name = "latency,phase=extract";
   const std::string quote_name = "gauge \"peak\"";
   const std::string newline_name = "multi\nline";
-  registry.GetCounter(comma_name)->Add(3);
-  registry.GetGauge(quote_name)->Set(1.5);
-  registry.GetGauge(newline_name)->Set(0.5);
-
   RunReport report("metric_names");
-  report.CaptureMetrics(registry);
+  report.SetResult(comma_name, 3);
+  report.SetResult(quote_name, 1.5);
+  report.SetResult(newline_name, 0.5);
+
   const Result<JsonValue> parsed = JsonValue::Parse(report.ToJsonString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue* metrics = parsed->Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const JsonValue* counter = metrics->Find("counters")->Find(comma_name);
-  ASSERT_NE(counter, nullptr);
-  EXPECT_EQ(counter->number_value(), 3.0);
-  const JsonValue* gauge = metrics->Find("gauges")->Find(quote_name);
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->number_value(), 1.5);
-  const JsonValue* newline_gauge = metrics->Find("gauges")->Find(newline_name);
-  ASSERT_NE(newline_gauge, nullptr);
-  EXPECT_EQ(newline_gauge->number_value(), 0.5);
-  EXPECT_EQ(metrics->Find("histograms"), nullptr);  // schema v4
+  const JsonValue* result = parsed->Find("result");
+  ASSERT_NE(result, nullptr);
+  const JsonValue* comma = result->Find(comma_name);
+  ASSERT_NE(comma, nullptr);
+  EXPECT_EQ(comma->number_value(), 3.0);
+  const JsonValue* quote = result->Find(quote_name);
+  ASSERT_NE(quote, nullptr);
+  EXPECT_EQ(quote->number_value(), 1.5);
+  const JsonValue* newline = result->Find(newline_name);
+  ASSERT_NE(newline, nullptr);
+  EXPECT_EQ(newline->number_value(), 0.5);
+  EXPECT_EQ(parsed->Find("metrics"), nullptr);  // schema v6
 }
 
 /// Builds a report from a real re-partitioning run the way the CLI does.
@@ -244,7 +239,7 @@ TEST(RunReportTest, ValidateAcceptsTheCliShapedReport) {
   // The invariant sections every report carries, read off a report built
   // the way the CLI builds one.
   const JsonValue doc = ReportForRun(1).ToJson();
-  EXPECT_EQ(doc.Find("schema_version")->number_value(), 5.0);
+  EXPECT_EQ(doc.Find("schema_version")->number_value(), 6.0);
   EXPECT_EQ(doc.Find("tool")->string_value(), "run_report_test");
   for (const char* key : {"provenance.git_sha", "provenance.build_type",
                           "provenance.compiler"}) {

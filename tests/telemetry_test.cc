@@ -287,7 +287,7 @@ TEST_F(TelemetrySamplerTest, StreamSinkWritesSelfContainedVersionedLines) {
     ASSERT_NE(doc.FindPath("mem.rss_bytes"), nullptr);
     ASSERT_NE(doc.FindPath("mem.alloc_peak_bytes"), nullptr);
     ASSERT_NE(doc.Find("final"), nullptr);
-    // v2 lines carry no copy of the metrics registry.
+    // v2 lines carry no per-line counters/gauges copy.
     EXPECT_EQ(doc.Find("counters"), nullptr);
     EXPECT_EQ(doc.Find("gauges"), nullptr);
     const JsonValue* stop_reason = doc.FindPath("progress.stop_reason");

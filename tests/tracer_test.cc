@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/journal.h"
-#include "obs/metrics_registry.h"
+#include "util/logging.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -210,9 +210,6 @@ TEST_F(TracerTest, WriteChromeTraceReportsZeroDropsOnCompleteTrace) {
 }
 
 TEST_F(TracerTest, EvictedSpansBumpTheDroppedSpansCounter) {
-  Counter* dropped =
-      MetricsRegistry::Get().GetCounter("trace.dropped_spans");
-  const int64_t before = dropped->Value();
   Tracer::Get().Enable(/*capacity=*/2);
   {
     SRP_TRACE_SPAN("one");
@@ -224,9 +221,9 @@ TEST_F(TracerTest, EvictedSpansBumpTheDroppedSpansCounter) {
     SRP_TRACE_SPAN("three");  // evicts the oldest recorded span
   }
   Tracer::Get().Disable();
-  EXPECT_GE(Tracer::Get().dropped(), 1u);
-  EXPECT_EQ(dropped->Value() - before,
-            static_cast<int64_t>(Tracer::Get().dropped()));
+  // One eviction, one drop: the tracer's own count is the one record.
+  EXPECT_EQ(Tracer::Get().dropped(), 1u);
+  EXPECT_EQ(Tracer::Get().Snapshot().size(), 2u);
 }
 
 TEST_F(TracerTest, EnabledSpansStayOutOfTheJournalAndCarryItsThreadId) {
@@ -276,20 +273,39 @@ TEST_F(TracerTest, WriteChromeTraceFailsOnBadPath) {
 // --- Configurable ring capacity (SRP_TRACE_CAPACITY / --trace-capacity). ---
 
 TEST_F(TracerTest, ResolveCapacityPrefersExplicitOverEnv) {
+  CaptureLogSink sink;
+  LogSink* previous = SetLogSink(&sink);
   ASSERT_EQ(setenv("SRP_TRACE_CAPACITY", "1234", 1), 0);
   EXPECT_EQ(Tracer::ResolveCapacity(99), 99u);
   EXPECT_EQ(Tracer::ResolveCapacity(0), 1234u);
   unsetenv("SRP_TRACE_CAPACITY");
   EXPECT_EQ(Tracer::ResolveCapacity(0), Tracer::kDefaultCapacity);
+  SetLogSink(previous);
+  EXPECT_TRUE(sink.records().empty());  // a valid value is taken silently
 }
 
 TEST_F(TracerTest, ResolveCapacityIgnoresGarbageEnvValues) {
-  for (const char* bad : {"", "abc", "12abc", "-5", "0"}) {
-    ASSERT_EQ(setenv("SRP_TRACE_CAPACITY", bad, 1), 0);
+  // Each invalid value is ignored with a warning naming it; strtoull would
+  // have read "5x" as 5 and "1e3" as 1.
+  const std::vector<std::string> bad = {"",   "abc", "12abc", "-5",
+                                        "0",  "5x",  "1e3",   "2.5"};
+  CaptureLogSink sink;
+  LogSink* previous = SetLogSink(&sink);
+  for (const std::string& value : bad) {
+    ASSERT_EQ(setenv("SRP_TRACE_CAPACITY", value.c_str(), 1), 0);
     EXPECT_EQ(Tracer::ResolveCapacity(0), Tracer::kDefaultCapacity)
-        << "env value: " << bad;
+        << "env value: " << value;
   }
+  SetLogSink(previous);
   unsetenv("SRP_TRACE_CAPACITY");
+  ASSERT_EQ(sink.records().size(), bad.size());
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(sink.records()[i].level, LogLevel::kWarning);
+    EXPECT_NE(sink.records()[i].text.find("SRP_TRACE_CAPACITY '" + bad[i] +
+                                          "'"),
+              std::string::npos)
+        << sink.records()[i].text;
+  }
 }
 
 TEST_F(TracerTest, ResolveCapacityClampsToMax) {

@@ -32,7 +32,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/introspect.h"
 #include "obs/journal.h"
-#include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/run_report.h"
 #include "obs/telemetry.h"
@@ -41,6 +40,7 @@
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/logging.h"
+#include "util/memory_tracker.h"
 #include "util/string_util.h"
 
 namespace srp {
@@ -122,14 +122,14 @@ std::vector<Flag> CliFlags(CliOptions* o) {
       CountFlag("trace-capacity", &o->trace_capacity, 1,
                 "span ring size (unset: SRP_TRACE_CAPACITY, then built in)"),
       StringFlag("report-out", &o->report_out, "FILE",
-                 "write the run report: config, phases, metrics and IFL "
+                 "write the run report: config, phases, results and IFL "
                  "series"),
       MillisFlag("deadline-ms", &o->deadline_ms,
                  "wall-time budget of the run; past it the run fails"),
       BoolFlag("best-effort", &o->best_effort,
                "at the deadline, keep the best partition so far instead"),
       StringFlag("profile-out", &o->profile_out, "FILE",
-                 "sample the run's wall-clock stacks into a folded file"),
+                 "sample the run's CPU-time stacks into a folded file"),
       BoolFlag("hw-counters", &o->repartition.hw_counters,
                "add per-phase perf_event counts and an ipc column"),
       BoolFlag("version", &o->print_version,
@@ -410,7 +410,8 @@ void PrintRunStats(const RepartitionResult& result,
 /// --report-out: one JSON document holding everything this run produced —
 /// provenance, config echo, per-phase time + allocation high-water (+ hw
 /// counters when collected), pool utilization, headline results (the stop
-/// reason among them), introspection series, metrics.
+/// reason and the process allocation peak among them), introspection
+/// series.
 Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
                       const RepartitionResult& result,
                       const obs::IntrospectionRecord* introspection,
@@ -458,6 +459,8 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
   report.SetResult("elapsed_seconds", result.elapsed_seconds);
   report.SetResult("threads", static_cast<uint64_t>(
                                   ResolveThreadCount(ropt.num_threads)));
+  // The process allocation high-water so far (srp_memtrack hooks).
+  report.SetResult("alloc_peak_bytes", MemoryTracker::PeakBytes());
   if (stats.resumed) {
     report.SetResult("resumed_iterations",
                      static_cast<uint64_t>(stats.resumed_iterations));
@@ -474,9 +477,6 @@ Status WriteRunReport(const CliOptions& options, const GridDataset& grid,
   if (telemetry != nullptr) {
     report.SetTelemetry(*telemetry);
   }
-
-  obs::MetricsRegistry::Get().UpdateMemoryGauges();
-  report.CaptureMetrics();
   return report.WriteJson(options.report_out);
 }
 
