@@ -501,9 +501,12 @@ size_t CellGroupExtractor::FindRestart(const Partition& p, double t,
       if (flips(down[c])) best = first_reader(r, c, true, best);
     }
     if (best != previous_best) {
+      // An upper bound is enough: the rows up to best's anchor row hold
+      // every group before it.
       reach_limit = 0;
-      for (size_t g = 0; g < best; ++g) {
-        reach_limit = std::max(reach_limit, reach_[g].last_row());
+      for (size_t row = 0; row <= p.groups[best].r_beg; ++row) {
+        reach_limit = std::max<size_t>(reach_limit,
+                                       row_index_[row].reach_last_row);
       }
     }
   }

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "core/feature_allocator.h"
-#include "core/information_loss.h"
 #include "fail/fault_injection.h"
 #include "parallel/parallel_for.h"
 #include "util/logging.h"
@@ -27,10 +26,7 @@ constexpr size_t kInlineCells = 16 * kernels::kIflRowGrain * kGroupGrain;
 IflEngine::IflEngine(const GridDataset& grid)
     : grid_(grid),
       view_(grid),
-      num_shards_((grid.rows() + kernels::kIflRowGrain - 1) /
-                  kernels::kIflRowGrain) {
-  partials_.resize(num_shards_);
-}
+      num_shards_(NumChunks(0, grid.rows(), kernels::kIflRowGrain)) {}
 
 Status IflEngine::AllocateWindow(Partition* p, const ExtractionWindow& window,
                                  ThreadPool* pool, const RunContext* ctx) {
@@ -42,9 +38,7 @@ Status IflEngine::AllocateWindow(Partition* p, const ExtractionWindow& window,
   SRP_RETURN_IF_INTERRUPTED(ctx);
   undo_pending_ = true;
   window_ = window;
-  saved_partials_ = partials_;
-  saved_partials_valid_ = partials_valid_;
-  saved_value_ = value_;
+  undo_rows_ = {0, 0};
   if (!window.changed) return Status::OK();
 
   // Move the rows along the extractor's splice: groups outside the window
@@ -100,9 +94,18 @@ double IflEngine::ComputeInformationLoss(const Partition& p,
                                          const RunContext* ctx) {
   SRP_CHECK(p.features.size() == p.num_groups())
       << "ComputeInformationLoss requires allocated features";
-  if (!window.changed && partials_valid_) {
+  const auto recompute_rows = [&](size_t row_begin, size_t row_end) {
+    const size_t cells = (row_end - row_begin) * grid_.cols();
+    cache_.RecomputeRows(view_, p, row_begin, row_end,
+                         cells < kInlineCells ? nullptr : pool, ctx);
+  };
+  if (cache_.valid() && stale_rows_.second > 0) {
+    recompute_rows(stale_rows_.first, stale_rows_.second);
+  }
+  stale_rows_ = {0, 0};
+  if (!window.changed && cache_.valid()) {
     last_dirty_shards_ = 0;
-    return value_;
+    return cache_.Value();
   }
 
   // A shard is clean iff every one of its cells kept both its group
@@ -110,75 +113,70 @@ double IflEngine::ComputeInformationLoss(const Partition& p,
   // rows can hold cells that did not.
   size_t s_beg = 0;
   size_t s_end = num_shards_;
-  if (partials_valid_) {
+  if (cache_.valid()) {
     s_beg = window.row_begin / kernels::kIflRowGrain;
-    s_end = (window.row_end + kernels::kIflRowGrain - 1) /
-            kernels::kIflRowGrain;
+    s_end = NumChunks(0, window.row_end, kernels::kIflRowGrain);
   }
   last_dirty_shards_ = s_end - s_beg;
-
-  // Recompute the dirty shards with the active kernel. Shard writes are
-  // disjoint and each partial is a pure function of (grid, partition,
-  // shard), so scheduling cannot affect the stored values.
-  const kernels::GroupFeatureView feat(p);
-  const kernels::KernelTable& kern = kernels::ActiveKernels();
-  const int32_t* cell_to_group = p.cell_to_group.data();
-  const size_t rows = grid_.rows();
-  const size_t cols = grid_.cols();
-  const size_t cells = last_dirty_shards_ * kernels::kIflRowGrain * cols;
-  ParallelFor(cells < kInlineCells ? nullptr : pool, s_beg, s_end, 1,
-              [this, &kern, &feat, cell_to_group, rows, cols](size_t i_beg,
-                                                              size_t i_end) {
-                for (size_t s = i_beg; s < i_end; ++s) {
-                  const size_t r_beg = s * kernels::kIflRowGrain;
-                  const size_t r_end =
-                      std::min(r_beg + kernels::kIflRowGrain, rows);
-                  partials_[s] = kern.ifl_cells(view_, feat, cell_to_group,
-                                                r_beg * cols, r_end * cols);
-                }
-              },
-              ctx);
+  if (last_dirty_shards_ < num_shards_ && cache_.has_cells()) {
+    if (!RecomputeNewRectangles(p, window, s_beg, s_end)) {
+      recompute_rows(window.row_begin, window.row_end);
+    }
+    undo_rows_ = {window.row_begin, window.row_end};
+  } else {
+    // One kernel pass per shard: no cache yet, a full window, or the first
+    // window that leaves a shard clean, which builds the cell cache. Built
+    // lazily, it costs no memory in a run whose windows are all full.
+    const bool keep_cells =
+        cache_.has_cells() || last_dirty_shards_ < num_shards_;
+    cache_.Build(view_, p, keep_cells,
+                 grid_.num_cells() < kInlineCells ? nullptr : pool, ctx);
+    undo_rows_ = {0, grid_.rows()};
+    last_dirty_shards_ = num_shards_;
+  }
   if (ctx != nullptr && ctx->Interrupted()) {
-    // The partial cache is torn; fall back to a full recompute next time.
-    // The caller discards the value (same contract as InformationLoss).
-    partials_valid_ = false;
+    // The cache is torn; fall back to a full recompute next time. The
+    // caller discards the value (same contract as InformationLoss).
+    cache_.Drop();
     return 0.0;
   }
+  cache_.Audit(grid_, p, pool);
+  return cache_.Value();
+}
 
-  // Ascending-shard combine: exactly the ParallelReduce order of
-  // InformationLoss, so incremental == full, bit for bit.
-  kernels::IflPartial sum;
-  for (const kernels::IflPartial& partial : partials_) {
-    sum.total += partial.total;
-    sum.terms += partial.terms;
+bool IflEngine::RecomputeNewRectangles(const Partition& p,
+                                       const ExtractionWindow& window,
+                                       size_t s_beg, size_t s_end) {
+  // Only the cells of the window's new rectangles changed group (a kept
+  // rectangle kept its values).
+  const size_t cols = grid_.cols();
+  const auto is_new = [&window](size_t g) {
+    return window.previous.empty() ||
+           window.previous[g - window.group_begin] < 0;
+  };
+  size_t new_cells = 0;
+  for (size_t g = window.group_begin; g < window.new_group_end; ++g) {
+    if (is_new(g)) new_cells += p.groups[g].NumCells();
   }
-  value_ = sum.terms == 0 ? 0.0 : sum.total / static_cast<double>(sum.terms);
-  partials_valid_ = true;
-  ++evaluations_;
-
-#if !defined(NDEBUG)
-  // Periodic audit: the incremental result must equal the full recompute
-  // exactly. Every call early on (when reuse paths first engage), then
-  // every 16th.
-  if (evaluations_ <= 4 || evaluations_ % 16 == 0) {
-    const double full = InformationLoss(grid_, p, pool, ctx);
-    if (ctx == nullptr || !ctx->Interrupted()) {
-      SRP_CHECK(value_ == full)
-          << "incremental IFL diverged from full recompute: " << value_
-          << " vs " << full << " (" << last_dirty_shards_ << "/"
-          << num_shards_ << " dirty shards)";
+  if (new_cells >= (window.row_end - window.row_begin) * cols) return false;
+  for (size_t g = window.group_begin; g < window.new_group_end; ++g) {
+    if (!is_new(g)) continue;
+    const CellGroup& group = p.groups[g];
+    for (size_t r = group.r_beg; r <= group.r_end; ++r) {
+      const size_t cell = r * cols + group.c_beg;
+      cache_.Recompute(view_, p, cell, cell + group.width());
     }
   }
-#endif
-  return value_;
+  cache_.Resum(s_beg, s_end);
+  return true;
 }
 
 void IflEngine::Undo(Partition* p) {
   if (!undo_pending_) return;
   undo_pending_ = false;
-  partials_.swap(saved_partials_);
-  partials_valid_ = saved_partials_valid_;
-  value_ = saved_value_;
+  // The candidate's rows are recomputed under whatever partition the next
+  // call brings.
+  stale_rows_ = undo_rows_;
   if (!window_.changed) return;
   const size_t begin = window_.group_begin;
   SwapWindow(&p->features, begin, window_.new_group_end, &window_features_);

@@ -2,10 +2,11 @@
 #define SRP_CORE_IFL_ENGINE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/extractor.h"
-#include "core/kernels/kernels.h"
+#include "core/information_loss.h"
 #include "core/partition.h"
 #include "fail/cancellation.h"
 #include "grid/grid_dataset.h"
@@ -26,15 +27,16 @@ namespace srp {
 ///    counts along with the extractor's splice, so every group outside the
 ///    window keeps its values in place, and computes only the window's
 ///    groups via the same per-group routine AllocateFeatures uses.
-///  - ComputeInformationLoss caches the per-shard IFL partials of the fixed
-///    kIflRowGrain row shards, recomputes only the shards the window's rows
-///    touch, then combines all partials in ascending shard order.
+///  - ComputeInformationLoss keeps Eq. 3 in an IflCache: once a window
+///    leaves a row shard clean, each cell's subtotal is cached, and a
+///    window then recomputes only the cells of its new rectangles (or of
+///    its rows, when that is fewer) and re-sums the shards they lie in.
 ///  - An unchanged window allocates nothing and returns the previous value.
 ///
 /// Kept values are the doubles the full path would recompute identically,
-/// and the shard layout/combine order are those of InformationLoss, so the
-/// result is BIT-IDENTICAL to the non-incremental path — for any thread
-/// count — which debug builds assert with a periodic full-recompute audit.
+/// and the cache sums in InformationLoss's order, so the result is
+/// BIT-IDENTICAL to the non-incremental path — for any thread count —
+/// which debug builds assert with a periodic full-recompute audit.
 /// Windows below a fixed work floor run on the calling thread: dispatching
 /// one or two shards to the pool costs more than computing them.
 ///
@@ -52,19 +54,21 @@ class IflEngine {
   Status AllocateWindow(Partition* p, const ExtractionWindow& window,
                         ThreadPool* pool, const RunContext* ctx);
 
-  /// Same value as InformationLoss(grid, p, ...), recomputing only the row
-  /// shards of `window` (all of them on the first call or after an
-  /// interrupt). Must follow AllocateWindow with the same window. A
-  /// non-null interrupted `ctx` makes the return value meaningless (the
-  /// caller discards it, as with InformationLoss); the engine then
-  /// recomputes in full on the next call.
+  /// Same value as InformationLoss(grid, p, ...), recomputing only the
+  /// cells `window` changed (all of them on the first call, after an
+  /// interrupt, for a full window and when the cell cache is built). Must
+  /// follow AllocateWindow with the same window. A non-null interrupted
+  /// `ctx` makes the value meaningless (the caller discards it, as with
+  /// InformationLoss) and drops the cache.
   double ComputeInformationLoss(const Partition& p,
                                 const ExtractionWindow& window,
                                 ThreadPool* pool, const RunContext* ctx);
 
-  /// Restores the feature rows of `*p` and the cached partials to their
-  /// state before the last AllocateWindow. A no-op when there is nothing to
-  /// undo. Call it before CellGroupExtractor::Undo reverts the groups.
+  /// Restores the feature rows of `*p` to their state before the last
+  /// AllocateWindow, and marks the rows whose Eq. 3 the candidate
+  /// recomputed stale: the next call recomputes them. A no-op when there is
+  /// nothing to undo. Call it before CellGroupExtractor::Undo reverts the
+  /// groups.
   void Undo(Partition* p);
 
   /// Row shards recomputed by the last ComputeInformationLoss (equals the
@@ -73,27 +77,32 @@ class IflEngine {
   size_t num_shards() const { return num_shards_; }
 
  private:
+  /// Recomputes the cells of `window`'s new rectangles and re-sums the
+  /// shards [s_beg, s_end), unless the window's rows are fewer cells;
+  /// returns whether it did.
+  bool RecomputeNewRectangles(const Partition& p,
+                              const ExtractionWindow& window, size_t s_beg,
+                              size_t s_end);
+
   const GridDataset& grid_;
   const GridSoAView view_;
   const size_t num_shards_;
 
-  std::vector<kernels::IflPartial> partials_;  // [shard]
-  bool partials_valid_ = false;
-  double value_ = 0.0;  // Eq. 3 over partials_
+  IflCache cache_;
   size_t last_dirty_shards_ = 0;
-  uint64_t evaluations_ = 0;
 
-  // Undo record of the last AllocateWindow: its window, the rows it
-  // replaced (before the splice: recycled buffers for the next window), and
-  // the partials as they were.
+  // Undo record of the last AllocateWindow: its window and the rows it
+  // replaced (before the splice: recycled buffers for the next window);
+  // then, of the ComputeInformationLoss that followed, the grid rows it
+  // recomputed (all of them for a full pass). Undo leaves those rows stale
+  // until the next call.
   bool undo_pending_ = false;
   ExtractionWindow window_;
   std::vector<std::vector<double>> window_features_;
   std::vector<uint8_t> window_null_;
   std::vector<uint32_t> window_valid_count_;
-  std::vector<kernels::IflPartial> saved_partials_;
-  bool saved_partials_valid_ = false;
-  double saved_value_ = 0.0;
+  std::pair<size_t, size_t> undo_rows_;
+  std::pair<size_t, size_t> stale_rows_;
 };
 
 }  // namespace srp

@@ -2,10 +2,14 @@
 #define SRP_CORE_INFORMATION_LOSS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
+#include "core/kernels/kernels.h"
 #include "core/partition.h"
 #include "fail/cancellation.h"
 #include "grid/grid_dataset.h"
+#include "grid/soa_view.h"
 #include "parallel/thread_pool.h"
 
 namespace srp {
@@ -38,6 +42,48 @@ double RepresentativeValue(const GridDataset& grid, const Partition& partition,
 double InformationLoss(const GridDataset& grid, const Partition& partition,
                        ThreadPool* pool = nullptr,
                        const RunContext* ctx = nullptr);
+
+/// Eq. 3 cached per row shard (kIflRowGrain rows) and, optionally, per cell
+/// (DESIGN.md §12, §16), shared by the IflEngine and the stream. A shard
+/// re-summed from its cell subtotals in cell order is the kernel's own
+/// partial, and Value() adds the partials in InformationLoss's order, so
+/// the two are equal bit for bit.
+struct IflCache {
+  /// One kernel pass per shard, keeping the cell subtotals if `keep_cells`.
+  /// `pool` and `ctx` as for InformationLoss; an interrupt drops the cache.
+  void Build(const GridSoAView& view, const Partition& p, bool keep_cells,
+             ThreadPool* pool, const RunContext* ctx);
+  /// Recomputes rows [row_begin, row_end) and re-sums their shards, one
+  /// kernel pass per shard on `pool`, and returns their term count. Rows
+  /// that split a shard need the cells kept.
+  uint64_t RecomputeRows(const GridSoAView& view, const Partition& p,
+                         size_t row_begin, size_t row_end, ThreadPool* pool,
+                         const RunContext* ctx);
+  /// Recomputes the kept subtotals of cells [beg, end); the caller re-sums
+  /// their shards and keeps `terms` in step with the returned partial.
+  kernels::IflPartial Recompute(const GridSoAView& view, const Partition& p,
+                                size_t beg, size_t end) {
+    return kernels::ActiveKernels().ifl_cells(
+        view, kernels::GroupFeatureView(p), p.cell_to_group.data(), beg, end,
+        cells.data() + beg);
+  }
+  void Resum(size_t s_beg, size_t s_end);  ///< shards from cell subtotals
+  double Value() const;
+  /// Debug builds check Value() against InformationLoss(grid, p) on the
+  /// first four calls and every 16th.
+  void Audit(const GridDataset& grid, const Partition& p,
+             ThreadPool* pool) const;
+  void Drop() { *this = IflCache{}; }  ///< also releases the memory
+
+  bool valid() const { return !shards.empty(); }
+  bool has_cells() const { return !cells.empty(); }
+
+  std::vector<double> shards;  ///< [shard] partial total; empty when dropped
+  std::vector<double> cells;   ///< [cell] subtotal (8 B a cell), or empty
+  uint64_t terms = 0;          ///< Eq. 3 term count (the grid's alone)
+  size_t shard_cells = 0;      ///< kIflRowGrain * cols
+  mutable uint64_t audits = 0;
+};
 
 }  // namespace srp
 

@@ -103,11 +103,13 @@ struct KernelTable {
   /// (skipped when orig == 0), categorical ones a 0/1 mismatch, with the
   /// representative values read straight from `feat` (no intermediate
   /// table). Accumulation order is canonical: per-cell subtotals over
-  /// ascending k, added in ascending cell order.
+  /// ascending k, added in ascending cell order. A non-null `cell_out`
+  /// receives those subtotals, cell_out[i] for cell cell_beg + i (0 for a
+  /// null cell), so re-adding them in order from 0 gives the partial's total.
   IflPartial (*ifl_cells)(const GridSoAView& grid,
                           const GroupFeatureView& feat,
                           const int32_t* cell_to_group, size_t cell_beg,
-                          size_t cell_end);
+                          size_t cell_end, double* cell_out);
 };
 
 /// Kernels for the process-wide active level.

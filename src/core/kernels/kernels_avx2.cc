@@ -248,7 +248,7 @@ inline __m256d SumDivisors4(const GroupFeatureView& feat,
 
 IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
                         const int32_t* cell_to_group, size_t cell_beg,
-                        size_t cell_end) {
+                        size_t cell_end, double* cell_out) {
   const size_t p = g.num_attributes();
   const SoAAttrPlane* planes = g.planes();
   const uint8_t* null = g.null_mask();
@@ -261,6 +261,12 @@ IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
   uint64_t scalar_terms = 0;
   __m256i term_count = _mm256_setzero_si256();  // one running counter: exact
   size_t cell = cell_beg;
+  // The canonical per-cell routine, which also stores the subtotal.
+  const auto scalar_cell = [&](size_t c, double* sum, uint64_t* terms) {
+    const double subtotal =
+        internal::IflCell(g, feat, p, cell_to_group, c, sum, terms);
+    if (cell_out != nullptr) cell_out[c - cell_beg] = subtotal;
+  };
   // Main loop: two 4-cell blocks per iteration. Each block's subtotal is a
   // serial chain of p dependent adds, so a second independent block roughly
   // doubles the ILP; the cross-lane reduce still runs in ascending cell
@@ -275,8 +281,7 @@ IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
     if (!BlockRows4(feat, p, ctg, rows_a) ||
         !BlockRows4(feat, p, ctg + 4, rows_b)) {
       for (size_t i = 0; i < 8; ++i) {
-        internal::IflCell(g, feat, p, cell_to_group, cell + i, &total,
-                          &scalar_terms);
+        scalar_cell(cell + i, &total, &scalar_terms);
       }
       continue;
     }
@@ -339,6 +344,9 @@ IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
     alignas(32) double lanes[8];
     _mm256_store_pd(lanes, total_a);
     _mm256_store_pd(lanes + 4, total_b);
+    if (cell_out != nullptr) {
+      std::memcpy(cell_out + (cell - cell_beg), lanes, sizeof(lanes));
+    }
     total += lanes[0];
     total += lanes[1];
     total += lanes[2];
@@ -354,8 +362,7 @@ IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
     const double* rows[4];
     if (!BlockRows4(feat, p, ctg, rows)) {
       for (size_t i = 0; i < 4; ++i) {
-        internal::IflCell(g, feat, p, cell_to_group, cell + i, &total,
-                          &scalar_terms);
+        scalar_cell(cell + i, &total, &scalar_terms);
       }
       continue;
     }
@@ -388,6 +395,9 @@ IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
     }
     alignas(32) double lanes[4];
     _mm256_store_pd(lanes, cell_total);
+    if (cell_out != nullptr) {
+      std::memcpy(cell_out + (cell - cell_beg), lanes, sizeof(lanes));
+    }
     total += lanes[0];
     total += lanes[1];
     total += lanes[2];
@@ -398,10 +408,7 @@ IflPartial IflCellsAvx2(const GridSoAView& g, const GroupFeatureView& feat,
   out.total = total;
   out.terms = scalar_terms + static_cast<uint64_t>(counts[0] + counts[1] +
                                                    counts[2] + counts[3]);
-  for (; cell < cell_end; ++cell) {
-    internal::IflCell(g, feat, p, cell_to_group, cell, &out.total,
-                      &out.terms);
-  }
+  for (; cell < cell_end; ++cell) scalar_cell(cell, &out.total, &out.terms);
   return out;
 }
 

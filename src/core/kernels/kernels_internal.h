@@ -60,18 +60,18 @@ inline double PairVariationCell(const GridSoAView& g, size_t a, size_t b) {
   return PairVariationValid(g, a, b);
 }
 
-/// Adds one cell's Eq. 3 contribution to (*total, *terms): the cell's
-/// per-attribute terms accumulate into a cell subtotal in ascending k order,
-/// and the subtotal is added to *total — the canonical association every
-/// kernel reproduces. Null cells contribute nothing. Representative values
-/// come straight from the group's feature row (zeros when the row has the
-/// wrong arity; negative ids — never produced by a validated partition —
-/// are clamped to group 0), divided by SumDivisor for kSum attributes with
-/// exactly the operands RepresentativeValue uses.
-inline void IflCell(const GridSoAView& g, const GroupFeatureView& feat,
-                    size_t p, const int32_t* cell_to_group, size_t cell,
-                    double* total, uint64_t* terms) {
-  if (g.IsNull(cell)) return;
+/// Adds one cell's Eq. 3 contribution to (*total, *terms) and returns the
+/// cell's subtotal: the cell's per-attribute terms accumulate into it in
+/// ascending k order, and it is added to *total — the canonical association
+/// every kernel reproduces. Null cells contribute nothing (subtotal 0).
+/// Representative values come straight from the group's feature row (zeros
+/// when the row has the wrong arity; negative ids — never produced by a
+/// validated partition — are clamped to group 0), divided by SumDivisor for
+/// kSum attributes with exactly the operands RepresentativeValue uses.
+inline double IflCell(const GridSoAView& g, const GroupFeatureView& feat,
+                      size_t p, const int32_t* cell_to_group, size_t cell,
+                      double* total, uint64_t* terms) {
+  if (g.IsNull(cell)) return 0.0;
   const int32_t group = cell_to_group[cell];
   const size_t gid = static_cast<size_t>(group < 0 ? 0 : group);
   const double* row = nullptr;
@@ -108,6 +108,7 @@ inline void IflCell(const GridSoAView& g, const GroupFeatureView& feat,
   }
   *total += cell_total;
   *terms += cell_terms;
+  return cell_total;
 }
 
 /// Overwrites the pair-variation entries involving the null cells of rows

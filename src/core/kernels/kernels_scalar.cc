@@ -32,12 +32,13 @@ void PairVariationRowsScalar(const GridSoAView& g, size_t r_beg, size_t r_end,
 
 IflPartial IflCellsScalar(const GridSoAView& g, const GroupFeatureView& feat,
                           const int32_t* cell_to_group, size_t cell_beg,
-                          size_t cell_end) {
+                          size_t cell_end, double* cell_out) {
   const size_t p = g.num_attributes();
   IflPartial out;
   for (size_t cell = cell_beg; cell < cell_end; ++cell) {
-    internal::IflCell(g, feat, p, cell_to_group, cell, &out.total,
-                      &out.terms);
+    const double subtotal = internal::IflCell(g, feat, p, cell_to_group, cell,
+                                              &out.total, &out.terms);
+    if (cell_out != nullptr) cell_out[cell - cell_beg] = subtotal;
   }
   return out;
 }

@@ -222,8 +222,8 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
 
     // The committed partition is re-extracted in place: the extractor
     // rescans only the window the new threshold can change, and the engine
-    // reallocates that window and recomputes only its row shards
-    // (DESIGN.md §12).
+    // reallocates that window and recomputes Eq. 3 only for its changed
+    // cells (DESIGN.md §12).
     CellGroupExtractor extractor(variations);
     CoreEvaluator evaluator(grid, options_, pool.get(), &clock);
     return RunCoarseningLoop(options_, &heap, &extractor, &evaluator, ctx,

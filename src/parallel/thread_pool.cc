@@ -152,6 +152,9 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
+      // Counted under the pop's lock, the one lock a task takes: a caller
+      // that has waited for its tasks sees every one of them counted.
+      ++tasks_executed_;
     }
     const auto task_start = std::chrono::steady_clock::now();
     task();
@@ -159,10 +162,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
                           std::chrono::steady_clock::now() - task_start)
                           .count();
     worker_busy_ns_[worker_index].fetch_add(busy, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++tasks_executed_;
-    }
   }
 }
 

@@ -18,7 +18,8 @@ namespace srp {
 /// RunReport aggregator (DESIGN.md §9) and the pool gauges.
 struct ThreadPoolStats {
   size_t pool_size = 0;
-  /// Tasks this pool has finished executing.
+  /// Tasks this pool's workers have taken from the queue to run; every
+  /// task a caller has waited for is counted.
   int64_t tasks_executed = 0;
   /// Largest queue length observed at submit time — sustained values far
   /// above pool_size mean submission outruns the workers.
@@ -82,8 +83,8 @@ class ThreadPool {
   /// Enqueues one task. Safe from any thread, including pool workers.
   void Submit(std::function<void()> task);
 
-  /// Utilization so far. Safe to call at any time; counters for tasks still
-  /// in flight land once they finish.
+  /// Utilization so far. Safe to call at any time; a task still in flight
+  /// is counted, its busy time lands once it finishes.
   ThreadPoolStats Stats() const;
 
  private:

@@ -4,26 +4,11 @@
 #include <cmath>
 
 #include "core/information_loss.h"
-#include "core/kernels/kernels.h"
 #include "fail/fault_injection.h"
 #include "grid/soa_view.h"
 #include "obs/tracer.h"
-#include "util/logging.h"
 
 namespace srp {
-namespace {
-
-/// Eq. 3 subtotal and term count of one cell under `p`: the shared kernel
-/// on a one-cell range, i.e. exactly the per-cell subtotal InformationLoss
-/// adds.
-kernels::IflPartial CellIfl(const GridSoAView& view, const Partition& p,
-                            size_t cell) {
-  return kernels::ActiveKernels().ifl_cells(
-      view, kernels::GroupFeatureView(p), p.cell_to_group.data(), cell,
-      cell + 1);
-}
-
-}  // namespace
 
 StreamingRepartitioner::StreamingRepartitioner(
     size_t rows, size_t cols, GeoExtent extent,
@@ -78,39 +63,28 @@ Status StreamingRepartitioner::Ingest(const std::vector<PointRecord>& batch,
     ++ingested_;
   }
 
-  if (!has_partition()) {
+  if (!has_partition() || touched.empty()) {
     for (const size_t cell : touched) acc_.FinishCell(cell, &grid_);
-  } else {
-    // Swap each touched cell's Eq. 3 contribution: retire its old terms,
-    // rebuild it, then cache its new subtotal.
-    {
-      const GridSoAView before(grid_);
-      for (const size_t cell : touched) {
-        drift_terms_ -= CellIfl(before, partition_, cell).terms;
-      }
-    }
-    for (const size_t cell : touched) acc_.FinishCell(cell, &grid_);
-    const GridSoAView after(grid_);
+    return Status::OK();
+  }
+  // Swap each touched cell's Eq. 3 contribution: retire its old terms,
+  // rebuild it, cache its new subtotal, then re-sum the shards from the
+  // first touched one to the last.
+  {
+    const GridSoAView before(grid_);
     for (const size_t cell : touched) {
-      const kernels::IflPartial p = CellIfl(after, partition_, cell);
-      drift_cells_[cell] = p.total;
-      drift_terms_ += p.terms;
+      drift_.terms -=
+          drift_.Recompute(before, partition_, cell, cell + 1).terms;
     }
   }
-  return Status::OK();
-}
-
-void StreamingRepartitioner::RebuildDriftCache() {
-  drift_cells_.clear();
-  drift_terms_ = 0;
-  if (!has_partition()) return;
-  drift_cells_.resize(grid_.num_cells());
-  const GridSoAView view(grid_);
-  for (size_t cell = 0; cell < drift_cells_.size(); ++cell) {
-    const kernels::IflPartial p = CellIfl(view, partition_, cell);
-    drift_cells_[cell] = p.total;
-    drift_terms_ += p.terms;
+  for (const size_t cell : touched) acc_.FinishCell(cell, &grid_);
+  const GridSoAView after(grid_);
+  for (const size_t cell : touched) {
+    drift_.terms += drift_.Recompute(after, partition_, cell, cell + 1).terms;
   }
+  const auto [lo, hi] = std::minmax_element(touched.begin(), touched.end());
+  drift_.Resum(*lo / drift_.shard_cells, *hi / drift_.shard_cells + 1);
+  return Status::OK();
 }
 
 double StreamingRepartitioner::CurrentDrift() const {
@@ -121,30 +95,8 @@ double StreamingRepartitioner::CurrentDrift() const {
   // every valid cell, which the maintained partition still provides
   // (rectangles cover the whole grid), so IFL is directly computable — new
   // cells inside null groups contribute their full relative error.
-  //
-  // InformationLoss's association: cell subtotals add sequentially within
-  // each kIflRowGrain-row shard, and the shard sums add in ascending order.
-  const size_t shard_cells = kernels::kIflRowGrain * grid_.cols();
-  double total = 0.0;
-  for (size_t beg = 0; beg < drift_cells_.size(); beg += shard_cells) {
-    const size_t end = std::min(drift_cells_.size(), beg + shard_cells);
-    double shard = 0.0;
-    for (size_t cell = beg; cell < end; ++cell) shard += drift_cells_[cell];
-    total += shard;
-  }
-  const double drift =
-      drift_terms_ == 0 ? 0.0 : total / static_cast<double>(drift_terms_);
-#if !defined(NDEBUG)
-  // Periodic audit against the full recompute: every call early on, then
-  // every 16th.
-  ++drift_calls_;
-  if (drift_calls_ <= 4 || drift_calls_ % 16 == 0) {
-    const double full = InformationLoss(grid_, partition_);
-    SRP_CHECK(drift == full) << "cached drift diverged from Eq. 3: " << drift
-                             << " vs " << full;
-  }
-#endif
-  return drift;
+  drift_.Audit(grid_, partition_, nullptr);
+  return drift_.Value();
 }
 
 bool StreamingRepartitioner::NeedsRefresh() const {
@@ -160,12 +112,15 @@ Status StreamingRepartitioner::Refresh(const RunContext* ctx) {
   }
   // The run's own working set is the stream's memory peak; the cache is
   // not needed during it, so it is released here and rebuilt once below.
-  std::vector<double>().swap(drift_cells_);
+  drift_.Drop();
   auto result = Repartitioner(options_.repartition).Run(grid_, ctx);
   // On failure (including a strict interrupt) the previously maintained
   // partition stays installed — the stream keeps serving the last good one.
   if (result.ok()) partition_ = std::move(result->partition);
-  RebuildDriftCache();
+  if (has_partition()) {
+    drift_.Build(GridSoAView(grid_), partition_, /*keep_cells=*/true,
+                 nullptr, nullptr);
+  }
   SRP_RETURN_IF_ERROR(result.status());
   ++refreshes_;
   return Status::OK();

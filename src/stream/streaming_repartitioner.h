@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/information_loss.h"
 #include "core/partition.h"
 #include "core/repartitioner.h"
 #include "fail/cancellation.h"
@@ -27,10 +28,10 @@ namespace srp {
 /// records become valid; untouched cells stay null.
 ///
 /// A batch costs what it touches (DESIGN.md §16): Ingest rebuilds only the
-/// cells its records land in, and a per-cell cache of Eq. 3 subtotals under
-/// the installed partition is updated for those cells alone, so
-/// CurrentDrift() sums cached doubles instead of re-evaluating Eq. 3. Not
-/// thread-safe: one caller drives a stream.
+/// cells its records land in, and the installed partition's IflCache
+/// recomputes those cells alone and re-sums their shards, so CurrentDrift()
+/// adds one cached partial per shard. Not thread-safe: one caller drives a
+/// stream.
 class StreamingRepartitioner {
  public:
   struct Options {
@@ -62,9 +63,9 @@ class StreamingRepartitioner {
 
   /// IFL of the current partition measured against the current grid — the
   /// drift signal. 0 before the first refresh when no partition exists.
-  /// Summed from the per-cell cache in InformationLoss's shard order, so it
-  /// equals InformationLoss(grid(), partition()) bit for bit (debug builds
-  /// audit that on the first calls and every 16th).
+  /// The cache's shard partials in InformationLoss's order, so it equals
+  /// InformationLoss(grid(), partition()) bit for bit (debug builds audit
+  /// that on the first calls and every 16th).
   double CurrentDrift() const;
 
   /// True when a refresh is due: no partition yet, or drift beyond budget.
@@ -92,9 +93,6 @@ class StreamingRepartitioner {
   size_t refresh_count() const { return refreshes_; }
 
  private:
-  /// Fills the drift cache for every cell under the installed partition.
-  void RebuildDriftCache();
-
   Options options_;
   // Record counts and field sums per cell: the aggregation of
   // BuildGridFromPoints, whose FinishCell rebuilds each touched cell of
@@ -105,11 +103,9 @@ class StreamingRepartitioner {
 
   Partition partition_;
 
-  // Drift cache: each cell's Eq. 3 subtotal under partition_ (0 for null
-  // cells) and the exact total term count. Empty without a partition.
-  std::vector<double> drift_cells_;
-  uint64_t drift_terms_ = 0;
-  mutable size_t drift_calls_ = 0;  // debug audit cadence
+  // Drift cache: Eq. 3 of partition_ on grid_, per cell. Dropped without a
+  // partition.
+  IflCache drift_;
 
   size_t ingested_ = 0;
   size_t dropped_ = 0;

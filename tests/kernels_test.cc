@@ -130,7 +130,7 @@ TEST(KernelsTest, KernelIflMatchesRepresentativeValueReference) {
        {kernels::SimdLevel::kScalar, kernels::SimdLevel::kAvx2}) {
     const kernels::KernelTable& kern = kernels::KernelsFor(level);
     const kernels::IflPartial partial = kern.ifl_cells(
-        view, feat, p.cell_to_group.data(), 0, grid.num_cells());
+        view, feat, p.cell_to_group.data(), 0, grid.num_cells(), nullptr);
     EXPECT_EQ(partial.terms, terms) << SimdLevelName(kern.level);
     EXPECT_EQ(partial.total, total) << SimdLevelName(kern.level);
   }
@@ -212,11 +212,55 @@ TEST(KernelsTest, IflCellsKernelsAgreeOnRawPartials) {
   for (const auto& range : ranges) {
     const kernels::IflPartial a =
         scalar.ifl_cells(view, feat, p.cell_to_group.data(), range[0],
-                         range[1]);
+                         range[1], nullptr);
     const kernels::IflPartial b =
         best.ifl_cells(view, feat, p.cell_to_group.data(), range[0],
-                       range[1]);
+                       range[1], nullptr);
     EXPECT_EQ(a, b) << "range [" << range[0] << ", " << range[1] << ")";
+  }
+}
+
+TEST(KernelsTest, IflCellSubtotalsBitIdenticalAndSumToThePartial) {
+  // The cell subtotals ifl_cells stores are what IflCache re-sums: every
+  // tier must store the same bits, and adding them in cell order from 0
+  // must give the returned partial exactly, over sub-ranges that start and
+  // end off the vector width, with nulls, categoricals and kSum attributes.
+  const GridDataset grid = RandomGrid(21, 27, 9, 0.2);
+  const Partition p = MidPartition(grid, 0.3);
+  const GridSoAView view(grid);
+  const kernels::GroupFeatureView feat(p);
+  const size_t cells = grid.num_cells();
+  const size_t ranges[][2] = {{0, cells}, {1, cells - 2}, {3, 3},
+                              {0, 5},     {cells - 3, cells}, {7, 7 + 4 * 13}};
+  for (const auto& range : ranges) {
+    const size_t n = range[1] - range[0];
+    std::vector<double> subtotals[2];
+    kernels::IflPartial partials[2];
+    const kernels::SimdLevel levels[2] = {kernels::SimdLevel::kScalar,
+                                          kernels::SimdLevel::kAvx2};
+    for (size_t i = 0; i < 2; ++i) {
+      subtotals[i].assign(n, -1.0);
+      partials[i] = kernels::KernelsFor(levels[i]).ifl_cells(
+          view, feat, p.cell_to_group.data(), range[0], range[1],
+          subtotals[i].data());
+      // Storing the subtotals does not change the partial.
+      EXPECT_EQ(partials[i],
+                kernels::KernelsFor(levels[i]).ifl_cells(
+                    view, feat, p.cell_to_group.data(), range[0], range[1],
+                    nullptr));
+      double total = 0.0;
+      for (size_t k = 0; k < n; ++k) {
+        if (view.IsNull(range[0] + k)) {
+          EXPECT_EQ(subtotals[i][k], 0.0);
+        }
+        total += subtotals[i][k];
+      }
+      EXPECT_EQ(total, partials[i].total)
+          << SimdLevelName(levels[i]) << " [" << range[0] << ", " << range[1]
+          << ")";
+    }
+    EXPECT_EQ(subtotals[0], subtotals[1])
+        << "range [" << range[0] << ", " << range[1] << ")";
   }
 }
 

@@ -13,6 +13,7 @@
 #include "fail/cancellation.h"
 #include "fail/fault_injection.h"
 #include "grid/grid_builder.h"
+#include "reference/eq3.h"
 #include "util/random.h"
 
 namespace srp {
@@ -336,6 +337,10 @@ TEST(StreamingTest, PropertyIncrementalStateMatchesFullRecompute) {
       if (stream.has_partition()) {
         EXPECT_EQ(Bits(stream.CurrentDrift()),
                   Bits(InformationLoss(stream.grid(), stream.partition())));
+        const double oracle =
+            reference::InformationLoss(stream.grid(), stream.partition());
+        EXPECT_LE(std::fabs(stream.CurrentDrift() - oracle),
+                  1e-12 * std::fabs(oracle));
       } else {
         EXPECT_EQ(stream.CurrentDrift(), 0.0);
       }
