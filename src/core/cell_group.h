@@ -19,9 +19,15 @@ struct CellGroup {
   uint32_t c_beg = 0;
   uint32_t c_end = 0;  // inclusive
 
-  size_t height() const { return static_cast<size_t>(r_end - r_beg) + 1; }
-  size_t width() const { return static_cast<size_t>(c_end - c_beg) + 1; }
+  size_t height() const { return r_end + 1 - r_beg; }
+  size_t width() const { return c_end + 1 - c_beg; }
   size_t NumCells() const { return height() * width(); }
+
+  /// True for the placeholder of a vacant id (kVacantGroup), which an
+  /// in-place re-extraction leaves between the live groups of a run
+  /// (DESIGN.md §12): its row and column ranges are empty, so it has no
+  /// cells.
+  bool vacant() const { return r_end < r_beg; }
 
   bool Contains(size_t r, size_t c) const {
     return r >= r_beg && r <= r_end && c >= c_beg && c <= c_end;
@@ -29,6 +35,9 @@ struct CellGroup {
 
   friend bool operator==(const CellGroup& a, const CellGroup& b) = default;
 };
+
+/// The group a vacant id holds.
+inline constexpr CellGroup kVacantGroup{1, 0, 1, 0};
 
 }  // namespace srp
 

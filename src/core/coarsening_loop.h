@@ -146,10 +146,10 @@ class MeasuredHooks {
     }
   }
 
-  /// Every evaluated candidate, against the committed state.
+  /// Every evaluated candidate, against the committed state; `groups` is
+  /// the candidate's live group count (CellGroupExtractor::live_groups).
   void OnCandidate(const CoarseningState& committed, double variation,
-                   double loss, const Partition& candidate, bool accepted) {
-    const size_t groups = candidate.num_groups();
+                   double loss, size_t groups, bool accepted) {
     obs::ProgressTracker::Get().OnCandidate(variation, loss, groups, accepted);
     if (introspection_ != nullptr) {
       introspection_->OnIteration(committed.iterations, variation, loss,
@@ -170,10 +170,11 @@ class MeasuredHooks {
 /// reads only the threshold, step and iteration cap of `options`.
 ///
 /// `*partition` and `*state` hold the committed state on entry and on every
-/// way out. The loop owns the degradation contract: an interrupt at the
-/// loop head, during allocation or during Eq. 3 either ends the loop with
-/// StopReason::kInterrupted (best effort) or fails it with the interrupt
-/// Status.
+/// way out; the partition may hold vacant ids, which the driver drops
+/// (CompactGroups) before the partition leaves it. The loop owns the
+/// degradation contract: an interrupt at the loop head, during allocation
+/// or during Eq. 3 either ends the loop with StopReason::kInterrupted (best
+/// effort) or fails it with the interrupt Status.
 ///
 /// Evaluator derives from MeasuredHooks and provides, with IflEngine's
 /// contract, Status Allocate(Partition*, const ExtractionWindow&, ctx),
@@ -238,7 +239,8 @@ Status RunCoarseningLoop(const RepartitionOptions& options,
       if (degrade) return Status::OK();
 
       const bool accepted = loss <= options.ifl_threshold;
-      evaluator->OnCandidate(*state, variation, loss, *partition, accepted);
+      evaluator->OnCandidate(*state, variation, loss,
+                             extractor->live_groups(), accepted);
       if (!accepted) {
         state->stop_reason = StopReason::kThetaExceeded;
         return Status::OK();

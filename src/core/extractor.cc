@@ -19,7 +19,8 @@ struct Rect {
   size_t width = 1;
 };
 
-/// Writes ids id_begin, id_begin + 1, ... over the cells of groups[0, n).
+/// Writes ids id_begin, id_begin + 1, ... over the cells of groups[0, n)
+/// (none for a vacant one).
 void Paint(const CellGroup* groups, size_t n, size_t id_begin, size_t cols,
            int32_t* ids) {
   for (size_t k = 0; k < n; ++k) {
@@ -31,23 +32,18 @@ void Paint(const CellGroup* groups, size_t n, size_t id_begin, size_t cols,
   }
 }
 
-/// Adds `delta` to every id >= `from` in ids[begin, end).
-void ShiftIds(int32_t* ids, size_t begin, size_t end, int32_t from,
-              int32_t delta) {
-  for (size_t k = begin; k < end; ++k) ids[k] += ids[k] >= from ? delta : 0;
-}
-
 }  // namespace
 
 /// Algorithm 1 from anchor cell `start_cell` onward, appending each group
 /// (and, when `reach` is given, its reach), marking its cells in `taken`
 /// and, when `ids` is given, writing its id (its index in `groups`) there;
 /// a full scan with `reach` also fills `row_index` when given. A cell is
-/// free while `taken` holds 0 for it.
+/// free while `is_free(cell)` holds, which must read `taken`.
 /// Before each row past the start row, `stop(row)` may end the scan;
 /// returns the row it stopped at, or rows.
-template <typename StopFn>
-size_t CellGroupExtractor::Scan(double t, size_t start_cell, uint8_t* taken,
+template <typename FreeFn, typename StopFn>
+size_t CellGroupExtractor::Scan(double t, size_t start_cell,
+                                const FreeFn& is_free_cell, uint8_t* taken,
                                 int32_t* ids, std::vector<CellGroup>* groups,
                                 std::vector<Reach>* reach,
                                 RowIndex* row_index,
@@ -59,8 +55,8 @@ size_t CellGroupExtractor::Scan(double t, size_t start_cell, uint8_t* taken,
   // anything, so reading through the vectors would reload them per probe.
   const double* const right = var_.right.data();
   const double* const down = var_.down.data();
-  const auto is_free = [taken, cols](size_t r, size_t c) {
-    return taken[r * cols + c] == 0;
+  const auto is_free = [&is_free_cell, cols](size_t r, size_t c) {
+    return is_free_cell(r * cols + c);
   };
   const auto pair_right = [right, cols](size_t r, size_t c) {
     return right[r * cols + c];
@@ -181,8 +177,10 @@ Partition CellGroupExtractor::Extract(double t) const {
   p.cols = var_.cols;
   p.cell_to_group.resize(p.rows * p.cols);
   std::vector<uint8_t> taken(p.rows * p.cols, 0);
-  Scan(t, 0, taken.data(), p.cell_to_group.data(), &p.groups, nullptr,
-       nullptr, [](size_t) { return false; });
+  const uint8_t* marks = taken.data();
+  Scan(t, 0, [marks](size_t cell) { return marks[cell] == 0; }, taken.data(),
+       p.cell_to_group.data(), &p.groups, nullptr, nullptr,
+       [](size_t) { return false; });
   return p;
 }
 
@@ -191,6 +189,7 @@ ExtractionWindow CellGroupExtractor::ExtractInto(double t, Partition* p) {
   saved_base_ = base_;
   saved_base_t_ = base_t_;
   saved_max_reach_rows_ = max_reach_rows_;
+  saved_live_groups_ = live_groups_;
   const bool have_base = base_ == p && !std::isnan(t) &&
                          !std::isnan(base_t_) &&
                          var_.rows <= kMaxReachCoordinate &&
@@ -229,16 +228,32 @@ ExtractionWindow CellGroupExtractor::ExtractInto(double t, Partition* p) {
   last_ = window;
 
 #if !defined(NDEBUG)
-  // Audit: the incremental result must equal a fresh scan exactly. Every
-  // call early on, then every 16th.
+  // Audit: compacted, the incremental result must equal a fresh scan
+  // exactly (so no cell maps to a vacant id and the live ids are in scan
+  // order), vacant ids have a zero reach, and the row index points at live
+  // ids. Every call early on, then every 16th.
   if (calls_ <= 4 || calls_ % 16 == 0) {
+    Partition compact;
+    compact.groups = p->groups;
+    compact.cell_to_group = p->cell_to_group;
+    CompactGroups(&compact);
     const Partition fresh = Extract(t);
-    SRP_CHECK(fresh.groups == p->groups &&
-              fresh.cell_to_group == p->cell_to_group)
+    SRP_CHECK(fresh.groups == compact.groups &&
+              fresh.cell_to_group == compact.cell_to_group &&
+              live_groups_ == compact.groups.size())
         << "incremental extraction diverged from a full scan at t=" << t
         << " (window groups [" << window.group_begin << ", "
         << window.new_group_end << "), rows [" << window.row_begin << ", "
         << window.row_end << "))";
+    for (size_t g = 0; g < p->groups.size(); ++g) {
+      SRP_CHECK(!p->groups[g].vacant() || reach_[g].last_row() == 0)
+          << "vacant id " << g << " has a reach";
+    }
+    for (const RowIndex& row : row_index_) {
+      SRP_CHECK(row.first_group == p->groups.size() ||
+                !p->groups[row.first_group].vacant())
+          << "row index points at vacant id " << row.first_group;
+    }
   }
 #endif
   return window;
@@ -263,9 +278,12 @@ ExtractionWindow CellGroupExtractor::FullScan(double t, Partition* p,
   p->cell_to_group.resize(rows * cols);
   taken_cells_.assign(rows * cols, 0);
   row_index_.resize(rows + 1);
-  Scan(t, 0, taken_cells_.data(), p->cell_to_group.data(), &p->groups,
-       &reach_, row_index_.data(), [](size_t) { return false; });
+  const uint8_t* taken = taken_cells_.data();
+  Scan(t, 0, [taken](size_t cell) { return taken[cell] == 0; },
+       taken_cells_.data(), p->cell_to_group.data(), &p->groups, &reach_,
+       row_index_.data(), [](size_t) { return false; });
   std::fill(taken_cells_.begin(), taken_cells_.end(), uint8_t{0});
+  live_groups_ = p->groups.size();
   max_reach_rows_ = 0;
   for (size_t row = 0; row < rows; ++row) {
     max_reach_rows_ =
@@ -280,6 +298,8 @@ ExtractionWindow CellGroupExtractor::FullScan(double t, Partition* p,
   if (have_base) {
     MatchWindow(saved_cell_to_group_.data(), 0, window_groups_, p->groups,
                 &window);
+    // Dropping vacant ids renumbers the kept groups.
+    window.changed |= window.old_group_end != window.new_group_end;
   } else {
     window.changed = true;
   }
@@ -296,30 +316,12 @@ ExtractionWindow CellGroupExtractor::WindowScan(double t, Partition* p,
   taken_cells_.resize(rows * cols, 0);
 
   // Algorithm 1's state at the anchor: every cell of an earlier group is
-  // taken. From the anchor's row down, those cells belong to earlier groups
-  // that reach the row — all anchored at most max_reach_rows_ rows above,
-  // in rows whose reach gets down here.
-  taken_.clear();
-  const size_t r_lo =
-      row_begin > max_reach_rows_ ? row_begin - max_reach_rows_ : 0;
-  for (size_t row = r_lo; row <= row_begin; ++row) {
-    if (row_index_[row].reach_last_row < row_begin) continue;
-    const size_t end =
-        std::min<size_t>(group_begin, row_index_[row + 1].first_group);
-    for (size_t id = row_index_[row].first_group; id < end; ++id) {
-      CellGroup g = p->groups[id];
-      if (g.r_end < row_begin) continue;
-      g.r_beg = std::max<uint32_t>(g.r_beg, static_cast<uint32_t>(row_begin));
-      taken_.push_back(g);
-    }
-  }
-  for (const CellGroup& g : taken_) {
-    for (size_t r = g.r_beg; r <= g.r_end; ++r) {
-      std::fill(taken_cells_.begin() + r * cols + g.c_beg,
-                taken_cells_.begin() + r * cols + g.c_end + 1, uint8_t{1});
-    }
-  }
-
+  // taken, and the cell map still says which: their old ids are below
+  // group_begin. The window scan writes no ids, so a cell is free while
+  // the scan has not taken it and its old id is group_begin or later.
+  const uint8_t* taken = taken_cells_.data();
+  const int32_t* base = p->cell_to_group.data();
+  const auto first = static_cast<int32_t>(group_begin);
   window_groups_.clear();
   window_reach_.clear();
   hang_new_.clear();
@@ -327,18 +329,17 @@ ExtractionWindow CellGroupExtractor::WindowScan(double t, Partition* p,
   hang_new_seen_ = 0;
   hang_old_seen_ = group_begin;
   const size_t stop_row = Scan(
-      t, start_cell, taken_cells_.data(), nullptr, &window_groups_,
-      &window_reach_, nullptr,
+      t, start_cell,
+      [taken, base, first](size_t cell) {
+        return taken[cell] == 0 && base[cell] >= first;
+      },
+      taken_cells_.data(), nullptr, &window_groups_, &window_reach_, nullptr,
       [&](size_t row) { return row > last_row && Resynced(*p, row); });
   const size_t old_end = row_index_[stop_row].first_group;
-  const size_t new_end = group_begin + window_groups_.size();
 
-  // Every cell marked since the last call lies in the rows from the anchor
-  // to the lowest taken or new cell; clear them for the next window.
+  // Every cell the scan marked lies in the rows from the anchor to the
+  // lowest new cell; clear them for the next window.
   size_t row_end = row_begin + 1;
-  for (const CellGroup& g : taken_) {
-    row_end = std::max<size_t>(row_end, g.r_end + 1);
-  }
   for (const CellGroup& g : window_groups_) {
     row_end = std::max<size_t>(row_end, g.r_end + 1);
   }
@@ -348,41 +349,77 @@ ExtractionWindow CellGroupExtractor::WindowScan(double t, Partition* p,
   ExtractionWindow window;
   window.group_begin = group_begin;
   window.old_group_end = old_end;
-  window.new_group_end = new_end;
-  MatchWindow(p->cell_to_group.data(), group_begin,
+  MatchWindow(base, group_begin,
               std::span<const CellGroup>(p->groups).subspan(
                   group_begin, old_end - group_begin),
               window_groups_, &window);
-  SwapWindow(&reach_, group_begin, old_end, &window_reach_);
   saved_row_index_ = row_index_;
-  last_stop_row_ = stop_row;
-  if (!window.changed) {
-    // The window re-tiled exactly as before; only its reaches moved.
-    IndexRows(p->groups, group_begin, new_end, row_begin, stop_row);
-    undo_ = UndoKind::kReach;
-    return window;
+  size_t span_row_end = stop_row;
+  if (window.changed) {
+    span_row_end = Fit(*p, stop_row, &window);
+    SwapWindow(&p->groups, group_begin, window.old_group_end,
+               &window_groups_);
+    // Only groups whose id changed need their cells repainted.
+    for (size_t k = 0; group_begin + k < window.new_group_end; ++k) {
+      if (previous_[k] == static_cast<int32_t>(k)) continue;
+      Paint(&p->groups[group_begin + k], 1, group_begin + k, cols,
+            p->cell_to_group.data());
+    }
+  } else {
+    // The window re-tiled exactly as before; only its reaches moved. Each
+    // goes to its group's id (ascending, so moving them from the last one
+    // down overwrites none still to move), and a vacant id keeps a zero
+    // reach.
+    window_reach_.resize(old_end - group_begin);
+    for (size_t k = window_groups_.size(); k-- > 0;) {
+      const auto j = static_cast<size_t>(previous_[k]);
+      if (j == k) continue;
+      window_reach_[j] = window_reach_[k];
+      window_reach_[k] = Reach{};
+    }
+    window.new_group_end = old_end;
   }
-
-  // Splice: the new groups replace the old window, the cell map shifts the
-  // ids below the window and repaints the window's cells (the old and the
-  // new window cover the same cells — that is the resync condition).
-  SwapWindow(&p->groups, group_begin, old_end, &window_groups_);
-  const auto delta = static_cast<int32_t>(static_cast<int64_t>(new_end) -
-                                          static_cast<int64_t>(old_end));
-  int32_t* ids = p->cell_to_group.data();
-  if (delta != 0) {
-    ShiftIds(ids, stop_row * cols, rows * cols, static_cast<int32_t>(old_end),
-             delta);
-  }
-  Paint(p->groups.data() + group_begin, new_end - group_begin, group_begin,
-        cols, ids);
-  for (size_t row = stop_row + 1; row <= rows; ++row) {
-    row_index_[row].first_group = static_cast<uint32_t>(
-        static_cast<int64_t>(row_index_[row].first_group) + delta);
-  }
-  IndexRows(p->groups, group_begin, new_end, row_begin, stop_row);
-  undo_ = UndoKind::kWindow;
+  SwapWindow(&reach_, group_begin, window.old_group_end, &window_reach_);
+  IndexRows(p->groups, group_begin, window.new_group_end, row_begin,
+            span_row_end);
+  undo_ = window.changed ? UndoKind::kWindow : UndoKind::kReach;
   return window;
+}
+
+size_t CellGroupExtractor::Fit(const Partition& p, size_t stop_row,
+                               ExtractionWindow* window) {
+  // The new groups take the first ids of the old span and leave the rest
+  // vacant, so the span keeps its size and no id outside it moves (the old
+  // and the new window cover the same cells: that is the resync
+  // condition). When they outnumber the span's ids, the span takes in the
+  // ids of the next rows, whose groups keep their rectangles and follow
+  // the new ones, until it holds enough vacant ids; a span that reaches
+  // the last id grows the table. Returns the row the span ends at.
+  const size_t begin = window->group_begin;
+  size_t end = window->old_group_end;
+  for (size_t id = begin; id < end; ++id) {
+    live_groups_ -= p.groups[id].vacant() ? 0 : 1;
+  }
+  live_groups_ += window_groups_.size();
+  if (window_groups_.size() > end - begin) ++spilled_windows_;
+  size_t row = stop_row;
+  while (window_groups_.size() > end - begin && row < var_.rows) {
+    const size_t next = row_index_[++row].first_group;
+    for (; end < next; ++end) {
+      if (p.groups[end].vacant()) continue;
+      window_groups_.push_back(p.groups[end]);
+      window_reach_.push_back(reach_[end]);
+      previous_.push_back(static_cast<int32_t>(end - begin));
+    }
+  }
+  const size_t n = std::max(window_groups_.size(), end - begin);
+  window_groups_.resize(n, kVacantGroup);
+  window_reach_.resize(n);
+  previous_.resize(n, ExtractionWindow::kVacant);
+  window->old_group_end = end;
+  window->new_group_end = begin + n;
+  window->previous = previous_;
+  return row;
 }
 
 void CellGroupExtractor::MatchWindow(const int32_t* old_ids,
@@ -477,6 +514,7 @@ size_t CellGroupExtractor::FindRestart(const Partition& p, double t,
       for (size_t g = row_index_[row].first_group; g < end; ++g) {
         const CellGroup& a = p.groups[g];
         const Reach& reach = reach_[g];
+        if (a.vacant()) continue;
         if (c < a.c_beg) continue;
         const bool reads =
             down ? (c == a.c_beg && r <= reach.v_last_row) ||
@@ -522,6 +560,7 @@ bool CellGroupExtractor::Resynced(const Partition& p, size_t row) {
   }
   const size_t old_end = row_index_[row].first_group;
   for (; hang_old_seen_ < old_end; ++hang_old_seen_) {
+    if (p.groups[hang_old_seen_].vacant()) continue;
     hang_old_.push_back(static_cast<uint32_t>(hang_old_seen_));
   }
   std::erase_if(hang_new_,
@@ -558,10 +597,14 @@ void CellGroupExtractor::IndexRows(const std::vector<CellGroup>& groups,
                                    size_t row_begin, size_t row_end) {
   // groups[group_begin, group_end) are the groups anchored in rows
   // [row_begin, row_end), except any of row_begin anchored earlier, whose
-  // ids precede group_begin; row_index_[row_begin].first_group is right.
+  // ids precede group_begin, and vacant ids; row_index_[row_begin] is
+  // right. A row's first id is live (or group_end): a vacant id counts
+  // with the live group before it, and its zero reach adds nothing.
   size_t g = group_begin;
   for (size_t row = row_begin + 1; row <= row_end; ++row) {
-    while (g < group_end && groups[g].r_beg < row) ++g;
+    while (g < group_end && (groups[g].vacant() || groups[g].r_beg < row)) {
+      ++g;
+    }
     row_index_[row].first_group = static_cast<uint32_t>(g);
   }
   for (size_t row = row_begin; row < row_end; ++row) {
@@ -576,8 +619,6 @@ void CellGroupExtractor::IndexRows(const std::vector<CellGroup>& groups,
 }
 
 void CellGroupExtractor::Undo(Partition* p) {
-  const size_t rows = var_.rows;
-  const size_t cols = var_.cols;
   switch (undo_) {
     case UndoKind::kNone:
       return;
@@ -591,16 +632,8 @@ void CellGroupExtractor::Undo(Partition* p) {
     case UndoKind::kWindow: {
       const size_t group_begin = last_.group_begin;
       const size_t new_end = last_.new_group_end;
-      const auto delta = static_cast<int32_t>(
-          static_cast<int64_t>(new_end) -
-          static_cast<int64_t>(last_.old_group_end));
-      int32_t* ids = p->cell_to_group.data();
-      if (delta != 0) {
-        ShiftIds(ids, last_stop_row_ * cols, rows * cols,
-                 static_cast<int32_t>(new_end), -delta);
-      }
-      Paint(window_groups_.data(), window_groups_.size(), group_begin, cols,
-            ids);
+      Paint(window_groups_.data(), window_groups_.size(), group_begin,
+            var_.cols, p->cell_to_group.data());
       SwapWindow(&p->groups, group_begin, new_end, &window_groups_);
       SwapWindow(&reach_, group_begin, new_end, &window_reach_);
       row_index_.swap(saved_row_index_);
@@ -618,6 +651,7 @@ void CellGroupExtractor::Undo(Partition* p) {
   base_ = saved_base_;
   base_t_ = saved_base_t_;
   max_reach_rows_ = saved_max_reach_rows_;
+  live_groups_ = saved_live_groups_;
   undo_ = UndoKind::kNone;
 }
 

@@ -15,11 +15,18 @@
 namespace srp {
 
 /// The stretch of a partition one CellGroupExtractor::ExtractInto call
-/// rewrote. Old group ids [group_begin, old_group_end) were replaced by new
-/// ids [group_begin, new_group_end); every later group kept its rectangle
-/// and its id moved by new_group_end - old_group_end. Every cell whose
-/// group changed lies in rows [row_begin, row_end).
+/// rewrote. Within a run, group ids stay in scan order but may have gaps:
+/// vacant ids (kVacantGroup), which no cell maps to (DESIGN.md §12). Old
+/// ids [group_begin, old_group_end) were replaced by new ids
+/// [group_begin, new_group_end), and every other id kept its group. The
+/// two spans are the same size, unless the window is a full scan (which
+/// drops every vacant id) or its new span ends the id table, which then
+/// grew. Every cell whose group rectangle changed lies in rows
+/// [row_begin, row_end); a kept rectangle may have a new id.
 struct ExtractionWindow {
+  /// `previous` of a vacant new id.
+  static constexpr int32_t kVacant = -2;
+
   /// False when the extraction reproduced the previous partition exactly;
   /// the fields below then describe nothing.
   bool changed = false;
@@ -28,21 +35,23 @@ struct ExtractionWindow {
   size_t new_group_end = 0;
   size_t row_begin = 0;
   size_t row_end = 0;
-  /// For each new group k of the window: the index j of the replaced group
-  /// (old id group_begin + j) with the same rectangle, or -1 when the
-  /// rectangle is new. Only cells of the -1 groups changed group, and they
-  /// all lie in [row_begin, row_end). Empty when the replaced groups did not
-  /// come from this extractor (a first scan). Valid until the extractor's
-  /// next ExtractInto or Undo.
+  /// For each new id group_begin + k of the window: the index j of the
+  /// replaced group (old id group_begin + j) with the same rectangle, -1
+  /// when the rectangle is new, or kVacant. Only cells of the -1 groups
+  /// changed group, and they all lie in [row_begin, row_end). Empty when
+  /// the replaced groups did not come from this extractor (a first scan).
+  /// Valid until the extractor's next ExtractInto or Undo.
   std::span<const int32_t> previous;
 };
 
-/// Exchanges the slot v[begin, end) with the whole of *buf, shifting v's
-/// tail to fit: afterwards the slot holds buf's former elements and *buf
-/// holds the slot's former elements, both in order. Calling it again with
-/// the new slot bounds swaps them back, which is how the in-place window
-/// commit is undone. Elements are swapped or moved, never copied, so
-/// feature rows keep (and recycle) their buffers.
+/// Exchanges the slot v[begin, end) with the whole of *buf: afterwards the
+/// slot holds buf's former elements and *buf holds the slot's former
+/// elements, both in order. Calling it again with the new slot bounds swaps
+/// them back, which is how the in-place window commit is undone. A window
+/// commit swaps equal sizes in place; only a slot that ends v may differ
+/// in size, or a full scan's, which is the whole of v. Elements are swapped
+/// or moved, never copied, so feature rows keep (and recycle) their
+/// buffers.
 template <typename T>
 void SwapWindow(std::vector<T>* v, size_t begin, size_t end,
                 std::vector<T>* buf) {
@@ -105,17 +114,26 @@ class CellGroupExtractor {
   /// the last flipped pair where the old partition resumes; otherwise
   /// (the first call, a partition from elsewhere, or flipped pairs spread
   /// over most of the rows) the window is the whole grid. Either way
-  /// groups and cell_to_group end up exactly as
-  /// Extract produces them. Feature fields are left to the caller
-  /// (IflEngine::AllocateWindow moves them along the window). Between calls
-  /// the caller must not modify groups or cell_to_group except through
-  /// Undo.
+  /// groups and cell_to_group end up, once compacted (CompactGroups),
+  /// exactly as Extract produces them; a window scan may leave vacant ids.
+  /// Feature fields are left to the caller (IflEngine::AllocateWindow
+  /// moves them along the window). Between calls the caller must not
+  /// modify groups or cell_to_group except through Undo.
   ExtractionWindow ExtractInto(double min_adjacent_variation, Partition* p);
 
   /// Restores the groups and cell_to_group of `*p`, and the extractor's
   /// incremental base, to their state before the last ExtractInto. A no-op
   /// when there is nothing to undo.
   void Undo(Partition* p);
+
+  /// The non-vacant groups of the partition the last ExtractInto or Undo
+  /// left: its group count once compacted (CompactGroups).
+  size_t live_groups() const { return live_groups_; }
+
+  /// Window commits whose new groups outnumbered their span's ids, so the
+  /// span took in the ids of the rows below (the fallback of DESIGN.md
+  /// §12).
+  size_t spilled_windows() const { return spilled_windows_; }
 
  private:
   /// The pairs one anchor (i, j) read, beyond the group it chose: its
@@ -151,10 +169,11 @@ class CellGroupExtractor {
 
   enum class UndoKind { kNone, kThreshold, kReach, kWindow, kFull };
 
-  template <typename StopFn>
-  size_t Scan(double t, size_t start_cell, uint8_t* taken, int32_t* ids,
-              std::vector<CellGroup>* groups, std::vector<Reach>* reach,
-              RowIndex* row_index, const StopFn& stop) const;
+  template <typename FreeFn, typename StopFn>
+  size_t Scan(double t, size_t start_cell, const FreeFn& is_free,
+              uint8_t* taken, int32_t* ids, std::vector<CellGroup>* groups,
+              std::vector<Reach>* reach, RowIndex* row_index,
+              const StopFn& stop) const;
   bool RowFlips(size_t row, double lo, double hi, double t);
   bool FlippedRows(double t, size_t* first_row, size_t* last_row);
   size_t FindRestart(const Partition& p, double t, size_t first_row);
@@ -162,6 +181,7 @@ class CellGroupExtractor {
   ExtractionWindow FullScan(double t, Partition* p, bool have_base);
   ExtractionWindow WindowScan(double t, Partition* p, size_t group_begin,
                               size_t last_row);
+  size_t Fit(const Partition& p, size_t stop_row, ExtractionWindow* window);
   void IndexRows(const std::vector<CellGroup>& groups, size_t group_begin,
                  size_t group_end, size_t row_begin, size_t row_end);
   void MatchWindow(const int32_t* old_ids, size_t old_first_id,
@@ -185,12 +205,10 @@ class CellGroupExtractor {
   // they need no undo): per row, a gap no variation falls in.
   std::vector<Gap> row_gaps_;
 
-  // Scan scratch: the cells Algorithm 1 has taken (all 0 between calls),
-  // the cells of earlier groups a window scan starts out with as taken, and
+  // Scan scratch: the cells this scan has taken (all 0 between calls), and
   // the new and old window groups that still hang below the row boundary
   // the resync check is at.
   std::vector<uint8_t> taken_cells_;
-  std::vector<CellGroup> taken_;
   std::vector<int32_t> previous_;  // ExtractionWindow::previous
   std::vector<uint32_t> hang_new_;  // indices into window_groups_
   std::vector<uint32_t> hang_old_;  // base group ids
@@ -198,8 +216,9 @@ class CellGroupExtractor {
   size_t hang_old_seen_ = 0;
 
   // The window's groups and reaches while scanning; after the splice, the
-  // replaced ones. With the saved row index (and, for a full scan, the old
-  // cell map and shape) they are the undo record of the last call.
+  // replaced ones. With the saved row index and live count (and, for a full
+  // scan, the old cell map and shape) they are the undo record of the last
+  // call.
   std::vector<CellGroup> window_groups_;
   std::vector<Reach> window_reach_;
   std::vector<RowIndex> saved_row_index_;
@@ -208,7 +227,9 @@ class CellGroupExtractor {
   size_t saved_cols_ = 0;
   UndoKind undo_ = UndoKind::kNone;
   ExtractionWindow last_;
-  size_t last_stop_row_ = 0;
+  size_t live_groups_ = 0;
+  size_t saved_live_groups_ = 0;
+  size_t spilled_windows_ = 0;
   const Partition* saved_base_ = nullptr;
   double saved_base_t_ = 0.0;
   size_t saved_max_reach_rows_ = 0;

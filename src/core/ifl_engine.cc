@@ -51,34 +51,42 @@ Status IflEngine::AllocateWindow(Partition* p, const ExtractionWindow& window,
             p->group_valid_count.size() == p->features.size())
       << "AllocateWindow needs the features of the partition before the "
          "window";
-  window_features_.resize(new_n);
-  window_null_.resize(new_n);
-  window_valid_count_.resize(new_n);
-  SwapWindow(&p->features, begin, window.old_group_end, &window_features_);
-  SwapWindow(&p->group_null, begin, window.old_group_end, &window_null_);
-  SwapWindow(&p->group_valid_count, begin, window.old_group_end,
-             &window_valid_count_);
+  // While spans keep their size the buffers only grow, so a steady-state
+  // window frees and allocates no row; a full scan or a span that grew the
+  // table swaps with buffers of its size, which the next window drops.
+  const bool in_place = window.old_group_end == window.new_group_end;
+  if (!in_place || shrink_ || window_features_.size() < new_n) {
+    window_features_.resize(new_n);
+    window_null_.resize(new_n);
+    window_valid_count_.resize(new_n);
+  }
+  shrink_ = !in_place;
+  SwapRows(p, window.old_group_end);
 
   // A group whose rectangle the window kept takes its previous values (now
-  // in the undo record); the others are computed. Group shards write
-  // disjoint entries, and AllocateGroupFeatures is a pure function of the
-  // group rectangle, so the output is thread-count independent.
+  // in the undo record), a vacant id keeps whatever buffer it got, and the
+  // others are computed. Group shards write disjoint entries, and
+  // AllocateGroupFeatures is a pure function of the group rectangle, so the
+  // output is thread-count independent.
   const std::span<const int32_t> previous = window.previous;
   const size_t cells = (window.row_end - window.row_begin) * grid_.cols();
-  ParallelFor(cells < kInlineCells ? nullptr : pool, begin,
+  FeatureScratch* shared = cells < kInlineCells ? &scratch_ : nullptr;
+  ParallelFor(shared != nullptr ? nullptr : pool, begin,
               window.new_group_end, kGroupGrain,
-              [this, p, begin, previous](size_t g_beg, size_t g_end) {
-                FeatureScratch scratch;
+              [this, p, begin, previous, shared](size_t g_beg, size_t g_end) {
+                FeatureScratch local;
+                FeatureScratch* scratch = shared != nullptr ? shared : &local;
                 for (size_t g = g_beg; g < g_end; ++g) {
                   const int32_t j =
                       previous.empty() ? -1 : previous[g - begin];
+                  if (j == ExtractionWindow::kVacant) continue;
                   if (j >= 0) {
                     p->features[g] = window_features_[j];
                     p->group_null[g] = window_null_[j];
                     p->group_valid_count[g] = window_valid_count_[j];
                     continue;
                   }
-                  AllocateGroupFeatures(grid_, p->groups[g], &scratch,
+                  AllocateGroupFeatures(grid_, p->groups[g], scratch,
                                         &p->features[g], &p->group_null[g],
                                         &p->group_valid_count[g]);
                 }
@@ -152,7 +160,7 @@ bool IflEngine::RecomputeNewRectangles(const Partition& p,
   const size_t cols = grid_.cols();
   const auto is_new = [&window](size_t g) {
     return window.previous.empty() ||
-           window.previous[g - window.group_begin] < 0;
+           window.previous[g - window.group_begin] == -1;
   };
   size_t new_cells = 0;
   for (size_t g = window.group_begin; g < window.new_group_end; ++g) {
@@ -177,12 +185,25 @@ void IflEngine::Undo(Partition* p) {
   // The candidate's rows are recomputed under whatever partition the next
   // call brings.
   stale_rows_ = undo_rows_;
-  if (!window_.changed) return;
+  if (window_.changed) SwapRows(p, window_.new_group_end);
+}
+
+void IflEngine::SwapRows(Partition* p, size_t slot_end) {
   const size_t begin = window_.group_begin;
-  SwapWindow(&p->features, begin, window_.new_group_end, &window_features_);
-  SwapWindow(&p->group_null, begin, window_.new_group_end, &window_null_);
-  SwapWindow(&p->group_valid_count, begin, window_.new_group_end,
-             &window_valid_count_);
+  if (window_.old_group_end != window_.new_group_end) {
+    SwapWindow(&p->features, begin, slot_end, &window_features_);
+    SwapWindow(&p->group_null, begin, slot_end, &window_null_);
+    SwapWindow(&p->group_valid_count, begin, slot_end, &window_valid_count_);
+    return;
+  }
+  // The span kept its size: it swaps with the buffers' first rows.
+  std::swap_ranges(p->features.begin() + begin,
+                   p->features.begin() + slot_end, window_features_.begin());
+  std::swap_ranges(p->group_null.begin() + begin,
+                   p->group_null.begin() + slot_end, window_null_.begin());
+  std::swap_ranges(p->group_valid_count.begin() + begin,
+                   p->group_valid_count.begin() + slot_end,
+                   window_valid_count_.begin());
 }
 
 }  // namespace srp

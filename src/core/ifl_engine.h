@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/extractor.h"
+#include "core/feature_allocator.h"
 #include "core/information_loss.h"
 #include "core/partition.h"
 #include "fail/cancellation.h"
@@ -25,8 +26,9 @@ namespace srp {
 ///
 ///  - AllocateWindow moves the feature rows / null flags / valid-cell
 ///    counts along with the extractor's splice, so every group outside the
-///    window keeps its values in place, and computes only the window's
-///    groups via the same per-group routine AllocateFeatures uses.
+///    window keeps its values in place, and computes only the window's new
+///    rectangles via the same per-group routine AllocateFeatures uses.
+///    Vacant ids are neither allocated nor evaluated.
 ///  - ComputeInformationLoss keeps Eq. 3 in an IflCache: once a window
 ///    leaves a row shard clean, each cell's subtotal is cached, and a
 ///    window then recomputes only the cells of its new rectangles (or of
@@ -83,6 +85,10 @@ class IflEngine {
   bool RecomputeNewRectangles(const Partition& p,
                               const ExtractionWindow& window, size_t s_beg,
                               size_t s_end);
+  /// Exchanges the rows of the last window's span [group_begin, slot_end)
+  /// with the undo record: slot_end is old_group_end to commit,
+  /// new_group_end to undo.
+  void SwapRows(Partition* p, size_t slot_end);
 
   const GridDataset& grid_;
   const GridSoAView view_;
@@ -92,17 +98,21 @@ class IflEngine {
   size_t last_dirty_shards_ = 0;
 
   // Undo record of the last AllocateWindow: its window and the rows it
-  // replaced (before the splice: recycled buffers for the next window);
-  // then, of the ComputeInformationLoss that followed, the grid rows it
+  // replaced (before the splice: recycled buffers for the next window;
+  // `shrink_` when they are a whole span's, to drop before reuse); then,
+  // of the ComputeInformationLoss that followed, the grid rows it
   // recomputed (all of them for a full pass). Undo leaves those rows stale
   // until the next call.
   bool undo_pending_ = false;
+  bool shrink_ = false;
   ExtractionWindow window_;
   std::vector<std::vector<double>> window_features_;
   std::vector<uint8_t> window_null_;
   std::vector<uint32_t> window_valid_count_;
   std::pair<size_t, size_t> undo_rows_;
   std::pair<size_t, size_t> stale_rows_;
+
+  FeatureScratch scratch_;  // the calling thread's, for inline windows
 };
 
 }  // namespace srp

@@ -48,6 +48,9 @@ Status Partition::Validate(const GridDataset& grid) const {
     }
   }
   for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].vacant()) {
+      return Status::Internal("group " + std::to_string(g) + " is vacant");
+    }
     if (covered[g] != groups[g].NumCells()) {
       return Status::Internal(
           "group " + std::to_string(g) + " covers " +
@@ -72,6 +75,20 @@ Status Partition::Validate(const GridDataset& grid) const {
     }
   }
   return Status::OK();
+}
+
+void CompactGroups(Partition* p) {
+  std::vector<int32_t> new_id(p->groups.size());
+  int32_t live = 0;
+  for (size_t g = 0; g < p->groups.size(); ++g) {
+    new_id[g] = p->groups[g].vacant() ? -1 : live++;
+  }
+  if (static_cast<size_t>(live) == p->groups.size()) return;
+  for (int32_t& id : p->cell_to_group) id = new_id[id];
+  EraseVacantRows(p->groups, &p->features);
+  EraseVacantRows(p->groups, &p->group_null);
+  EraseVacantRows(p->groups, &p->group_valid_count);
+  std::erase_if(p->groups, [](const CellGroup& g) { return g.vacant(); });
 }
 
 Partition TrivialPartition(const GridDataset& grid) {

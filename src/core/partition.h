@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/cell_group.h"
@@ -73,6 +74,30 @@ struct Partition {
   /// rectangles consistent with cell_to_group, feature arity (when present).
   Status Validate(const GridDataset& grid) const;
 };
+
+/// Erases the entries of the vacant ids of `groups` from `table`, a
+/// per-group table indexed like `groups` (one kept outside a Partition);
+/// the other entries keep their order. A table of another size is left
+/// as it is.
+template <typename T>
+void EraseVacantRows(const std::vector<CellGroup>& groups,
+                     std::vector<T>* table) {
+  if (table->size() != groups.size()) return;
+  size_t out = 0;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].vacant()) continue;
+    if (out != g) (*table)[out] = std::move((*table)[g]);
+    ++out;
+  }
+  table->resize(out);
+}
+
+/// Drops the vacant ids an in-place re-extraction leaves between live
+/// groups (CellGroup::vacant, DESIGN.md §12) from `groups` and every
+/// per-group table, and renumbers cell_to_group to match: the live groups
+/// keep their order. A partition without vacant ids is left as it is. Runs
+/// wherever a partition leaves the coarsening loop.
+void CompactGroups(Partition* p);
 
 /// The identity partition: every cell is its own 1x1 group, features copied
 /// verbatim. This is "iteration 0" of the re-partitioning loop and the

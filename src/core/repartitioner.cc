@@ -34,6 +34,7 @@ Status Snapshot(CheckpointSink* sink, const CoarseningState& committed,
   state.information_loss = committed.information_loss;
   state.final_min_adjacent_variation = committed.final_min_adjacent_variation;
   state.partition = partition;
+  CompactGroups(&state.partition);
   return sink->OnCheckpoint(state, reason);
 }
 
@@ -229,6 +230,7 @@ Result<RepartitionResult> Repartitioner::Run(const GridDataset& grid,
     return RunCoarseningLoop(options_, &heap, &extractor, &evaluator, ctx,
                              &result.partition, &state);
   }();
+  CompactGroups(&result.partition);
   // Interrupt-time snapshot: an interrupted run — best-effort or strict —
   // leaves its last committed state durable, so a deadline or cancel
   // degrades to "resumable" rather than merely "best-so-far". Best-effort:

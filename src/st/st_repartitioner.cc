@@ -139,12 +139,18 @@ class SliceEvaluator : public MeasuredHooks {
     return Status::OK();
   }
 
-  /// Moves the committed per-slice rows and losses into `*result`. The
-  /// partition keeps slice 0's rows as a fresh copy: the engine's rows are
-  /// recycled buffers scattered over the heap, and a contiguous copy is
-  /// cheaper for later readers such as a CSV export.
+  /// Moves the committed per-slice rows and losses into `*result`, with the
+  /// partition's vacant ids dropped from every slice. The partition keeps
+  /// slice 0's rows as a fresh copy: the engine's rows are recycled buffers
+  /// scattered over the heap, and a contiguous copy is cheaper for later
+  /// readers such as a CSV export.
   void Finish(StRepartitionResult* result) {
     Partition& p = result->partition;
+    for (size_t t = 1; t < engines_.size(); ++t) {
+      EraseVacantRows(p.groups, &rows_[t].features);
+      EraseVacantRows(p.groups, &rows_[t].group_null);
+    }
+    CompactGroups(&p);
     result->slice_features.push_back(std::move(p.features));
     p.features = result->slice_features[0];
     result->slice_group_null.push_back(p.group_null);

@@ -239,10 +239,42 @@ GridDataset RandomTieGrid(Rng* rng) {
   return g;
 }
 
-/// Asserts that `window` describes how `before` became `after`: groups
-/// before the window are untouched, groups after it kept their rectangles
-/// under shifted ids, and cells outside the window's rows kept their group
-/// rectangle.
+/// `p` with its vacant ids dropped, as a partition leaves the loop.
+Partition Compacted(Partition p) {
+  CompactGroups(&p);
+  return p;
+}
+
+/// The vacant-id contract of an in-place extraction at `t` (DESIGN.md §12):
+/// live ids strictly increase in scan order, no cell maps to a vacant id,
+/// the extractor's live count is the compacted count, and the compacted
+/// partition is Extract(t) group for group and cell for cell.
+void ExpectCompactsToFresh(const CellGroupExtractor& extractor, double t,
+                           const Partition& p) {
+  const CellGroup* last = nullptr;
+  for (const CellGroup& g : p.groups) {
+    if (g.vacant()) continue;
+    if (last != nullptr) {
+      ASSERT_TRUE(last->r_beg < g.r_beg ||
+                  (last->r_beg == g.r_beg && last->c_beg < g.c_beg))
+          << "live ids out of scan order at t=" << t;
+    }
+    last = &g;
+  }
+  for (const int32_t id : p.cell_to_group) {
+    ASSERT_FALSE(p.groups[id].vacant()) << "a cell maps to vacant id " << id;
+  }
+  const Partition compact = Compacted(p);
+  EXPECT_EQ(extractor.live_groups(), compact.groups.size()) << "t=" << t;
+  const Partition fresh = extractor.Extract(t);
+  ASSERT_EQ(fresh.groups, compact.groups) << "t=" << t;
+  ASSERT_EQ(fresh.cell_to_group, compact.cell_to_group) << "t=" << t;
+}
+
+/// Asserts that `window` describes how `before` became `after`: ids outside
+/// the window keep their groups (the spans are the same size unless the new
+/// one ends the id table), and cells outside the window's rows kept their
+/// group rectangle.
 void ExpectWindowDescribesChange(const Partition& before,
                                  const Partition& after,
                                  const ExtractionWindow& window) {
@@ -255,6 +287,12 @@ void ExpectWindowDescribesChange(const Partition& before,
   ASSERT_LE(window.old_group_end, before.groups.size());
   ASSERT_EQ(before.groups.size() - window.old_group_end,
             after.groups.size() - window.new_group_end);
+  if (window.new_group_end != window.old_group_end &&
+      window.group_begin > 0) {
+    EXPECT_EQ(window.old_group_end, before.groups.size())
+        << "a window that changes the id count must end the id table";
+  }
+  ASSERT_EQ(window.previous.size(), window.new_group_end - window.group_begin);
   for (size_t g = 0; g < window.group_begin; ++g) {
     ASSERT_EQ(before.groups[g], after.groups[g]) << "prefix group " << g;
   }
@@ -262,6 +300,14 @@ void ExpectWindowDescribesChange(const Partition& before,
     ASSERT_EQ(before.groups[window.old_group_end + k],
               after.groups[window.new_group_end + k])
         << "suffix group " << k;
+  }
+  for (size_t k = 0; k < window.previous.size(); ++k) {
+    const int32_t j = window.previous[k];
+    const CellGroup& g = after.groups[window.group_begin + k];
+    ASSERT_EQ(g.vacant(), j == ExtractionWindow::kVacant) << "new id " << k;
+    if (j >= 0) {
+      ASSERT_EQ(g, before.groups[window.group_begin + j]) << "new id " << k;
+    }
   }
   for (size_t cell = 0; cell < after.cell_to_group.size(); ++cell) {
     const size_t row = cell / after.cols;
@@ -277,13 +323,14 @@ void ExpectWindowDescribesChange(const Partition& before,
 struct WindowCounts {
   size_t partial = 0;    ///< changed, but not the whole grid
   size_t unchanged = 0;  ///< reproduced the previous partition
+  size_t spilled = 0;    ///< outgrew their span (the fallback)
 };
 
 /// Walks the heap the way Repartitioner::Run does at `step`, extracting in
-/// place at every popped threshold, and requires each result to equal a
-/// fresh Extract group for group and cell for cell. Every few steps the
-/// extraction is undone (which must restore the previous partition exactly)
-/// and redone.
+/// place at every popped threshold, and requires each result to compact to
+/// a fresh Extract group for group and cell for cell. Every few steps the
+/// extraction is undone (which must restore the previous partition
+/// exactly, vacant ids included) and redone.
 void WalkHeapAgainstFreshExtraction(const GridDataset& grid, double step,
                                     Rng* rng, WindowCounts* counts = nullptr) {
   const GridDataset norm = AttributeNormalized(grid);
@@ -295,19 +342,24 @@ void WalkHeapAgainstFreshExtraction(const GridDataset& grid, double step,
   double previous = -1.0;
   double t = 0.0;
   while (heap.PopNextGreater(previous + step, &t)) {
+    const double before_t = previous;
     previous = t;
     const Partition before = p;
     ExtractionWindow window = extractor.ExtractInto(t, &p);
     if (rng->NextBounded(4) == 0) {
+      ExpectCompactsToFresh(extractor, t, p);
+      if (testing::Test::HasFatalFailure()) return;
       extractor.Undo(&p);
       ASSERT_EQ(before.groups, p.groups) << "undo at t=" << t;
       ASSERT_EQ(before.cell_to_group, p.cell_to_group) << "undo at t=" << t;
+      if (!before.groups.empty()) {
+        ExpectCompactsToFresh(extractor, before_t, p);
+        if (testing::Test::HasFatalFailure()) return;
+      }
       window = extractor.ExtractInto(t, &p);
     }
-    const Partition fresh = extractor.Extract(t);
-    ASSERT_EQ(fresh.groups, p.groups) << "t=" << t << " step=" << step;
-    ASSERT_EQ(fresh.cell_to_group, p.cell_to_group)
-        << "t=" << t << " step=" << step;
+    ExpectCompactsToFresh(extractor, t, p);
+    if (testing::Test::HasFatalFailure()) return;
     ExpectWindowDescribesChange(before, p, window);
     if (testing::Test::HasFatalFailure()) return;
     if (counts != nullptr) {
@@ -318,10 +370,12 @@ void WalkHeapAgainstFreshExtraction(const GridDataset& grid, double step,
                              : 0;
     }
   }
+  if (counts != nullptr) counts->spilled += extractor.spilled_windows();
 }
 
 TEST(IncrementalExtractionProperty, HeapWalkMatchesFreshExtraction) {
   Rng rng(20221);
+  WindowCounts counts;
   for (int trial = 0; trial < 150; ++trial) {
     const GridDataset grid = RandomTieGrid(&rng);
     for (const double step : {0.0, 2.5e-3}) {
@@ -329,10 +383,12 @@ TEST(IncrementalExtractionProperty, HeapWalkMatchesFreshExtraction) {
                    << "trial " << trial << " (" << grid.rows() << "x"
                    << grid.cols() << ", " << grid.num_attributes()
                    << " attributes) step " << step);
-      WalkHeapAgainstFreshExtraction(grid, step, &rng);
+      WalkHeapAgainstFreshExtraction(grid, step, &rng, &counts);
       if (HasFatalFailure()) return;
     }
   }
+  // The walks must have left vacant ids and taken the fallback too.
+  EXPECT_GT(counts.spilled, 0u);
 }
 
 TEST(IncrementalExtractionProperty, HeapWalkOnSyntheticDatasets) {
@@ -380,10 +436,9 @@ TEST(IncrementalExtractionProperty, ArbitraryThresholdOrderMatches) {
     for (int k = 0; k < 40; ++k) {
       const double t = thresholds[rng.NextBounded(thresholds.size())];
       extractor.ExtractInto(t, &p);
-      const Partition fresh = extractor.Extract(t);
-      ASSERT_EQ(fresh.groups, p.groups) << "trial " << trial << " t=" << t;
-      ASSERT_EQ(fresh.cell_to_group, p.cell_to_group)
-          << "trial " << trial << " t=" << t;
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " t=" << t);
+      ExpectCompactsToFresh(extractor, t, p);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -18,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/extractor.h"
 #include "core/homogeneous.h"
 #include "core/repartitioner.h"
+#include "core/variation.h"
 #include "data/datasets.h"
+#include "grid/normalize.h"
 #include "util/json.h"
 
 namespace srp {
@@ -101,6 +104,51 @@ TEST(IntrospectTest, SeriesMirrorTheRun) {
 
   // Repartitioner runs never produce homogeneous merge rounds.
   EXPECT_TRUE(record.merge_rounds.empty());
+}
+
+/// Records the variation and group count of every evaluated candidate.
+class CandidateGroups : public obs::IntrospectionSink {
+ public:
+  void OnIteration(size_t, double variation, double, size_t groups,
+                   bool) override {
+    seen.emplace_back(variation, groups);
+  }
+  std::vector<std::pair<double, size_t>> seen;
+};
+
+TEST(IntrospectTest, CandidateGroupCountsMatchAFreshExtraction) {
+  // At step 0 the loop's partition holds vacant ids between its groups
+  // (DESIGN.md §12); each candidate must still report the group count of
+  // Algorithm 1 run from scratch at its variation, as a dense partition
+  // would.
+  DatasetOptions data_options;
+  data_options.rows = 128;
+  data_options.cols = 128;
+  auto grid = GenerateDataset(DatasetKind::kTaxiTripMulti, data_options);
+  ASSERT_TRUE(grid.ok());
+  CandidateGroups sink;
+  RepartitionOptions options;
+  options.ifl_threshold = 0.1;
+  options.min_variation_step = 0.0;
+  options.max_iterations = 1'000'000;
+  options.introspection = &sink;
+  auto result = Repartitioner(options).Run(*grid);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->stop_reason, StopReason::kThetaExceeded);
+  ASSERT_EQ(sink.seen.size(), result->iterations + 1);
+  ASSERT_GT(sink.seen.size(), 1000u);
+  const PairVariations variations =
+      ComputePairVariations(AttributeNormalized(*grid));
+  const CellGroupExtractor extractor(variations);
+  // Every 4th candidate and the last two: a miscount would persist.
+  for (size_t i = 0; i < sink.seen.size(); ++i) {
+    if (i % 4 != 0 && i + 2 < sink.seen.size()) continue;
+    const auto [variation, groups] = sink.seen[i];
+    ASSERT_EQ(groups, extractor.Extract(variation).num_groups())
+        << "candidate " << i << " at variation " << variation;
+  }
+  EXPECT_EQ(sink.seen[sink.seen.size() - 2].second,
+            result->partition.num_groups());
 }
 
 TEST(IntrospectTest, RecordIsBitIdenticalAcrossThreadCounts) {

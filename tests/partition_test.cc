@@ -78,6 +78,53 @@ TEST(PartitionTest, ValidateCatchesFeatureArityMismatch) {
   EXPECT_FALSE(p.Validate(g).ok());
 }
 
+TEST(PartitionTest, CompactGroupsDropsVacantIdsAndRenumbersCells) {
+  // The quadrants with vacant ids before, between and after them, as an
+  // in-place re-extraction leaves them.
+  const GridDataset g = UnitGrid();
+  Partition dense = QuadPartition();
+  ASSERT_TRUE(AllocateFeatures(g, &dense).ok());
+  Partition p = dense;
+  const std::vector<size_t> ids = {1, 2, 4, 7};  // new id of quadrant q
+  p.groups.assign(9, kVacantGroup);
+  p.features.assign(9, {});
+  p.group_null.assign(9, 0);
+  p.group_valid_count.assign(9, 0);
+  for (size_t q = 0; q < 4; ++q) {
+    p.groups[ids[q]] = dense.groups[q];
+    p.features[ids[q]] = dense.features[q];
+    p.group_null[ids[q]] = dense.group_null[q];
+    p.group_valid_count[ids[q]] = dense.group_valid_count[q];
+  }
+  for (int32_t& id : p.cell_to_group) id = static_cast<int32_t>(ids[id]);
+  EXPECT_TRUE(kVacantGroup.vacant());
+  EXPECT_EQ(kVacantGroup.NumCells(), 0u);
+  // A partition that still holds vacant ids is not a valid output.
+  EXPECT_FALSE(p.Validate(g).ok());
+  std::vector<uint8_t> slice_null = p.group_null;  // a table kept elsewhere
+  EraseVacantRows(p.groups, &slice_null);
+  EXPECT_EQ(slice_null, dense.group_null);
+
+  CompactGroups(&p);
+  EXPECT_EQ(p.groups, dense.groups);
+  EXPECT_EQ(p.cell_to_group, dense.cell_to_group);
+  EXPECT_EQ(p.features, dense.features);
+  EXPECT_EQ(p.group_null, dense.group_null);
+  EXPECT_EQ(p.group_valid_count, dense.group_valid_count);
+  EXPECT_TRUE(p.Validate(g).ok()) << p.Validate(g).ToString();
+
+  // Without vacant ids, and without features, nothing changes.
+  CompactGroups(&p);
+  EXPECT_EQ(p.groups, dense.groups);
+  EXPECT_EQ(p.cell_to_group, dense.cell_to_group);
+  EXPECT_EQ(p.features, dense.features);
+  Partition bare = QuadPartition();
+  CompactGroups(&bare);
+  EXPECT_EQ(bare.groups, QuadPartition().groups);
+  EXPECT_EQ(bare.cell_to_group, QuadPartition().cell_to_group);
+  EXPECT_TRUE(bare.features.empty());
+}
+
 TEST(PartitionTest, SumDivisorPrefersValidCount) {
   Partition p;
   p.groups = {CellGroup{0, 1, 0, 1}};  // 4 cells

@@ -487,6 +487,42 @@ TEST(RepartitionerExitTest, MidLoopInterruptReturnsLastCommittedPartition) {
   }
 }
 
+TEST(RepartitionerExitTest, InterruptedStepZeroRunReturnsDenseIds) {
+  // Mid step 0 the loop's partition holds vacant ids (DESIGN.md §12); the
+  // best-effort result and every snapshot, periodic or at the interrupt,
+  // must have dense ids.
+  const GridDataset grid = StepZeroGrid();
+  const size_t total = FullRunIterations(grid);
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    CancellationToken token;
+    CancelAtPop sink(token, total / 2);
+    RunContext ctx;
+    ctx.set_token(token);
+    ctx.set_best_effort(true);
+    KeepSnapshots snapshots;
+    RepartitionOptions options = StepZeroOptions(threads);
+    options.introspection = &sink;
+    options.checkpoint = &snapshots;
+    options.checkpoint_every = 7;
+    auto result = Repartitioner(options).Run(grid, &ctx);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stop_reason, StopReason::kInterrupted);
+    const Status valid = result->partition.Validate(grid);
+    EXPECT_TRUE(valid.ok()) << valid.ToString();
+    EXPECT_EQ(result->partition.group_valid_count.size(),
+              result->partition.num_groups());
+    ASSERT_EQ(snapshots.snapshots.size(), (total / 2 - 1) / 7 + 1);
+    for (const RepartitionCheckpoint& snapshot : snapshots.snapshots) {
+      const Status ok = snapshot.ValidateFor(grid);
+      EXPECT_TRUE(ok.ok()) << "iteration " << snapshot.iterations << ": "
+                           << ok.ToString();
+    }
+    ExpectSamePartition(snapshots.snapshots.back().partition,
+                        result->partition);
+  }
+}
+
 TEST(RepartitionerExitTest, AllocateFaultMidLoopLeavesLastCommittedPartition) {
   const GridDataset grid = StepZeroGrid();
   const size_t total = FullRunIterations(grid);

@@ -595,6 +595,46 @@ TEST(StRepartitionerUndoTest, AllocateFaultFailsEvenInBestEffortMode) {
   }
 }
 
+TEST(StRepartitionerTest, StepZeroSlicesAreCompactedWithThePartition) {
+  // At step 0 the shared partition holds vacant ids while the loop runs
+  // (DESIGN.md §12). The result drops them from the partition and from
+  // every slice's rows with one mapping: each slice's rows are Algorithm 2
+  // on the result partition.
+  TemporalGridSeries series;
+  for (const double volume : {1.0, 1.1, 1.05}) {
+    DatasetOptions data_options;
+    data_options.rows = 40;
+    data_options.cols = 40;
+    data_options.seed = 7;
+    data_options.records_per_cell = 10.0 * volume;
+    auto slice = GenerateDataset(DatasetKind::kTaxiTripMulti, data_options);
+    ASSERT_TRUE(slice.ok());
+    ASSERT_TRUE(series.AddSlice(std::move(*slice)).ok());
+  }
+  for (const TemporalAggregation aggregation :
+       {TemporalAggregation::kMax, TemporalAggregation::kMean}) {
+    StRepartitionOptions options;
+    options.ifl_threshold = 0.1;
+    options.min_variation_step = 0.0;
+    options.max_iterations = 1'000'000;
+    options.aggregation = aggregation;
+    auto result = StRepartitioner(options).Run(series);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GT(result->iterations, 100u);
+    const Status valid = result->partition.Validate(series.slice(0));
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
+    ASSERT_EQ(result->slice_features.size(), series.num_slices());
+    for (size_t t = 0; t < series.num_slices(); ++t) {
+      Partition allocated = result->partition;
+      ASSERT_TRUE(AllocateFeatures(series.slice(t), &allocated).ok());
+      EXPECT_TRUE(SameBits(result->slice_features[t], allocated.features))
+          << "slice " << t;
+      EXPECT_EQ(result->slice_group_null[t], allocated.group_null)
+          << "slice " << t;
+    }
+  }
+}
+
 TEST(StRepartitionerStatsTest, PhaseTableExplainsTheRun) {
   // Four days of one 48x48 city, as perfbench's st_series builds them.
   TemporalGridSeries series;
